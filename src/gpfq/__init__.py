@@ -17,7 +17,6 @@ from .density import (
     figure1_data,
     greedy_density,
     greedy_density_interval,
-    local_density,
     lower_bound_mq,
     mq_interval,
     rn_sequence,

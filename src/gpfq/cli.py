@@ -4,9 +4,9 @@ Results go to stdout, diagnostics to stderr. Exit codes: 0 success, 1
 computation failure (budget or precision, or a failing table cell), 2 usage
 error. Identical invocations produce bit-identical output.
 
-Budget caps are overridable through environment variables:
-GPFQ_ENUM_BUDGET (polynomial enumerations), GPFQ_VERTEX_BUDGET (extremal
-search vertices), GPFQ_RN_BUDGET (right endpoint of the r_n search).
+Budget caps are overridable through environment variables, each a positive
+integer: GPFQ_ENUM_BUDGET (polynomial enumerations), GPFQ_VERTEX_BUDGET
+(extremal search vertices), GPFQ_RN_BUDGET (right endpoint of the r_n search).
 """
 
 from __future__ import annotations
@@ -15,19 +15,34 @@ import argparse
 import json
 import os
 import sys
+import time
 
 from . import density, progfree, tables
 from .errors import Error
 from .factor import factorize
 from .ff import make_field
 from .intarith import prime_power
-from .numeric import render_decimal
 from .polyring import enumerate_polys, enumerate_upto, format_poly, parse_poly
 
 
-def _env_budget(name: str, default: int) -> int:
+def _int_in(lo: int, hi: float = float("inf")):
+    """argparse type: an integer in [lo, hi]; anything else raises ValueError."""
+
+    def parse(text: str) -> int:
+        if not lo <= int(text) <= hi:
+            raise ValueError(text)
+        return int(text)
+
+    parse.__name__ = f"integer >= {lo}" if hi == float("inf") else f"integer in [{lo}, {hi}]"
+    return parse
+
+
+def _env_budget(parser, name: str, default: int) -> int:
     raw = os.environ.get(name)
-    return int(raw) if raw else default
+    try:
+        return _int_in(1)(raw) if raw else default
+    except ValueError:
+        parser.error(f"{name}={raw!r} is not a positive integer")
 
 
 def _field_for(parser, args):
@@ -53,8 +68,10 @@ def _require_prime_power(parser, q):
 
 
 def _emit(args, text_lines, json_obj):
+    """Print the text lines, or under --json the object (called first if a function)."""
     if getattr(args, "json", False):
-        print(json.dumps(json_obj, indent=2, sort_keys=True))
+        obj = json_obj() if callable(json_obj) else json_obj
+        print(json.dumps(obj, indent=2, sort_keys=True))
     else:
         for line in text_lines:
             print(line)
@@ -64,45 +81,27 @@ def _emit(args, text_lines, json_obj):
 # subcommand handlers
 # ---------------------------------------------------------------------------
 
+_DENSITY_KINDS = {"greedy": "greedy", "lower": "lower_mq", "upper-simple": "upper_simple", "upper-no": "upper_no"}
+
+
 def _cmd_density(parser, args):
     _require_prime_power(parser, args.q)
-    q, digits = args.q, args.digits
-    if args.kind == "greedy":
-        if args.depth is not None:
-            iv = density.greedy_density_interval(q, args.depth)
-            report = density.DensityReport(
-                q=q, kind="greedy", value=iv, rendered=render_decimal(iv, digits),
-                digits=digits, depth=args.depth,
-            )
-        else:
-            report = density.greedy_density(q, digits)
-    elif args.kind == "lower":
-        if args.depth is not None:
-            iv = density.mq_interval(q, args.depth)
-            report = density.DensityReport(
-                q=q, kind="lower_mq", value=iv, rendered=render_decimal(iv, digits),
-                digits=digits, depth=args.depth,
-            )
-        else:
-            report = density.lower_bound_mq(q, digits)
-    elif args.kind == "upper-simple":
-        exact = density.upper_bound_simple(q, args.terms)
-        report = density.DensityReport(
-            q=q, kind="upper_simple", value=exact, rendered=render_decimal(exact, digits),
-            digits=digits, terms=args.terms,
-        )
-    else:  # upper-no
-        report = density.upper_bound_no(q, digits, budget=_env_budget("GPFQ_RN_BUDGET", density.DEFAULT_RN_BUDGET))
-    _emit(args, [report.rendered], {"command": "density", **report.to_json()})
+    report = density.certify(
+        _DENSITY_KINDS[args.kind], args.q, args.digits, depth=args.depth, terms=args.terms,
+        budget=_env_budget(parser, "GPFQ_RN_BUDGET", density.DEFAULT_RN_BUDGET),
+    )
+    _emit(args, [report.rendered], lambda: {"command": "density", **report.to_json()})
     return 0
 
 
 def _cmd_tables(parser, args):
-    cells, seconds = tables.verify_table_timed(args.which)
+    start = time.monotonic()
+    cells = tables.verify_table(args.which)
+    seconds = time.monotonic() - start
     all_pass = all(c.ok for c in cells)
     lines = [
         f"q={c.q} {c.column} expected={c.expected} computed={c.computed} "
-        + ("PASS" if c.ok else f"FAIL interval=[{c.lo}, {c.hi}]")
+        + ("PASS" if c.ok else f"FAIL interval=[{c.interval.lo}, {c.interval.hi}]")
         for c in cells
     ]
     lines.append(f"{sum(c.ok for c in cells)}/{len(cells)} cells PASS")
@@ -110,16 +109,7 @@ def _cmd_tables(parser, args):
         "command": "tables",
         "which": args.which,
         "all_pass": all_pass,
-        "cells": [
-            {
-                "q": c.q,
-                "column": c.column,
-                "expected": c.expected,
-                "computed": c.computed,
-                "ok": c.ok,
-            }
-            for c in cells
-        ],
+        "cells": [{key: getattr(c, key) for key in ("q", "column", "expected", "computed", "ok")} for c in cells],
     }
     _emit(args, lines, obj)
     print(f"table {args.which} verified in {seconds:.2f}s", file=sys.stderr)
@@ -141,21 +131,15 @@ def _cmd_figure1(parser, args):
 
 def _cmd_checkpoint(parser, args):
     _require_prime_power(parser, args.q)
-    value = density.checkpoint_density(args.q, args.k)
-    obj = {
-        "command": "checkpoint",
-        "q": args.q,
-        "k": args.k,
-        "exact": str(value),
-    }
-    _emit(args, [str(value)], obj)
+    exact = str(density.checkpoint_density(args.q, args.k))
+    _emit(args, [exact], {"command": "checkpoint", "q": args.q, "k": args.k, "exact": exact})
     return 0
 
 
 def _cmd_empirical(parser, args):
     spec = _field_for(parser, args)
     value = density.empirical_greedy_density(
-        spec, args.max_degree, budget=_env_budget("GPFQ_ENUM_BUDGET", progfree.DEFAULT_ENUM_BUDGET)
+        spec, args.max_degree, budget=_env_budget(parser, "GPFQ_ENUM_BUDGET", progfree.DEFAULT_ENUM_BUDGET)
     )
     obj = {
         "command": "empirical",
@@ -168,7 +152,7 @@ def _cmd_empirical(parser, args):
 
 
 def _cmd_rn(parser, args):
-    table = density.rn_sequence(args.n, budget=_env_budget("GPFQ_RN_BUDGET", density.DEFAULT_RN_BUDGET))
+    table = density.rn_sequence(args.n, budget=_env_budget(parser, "GPFQ_RN_BUDGET", density.DEFAULT_RN_BUDGET))
     values = list(table)
     _emit(args, [" ".join(str(v) for v in values)],
           {"command": "rn", "n": args.n, "values": values})
@@ -201,7 +185,7 @@ def _cmd_factor(parser, args):
 
 def _cmd_greedy(parser, args):
     spec = _field_for(parser, args)
-    budget = _env_budget("GPFQ_ENUM_BUDGET", progfree.DEFAULT_ENUM_BUDGET)
+    budget = _env_budget(parser, "GPFQ_ENUM_BUDGET", progfree.DEFAULT_ENUM_BUDGET)
     if args.action == "check":
         constructed = progfree.greedy_construct_bruteforce(spec, args.max_degree, budget)
         characterized = {f for f in enumerate_upto(spec, args.max_degree) if progfree.greedy_member(f)}
@@ -294,7 +278,7 @@ def _cmd_progcheck(parser, args):
 
 def _cmd_extremal(parser, args):
     spec = _field_for(parser, args)
-    budget = args.budget or _env_budget("GPFQ_VERTEX_BUDGET", progfree.DEFAULT_VERTEX_BUDGET)
+    budget = args.budget or _env_budget(parser, "GPFQ_VERTEX_BUDGET", progfree.DEFAULT_VERTEX_BUDGET)
     size, witness = progfree.max_progression_free_subset(spec, args.max_degree, budget)
     lines = [f"size={size}", "witness: " + ", ".join(format_poly(f) for f in witness)]
     obj = {
@@ -326,11 +310,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("density", help="certified density and bound values")
-    p.add_argument("kind", choices=["greedy", "lower", "upper-simple", "upper-no"])
+    p.add_argument("kind", choices=list(_DENSITY_KINDS))
     _add_q(p)
-    p.add_argument("--digits", type=int, default=6)
-    p.add_argument("--depth", type=int, help="fixed product depth instead of adaptive")
-    p.add_argument("--terms", type=int, help="finite progression families for upper-simple")
+    p.add_argument("--digits", type=_int_in(1, density.MAX_DIGITS), default=6)
+    p.add_argument("--depth", type=_int_in(1, density.MAX_DEPTH), help="fixed product depth instead of adaptive")
+    p.add_argument("--terms", type=_int_in(0), help="finite progression families for upper-simple")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_density)
 
@@ -340,24 +324,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_tables)
 
     p = sub.add_parser("figure1", help="density against q as CSV")
-    p.add_argument("--qmax", type=int, default=130)
+    p.add_argument("--qmax", type=_int_in(2), default=130)
     p.add_argument("--out", help="output path (default: stdout)")
     p.set_defaults(func=_cmd_figure1)
 
     p = sub.add_parser("checkpoint", help="exact checkpoint density at N_k")
     _add_q(p)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_int_in(1), required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_checkpoint)
 
     p = sub.add_parser("empirical", help="exact finite-stage greedy density")
     _add_field_opts(p)
-    p.add_argument("--max-degree", type=int, required=True)
+    p.add_argument("--max-degree", type=_int_in(0), required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_empirical)
 
     p = sub.add_parser("rn", help="least endpoints r_n for AP-free subsets")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_in(1), required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_rn)
 
@@ -372,12 +356,12 @@ def build_parser() -> argparse.ArgumentParser:
     psub = p.add_subparsers(dest="action", required=True)
     pc = psub.add_parser("check", help="brute-force construction vs characterization")
     _add_field_opts(pc)
-    pc.add_argument("--max-degree", type=int, required=True)
+    pc.add_argument("--max-degree", type=_int_in(0), required=True)
     pc.add_argument("--json", action="store_true")
     pc.set_defaults(func=_cmd_greedy)
     pe = psub.add_parser("enumerate", help="list greedy-set members")
     _add_field_opts(pe)
-    pe.add_argument("--max-degree", type=int, required=True)
+    pe.add_argument("--max-degree", type=_int_in(0), required=True)
     pe.add_argument("--counts-only", action="store_true")
     pe.add_argument("--json", action="store_true")
     pe.set_defaults(func=_cmd_greedy)
@@ -391,8 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("extremal", help="exact maximum progression-free subset")
     _add_field_opts(p)
-    p.add_argument("--max-degree", type=int, required=True)
-    p.add_argument("--budget", type=int, help="vertex budget (default 40)")
+    p.add_argument("--max-degree", type=_int_in(0), required=True)
+    p.add_argument("--budget", type=_int_in(1), help="vertex budget (default 40)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_extremal)
 
@@ -401,14 +385,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv) -> int:
     parser = build_parser()
+    limited = hasattr(sys, "set_int_max_str_digits")  # CPython 3.10.7 and later
+    str_limit = sys.get_int_max_str_digits() if limited else 0
     try:
         args = parser.parse_args(argv)
+        if limited:  # exact answers may pass the digit limit; density's budgets bound them
+            sys.set_int_max_str_digits(0)
         return args.func(parser, args)
     except SystemExit as exc:  # argparse usage error (2) or --help (0)
         return exc.code if isinstance(exc.code, int) else 2
     except Error as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if limited:
+            sys.set_int_max_str_digits(str_limit)
 
 
 def main():

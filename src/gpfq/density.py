@@ -16,16 +16,20 @@ Infinite products are truncated at product index I with a certified tail
 enclosure: every omitted factor of the m_q/local kind lies in
 [1, 1 + q^(-3^i)] and the omitted greedy factors in [1, 1/(1 - q^(1-3^i))],
 so with u = first omitted term the tail is within [1, exp(2u)] resp.
-[1, exp(4u)], bounded rationally by numeric.exp_upper. Depths start at 3 and
-double until the requested digits render unambiguously; the 3^i exponents
-make convergence triply exponential, so depth stays tiny even at 9 digits.
+[1, exp(4u)], bounded rationally by numeric.exp_upper. Every printed value
+comes from `certify`: depths step 3, 4, 5, ... until the requested digits
+render unambiguously. Each step triples the precision (the 3^i exponents make
+convergence triply exponential), and a depth is tried only while its first
+omitted term q^(-3^(I+1)) has at most MAX_TAIL_BITS bits, so the last attempt
+costs seconds at any q.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from functools import partial
+from math import comb, log2
 from typing import Optional, Tuple, Union
 
 from .errors import BudgetExceeded, Divergent, NeedsMorePrecision
@@ -33,10 +37,14 @@ from .factor import count_irreducibles
 from .intarith import prime_powers_upto
 from .numeric import Interval, exp_upper, render_decimal
 from .polyring import enumerate_upto
-from .progfree import DEFAULT_ENUM_BUDGET, a3_list, greedy_member, nk
+from .progfree import DEFAULT_ENUM_BUDGET, greedy_member, nk
 
 DEFAULT_START_DEPTH = 3
-MAX_DEPTH = 12
+#: One x86-64 core builds q=2 depth 9 in about 1.6 s and depth 10 in 14 s.
+MAX_DEPTH = 9
+MAX_TAIL_BITS = 3 ** (MAX_DEPTH + 1)  # the q=2 tail at MAX_DEPTH, as a cost bound for every q
+MAX_DIGITS = MAX_TAIL_BITS * 3 // 10  # about the most a product within MAX_TAIL_BITS resolves
+MAX_CHECKPOINT_BITS = 2**20  # denominator q^(N_k + 1); q=2, k=13 prints in a few seconds
 DEFAULT_RN_BUDGET = 200
 MAX_RN_TERMS = 48
 
@@ -46,13 +54,12 @@ class DensityReport:
     """A computed quantity plus the truncation parameters that certify it."""
 
     q: int
-    kind: str  # greedy | lower_mq | upper_simple | upper_no | checkpoint | empirical
+    kind: str  # greedy | lower_mq | upper_simple | upper_no
     value: Union[Interval, Fraction]
     rendered: Optional[str] = None
     digits: Optional[int] = None
     depth: Optional[int] = None  # product index I
     terms: Optional[int] = None  # series terms (r_n count, progression families)
-    degree_bound: Optional[int] = None
 
     def interval(self) -> Interval:
         v = self.value
@@ -68,7 +75,7 @@ class DensityReport:
         }
         if isinstance(self.value, Fraction):
             out["exact"] = str(self.value)
-        for key in ("digits", "depth", "terms", "degree_bound"):
+        for key in ("digits", "depth", "terms"):
             v = getattr(self, key)
             if v is not None:
                 out[key] = v
@@ -155,18 +162,6 @@ def _greedy_tail(q: int, depth: int) -> Interval:
     return Interval(1, exp_upper(4 * u))
 
 
-def local_density(t: int, depth: int = DEFAULT_START_DEPTH) -> Interval:
-    """The per-prime factor (1 - 1/t) * prod_{i>=0} (1 + t^(-3^i)), certified."""
-    if t < 2:
-        raise ValueError("t must be >= 2")
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    partial = 1 - Fraction(1, t)
-    for i in range(depth + 1):
-        partial *= 1 + Fraction(1, t ** (3**i))
-    return Interval.point(partial) * _one_plus_tail(Fraction(1, t ** (3 ** (depth + 1))))
-
-
 def _greedy_partial(q: int, depth: int) -> Fraction:
     val = 1 - Fraction(1, q)
     for i in range(1, depth + 1):
@@ -188,32 +183,14 @@ def mq_interval(q: int, depth: int) -> Interval:
     return Interval.point(partial) * _one_plus_tail(Fraction(1, q ** (3 ** (depth + 1))))
 
 
-def _adaptive(q: int, kind: str, digits: int, build) -> DensityReport:
-    depth = DEFAULT_START_DEPTH
-    while depth <= MAX_DEPTH:
-        iv = build(depth)
-        try:
-            return DensityReport(
-                q=q, kind=kind, value=iv, rendered=render_decimal(iv, digits),
-                digits=digits, depth=depth,
-            )
-        except NeedsMorePrecision:
-            depth *= 2
-    raise NeedsMorePrecision(f"{kind} for q={q} did not stabilize at {digits} digits")
-
-
 def greedy_density(q: int, digits: int = 6) -> DensityReport:
     """Certified greedy-set density, rendered to `digits` decimals."""
-    if digits < 1:
-        raise ValueError("digits must be >= 1")
-    return _adaptive(q, "greedy", digits, lambda d: greedy_density_interval(q, d))
+    return certify("greedy", q, digits)
 
 
 def lower_bound_mq(q: int, digits: int = 6) -> DensityReport:
     """Certified m_q, rendered to `digits` decimals."""
-    if digits < 1:
-        raise ValueError("digits must be >= 1")
-    return _adaptive(q, "lower_mq", digits, lambda d: mq_interval(q, d))
+    return certify("lower_mq", q, digits)
 
 
 @dataclass(frozen=True)
@@ -291,15 +268,19 @@ def cross_check_density_forms(q: int, depth: int, series_degree: int) -> CrossCh
 # ---------------------------------------------------------------------------
 
 def checkpoint_density(q: int, k: int) -> Fraction:
-    """|S(T) ∩ S(q^(N_k))| / q^(N_k + 1), exactly, from degree counts alone.
+    """|S(T) ∩ S(q^(N_k))| / q^(N_k + 1), exactly: (1 - 1/q) * prod_{i<k} (1 + q^(-3^i)).
 
     Increases with k toward m_q from below (the gap is under 2*q^(-N_k)).
+    The denominator q^(N_k + 1) may have at most MAX_CHECKPOINT_BITS bits.
     """
-    limit = nk(k)
-    return sum(
-        (Fraction(1, q**n) - Fraction(1, q ** (n + 1)) for n in a3_list(limit)),
-        Fraction(0),
-    )
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if k > MAX_CHECKPOINT_BITS.bit_length() or (nk(k) + 1) * log2(q) > MAX_CHECKPOINT_BITS:
+        raise BudgetExceeded(f"checkpoint q={q} k={k} exceeds the {MAX_CHECKPOINT_BITS}-bit budget")
+    value = 1 - Fraction(1, q)
+    for i in range(k):
+        value *= 1 + Fraction(1, q ** (3**i))
+    return value
 
 
 def upper_bound_simple(q: int, terms: Optional[int] = None) -> Fraction:
@@ -430,21 +411,41 @@ def upper_bound_no_interval(q: int, n_terms: int, budget: int = DEFAULT_RN_BUDGE
 
 def upper_bound_no(q: int, digits: int = 9, budget: int = DEFAULT_RN_BUDGET) -> DensityReport:
     """Certified sharper upper bound, extending the r_n table as needed."""
-    if q < 2:
-        raise ValueError("q must be >= 2")
-    if digits < 1:
-        raise ValueError("digits must be >= 1")
-    n_terms = 8
-    while n_terms <= MAX_RN_TERMS:
-        iv = upper_bound_no_interval(q, n_terms, budget)
+    return certify("upper_no", q, digits, budget=budget)
+
+
+# ---------------------------------------------------------------------------
+# the one certification loop behind every printed value
+# ---------------------------------------------------------------------------
+
+def certify(
+    kind: str, q: int, digits: int, depth: Optional[int] = None, terms: Optional[int] = None,
+    budget: int = DEFAULT_RN_BUDGET,
+) -> DensityReport:
+    """The first report, over truncations tried in order, whose value renders.
+
+    greedy and lower_mq step the product depth 3, 4, 5, ... (or try only a
+    fixed `depth`); upper_no steps the r_n term count 8, 9, ...; upper_simple
+    is exact, with `terms` progression families (None: the closed form).
+    """
+    if q < 2 or digits < 1:
+        raise ValueError("q must be >= 2 and digits >= 1")
+    if kind == "upper_simple":
+        key, params, build = "terms", [terms], upper_bound_simple
+    elif kind == "upper_no":
+        key, params, build = "terms", range(8, MAX_RN_TERMS + 1), partial(upper_bound_no_interval, budget=budget)
+    else:
+        key, build = "depth", {"greedy": greedy_density_interval, "lower_mq": mq_interval}[kind]
+        depths = range(DEFAULT_START_DEPTH, MAX_DEPTH + 1) if depth is None else [depth]
+        params = [d for d in depths if d <= MAX_DEPTH and 3 ** (d + 1) * log2(q) <= MAX_TAIL_BITS]
+    for p in params:
+        value = build(q, p)
         try:
-            return DensityReport(
-                q=q, kind="upper_no", value=iv, rendered=render_decimal(iv, digits),
-                digits=digits, terms=n_terms,
-            )
+            rendered = render_decimal(value, digits)
         except NeedsMorePrecision:
-            n_terms += 1
-    raise NeedsMorePrecision(f"upper_no for q={q} did not stabilize at {digits} digits")
+            continue
+        return DensityReport(q=q, kind=kind, value=value, rendered=rendered, digits=digits, **{key: p})
+    raise NeedsMorePrecision(f"{kind} for q={q} did not stabilize at {digits} digits within the {key} budget")
 
 
 # ---------------------------------------------------------------------------

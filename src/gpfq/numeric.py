@@ -101,7 +101,10 @@ def render_decimal(v, digits: int) -> str:
     a = round_half_away(lo, digits) * s
     b = round_half_away(hi, digits) * s
     if a != b:
-        raise NeedsMorePrecision(f"[{lo}, {hi}] straddles a {digits}-digit rounding boundary")
+        bits = [max(e.numerator.bit_length(), e.denominator.bit_length()) for e in (lo, hi)]
+        raise NeedsMorePrecision(
+            f"endpoints of {bits[0]} and {bits[1]} bits straddle a {digits}-digit rounding boundary"
+        )
     n = int(a)
     sign = "-" if n < 0 else ""
     ip, fp = divmod(abs(n), s)

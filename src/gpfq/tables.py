@@ -7,12 +7,11 @@ compares the rendered decimals character by character.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import List
 
 from . import density
-from .numeric import render_decimal
+from .numeric import Interval
 
 # greedy-set density, 6 decimals
 TABLE1 = {
@@ -72,21 +71,13 @@ class CellResult:
     expected: str
     computed: str
     ok: bool
-    lo: str
-    hi: str
+    interval: Interval
 
 
-def _cell(q, column, expected, report) -> CellResult:
-    iv = report.interval()
-    return CellResult(
-        q=q,
-        column=column,
-        expected=expected,
-        computed=report.rendered,
-        ok=report.rendered == expected,
-        lo=str(iv.lo),
-        hi=str(iv.hi),
-    )
+def _cell(expected: str, report: density.DensityReport) -> CellResult:
+    """The cell of column `report.kind` in row `report.q`."""
+    ok = report.rendered == expected
+    return CellResult(report.q, report.kind, expected, report.rendered, ok, report.interval())
 
 
 def verify_table(which: int) -> List[CellResult]:
@@ -94,26 +85,16 @@ def verify_table(which: int) -> List[CellResult]:
     out = []
     if which == 1:
         for q, expected in TABLE1.items():
-            out.append(_cell(q, "greedy", expected, density.greedy_density(q, 6)))
+            out.append(_cell(expected, density.greedy_density(q, 6)))
     elif which == 2:
         for q, (expected, digits) in TABLE2.items():
-            out.append(_cell(q, "lower_mq", expected, density.lower_bound_mq(q, digits)))
+            out.append(_cell(expected, density.lower_bound_mq(q, digits)))
     elif which == 3:
         for q, (simple, no, lower) in TABLE3.items():
-            exact = density.upper_bound_simple(q)
-            simple_report = density.DensityReport(
-                q=q, kind="upper_simple", value=exact,
-                rendered=render_decimal(exact, 9), digits=9,
-            )
-            out.append(_cell(q, "upper_simple", simple, simple_report))
-            out.append(_cell(q, "upper_no", no, density.upper_bound_no(q, 9)))
-            out.append(_cell(q, "lower_mq", lower, density.lower_bound_mq(q, 9)))
+            out.append(_cell(simple, density.certify("upper_simple", q, 9)))
+            out.append(_cell(no, density.upper_bound_no(q, 9)))
+            out.append(_cell(lower, density.lower_bound_mq(q, 9)))
     else:
         raise ValueError(f"no table {which}; choose 1, 2 or 3")
     return out
 
-
-def verify_table_timed(which: int):
-    start = time.monotonic()
-    cells = verify_table(which)
-    return cells, time.monotonic() - start

@@ -30,7 +30,7 @@ from gpfq import (
     zeta_identity_check,
 )
 from gpfq.intarith import prime_powers_upto
-from gpfq.tables import verify_table_timed
+from gpfq.tables import verify_table
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -44,7 +44,7 @@ def _report(n, label, start, budget):
 
 def test_criterion_1_table1():
     start = time.monotonic()
-    cells, _ = verify_table_timed(1)
+    cells = verify_table(1)
     assert len(cells) == 12
     for c in cells:
         assert c.ok, f"q={c.q}: expected {c.expected}, computed {c.computed}"
@@ -53,7 +53,7 @@ def test_criterion_1_table1():
 
 def test_criterion_2_table2():
     start = time.monotonic()
-    cells, _ = verify_table_timed(2)
+    cells = verify_table(2)
     assert len(cells) == 12
     for c in cells:
         assert c.ok, f"q={c.q}: expected {c.expected}, computed {c.computed}"
@@ -66,7 +66,7 @@ def test_criterion_3_table3():
     start = time.monotonic()
     rns = rn_sequence(15)
     assert rns[-1] == 40  # q=2 needs r_n past 2^-r_n < 1e-12
-    cells, _ = verify_table_timed(3)
+    cells = verify_table(3)
     assert len(cells) == 42
     for c in cells:
         assert c.ok, f"q={c.q} {c.column}: expected {c.expected}, computed {c.computed}"

@@ -1,6 +1,8 @@
 """CLI behavior: outputs, exit codes, JSON schema conformance, determinism."""
 
 import json
+import sys
+from fractions import Fraction
 from importlib import resources
 
 import jsonschema
@@ -215,3 +217,69 @@ def test_tables_json_schema_all(capsys, schema):
     code, obj = invoke_json(capsys, schema, "tables", "--which", "3", "--json")
     assert code == 0
     assert len(obj["cells"]) == 42
+
+
+def test_density_many_digits(capsys):
+    # depths 3, 4, 5, ... are tried in turn; a failed attempt names its endpoints'
+    # bit lengths instead of printing 20000-bit numbers
+    code, out, err = invoke(capsys, "density", "greedy", "--q", "2", "--digits", "700")
+    assert code == 0, err
+    assert out.startswith("0.648361") and len(out.strip()) == 702
+
+
+def test_density_depth_past_tail_budget(capsys):
+    # depth 9 is within MAX_DEPTH at q=2 but its tail at q=343 is 8x larger
+    code, out, err = invoke(capsys, "density", "greedy", "--q", "343", "--depth", "9")
+    assert code == 1 and out == ""
+    assert "depth budget" in err
+
+
+def test_checkpoint_past_int_str_limit(capsys):
+    # the denominator 2^29525 has 8888 digits, past Python's default str() limit
+    code, out, err = invoke(capsys, "checkpoint", "--q", "2", "--k", "10")
+    assert code == 0, err
+    num, den = out.strip().split("/")
+    expected = Fraction(1, 2)
+    for i in range(10):
+        expected *= 1 + Fraction(1, 2 ** (3**i))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert Fraction(int(num), int(den)) == expected
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("k", ["14", "1000000000"])
+def test_checkpoint_budget(capsys, k):
+    code, out, err = invoke(capsys, "checkpoint", "--q", "2", "--k", k)
+    assert code == 1 and out == ""
+    assert "budget" in err
+
+
+@pytest.mark.parametrize(
+    "argv, env",
+    [
+        (["density", "greedy", "--q", "2", "--digits", "0"], None),
+        (["density", "greedy", "--q", "2", "--digits", "abc"], None),
+        (["density", "greedy", "--q", "2", "--digits", "1000000"], None),
+        (["density", "greedy", "--q", "2", "--depth", "0"], None),
+        (["density", "lower", "--q", "2", "--depth", "12"], None),
+        (["density", "upper-simple", "--q", "2", "--terms", "-1"], None),
+        (["checkpoint", "--q", "2", "--k", "0"], None),
+        (["rn", "--n", "0"], None),
+        (["empirical", "--q", "2", "--max-degree", "-1"], None),
+        (["extremal", "--q", "2", "--max-degree", "2", "--budget", "-3"], None),
+        (["figure1", "--qmax", "1"], None),
+        (["rn", "--n", "3"], ("GPFQ_RN_BUDGET", "abc")),
+        (["rn", "--n", "3"], ("GPFQ_RN_BUDGET", "-5")),
+        (["empirical", "--q", "2", "--max-degree", "2"], ("GPFQ_ENUM_BUDGET", "1e3")),
+        (["extremal", "--q", "2", "--max-degree", "2"], ("GPFQ_VERTEX_BUDGET", "0")),
+    ],
+)
+def test_bad_argv_or_env_is_usage_error(capsys, monkeypatch, argv, env):
+    if env:
+        monkeypatch.setenv(*env)
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2
+    assert "Traceback" not in err and out == ""

@@ -2,20 +2,23 @@
 
 from fractions import Fraction
 
+import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _oracles import rn_brute
 from gpfq import (
     BudgetExceeded,
     Divergent,
     Interval,
+    a3_list,
     checkpoint_density,
     cross_check_density_forms,
     empirical_greedy_density,
     figure1_data,
     greedy_density,
     greedy_density_interval,
-    local_density,
     lower_bound_mq,
     make_field,
     mq_interval,
@@ -27,6 +30,7 @@ from gpfq import (
     zeta_identity_check,
     zeta_q,
 )
+from gpfq.intarith import prime_powers_upto
 
 F2 = make_field(2)
 
@@ -59,14 +63,12 @@ def test_zeta_identity():
 
 def test_local_density_partial_sum_identity():
     # subset sums of {1, 3, 9} are exactly the admissible exponents below 27,
-    # so the K-fold partial product equals the truncated series, exactly
+    # so the series equals the K-fold local factor (1 - 1/t) * prod_{i<K} (1 + t^(-3^i)),
+    # which is mq_interval's partial product through depth K - 1: its lower endpoint
     t, big_k = 2, 3
     members = [n for n in range(3**big_k) if all(d != 2 for d in _ternary(n))]
     lhs = (1 - Fraction(1, t)) * sum(Fraction(1, t**n) for n in members)
-    rhs = 1 - Fraction(1, t)
-    for i in range(big_k):
-        rhs *= 1 + Fraction(1, t ** (3**i))
-    assert lhs == rhs
+    assert lhs == mq_interval(t, big_k - 1).lo
 
 
 def _ternary(n):
@@ -82,10 +84,10 @@ def _ternary(n):
 def test_local_density_limits():
     for t in (4, 5, 8, 100):
         for depth in (1, 2, 3):
-            iv = local_density(t, depth)
+            iv = mq_interval(t, depth)
             assert iv.lo >= 1 - Fraction(2, t)
             assert iv.hi <= 1
-    assert local_density(2, 3).width < Fraction(1, 10**12)
+    assert mq_interval(2, 3).width < Fraction(1, 10**12)
 
 
 def test_greedy_density_table_spots():
@@ -136,13 +138,12 @@ def test_checkpoint_sandwich():
 
 
 def test_checkpoint_partial_product_identity():
-    # the finite series and the finite product agree exactly at every stage
-    for q in (2, 3, 5):
+    # the closed-form product equals the degree-count series over a3_list(N_k),
+    # sum of q^(-n) - q^(-n-1), exactly at every stage
+    for q in (2, 3, 5, 9):
         for big_k in range(1, 7):
-            prod = 1 - Fraction(1, q)
-            for i in range(big_k):
-                prod *= 1 + Fraction(1, q ** (3**i))
-            assert checkpoint_density(q, big_k) == prod
+            series = sum(Fraction(1, q**n) - Fraction(1, q ** (n + 1)) for n in a3_list(nk(big_k)))
+            assert checkpoint_density(q, big_k) == series
 
 
 def test_upper_simple():
@@ -226,3 +227,24 @@ def test_greedy_interval_fixed_depth():
     iv = greedy_density_interval(2, 3)
     assert Fraction("0.648361") in Interval(iv.lo - Fraction(1, 10**6), iv.hi + Fraction(1, 10**6))
     assert iv.width < Fraction(1, 10**20)
+
+
+def _mp_rendered(q, digits, first, factor):
+    """first(q) * prod_{i>=1} factor(q, 3^i) in mpmath at digits + 20, rounded half away from zero."""
+    with mpmath.workdps(digits + 20):
+        x = mpmath.mpf(q)
+        value, i = first(x), 1
+        while x ** (1 - 3**i) > mpmath.mpf(10) ** -(digits + 25):
+            value *= factor(x, 3**i)
+            i += 1
+        n = int(mpmath.floor(value * 10**digits + mpmath.mpf(1) / 2))
+    return f"{n // 10**digits}.{n % 10**digits:0{digits}d}"
+
+
+@settings(max_examples=60, deadline=None)
+@given(q=st.sampled_from(prime_powers_upto(130)), digits=st.integers(1, 60))
+def test_certified_products_match_mpmath(q, digits):
+    greedy = _mp_rendered(q, digits, lambda x: 1 - 1 / x, lambda x, a: (1 - x ** (1 - 2 * a)) / (1 - x ** (1 - a)))
+    assert greedy_density(q, digits).rendered == greedy
+    lower = _mp_rendered(q, digits, lambda x: 1 - x**-2, lambda x, a: 1 + x ** (-a))
+    assert lower_bound_mq(q, digits).rendered == lower
