@@ -50,11 +50,10 @@ from .factor import (
     factorize,
     is_irreducible,
 )
-from .ff import FieldElem, FieldSpec, element_from_code, ff_add, ff_inv, ff_mul, make_field
+from .ff import FieldElem, FieldSpec, make_field
 from .numeric import Interval, Rat, exp_upper, render_decimal, round_half_away
 from .polyring import (
     NEG_INFINITY,
-    NormValue,
     Poly,
     canonical_key,
     constant,
@@ -68,7 +67,6 @@ from .polyring import (
     gcd,
     make_monic,
     monomial,
-    norm,
     one,
     parse_poly,
     x,

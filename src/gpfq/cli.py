@@ -45,11 +45,19 @@ def _env_budget(parser, name: str, default: int) -> int:
         parser.error(f"{name}={raw!r} is not a positive integer")
 
 
-def _field_for(parser, args):
-    pk = prime_power(args.q)
+def _prime_power(parser, q):
+    """(p, k) with q = p^k, or a usage error."""
+    try:
+        pk = prime_power(q)
+    except ValueError as exc:
+        parser.error(f"--q {q}: {exc}")
     if pk is None:
-        parser.error(f"--q {args.q} is not a prime power")
-    p, k = pk
+        parser.error(f"--q {q} is not a prime power")
+    return pk
+
+
+def _field_for(parser, args):
+    p, k = _prime_power(parser, args.q)
     modulus = None
     if getattr(args, "modulus", None):
         try:
@@ -60,11 +68,6 @@ def _field_for(parser, args):
         return make_field(p, k, modulus)
     except Error as exc:
         parser.error(f"invalid field: {exc}")
-
-
-def _require_prime_power(parser, q):
-    if prime_power(q) is None:
-        parser.error(f"--q {q} is not a prime power")
 
 
 def _emit(args, text_lines, json_obj):
@@ -85,7 +88,7 @@ _DENSITY_KINDS = {"greedy": "greedy", "lower": "lower_mq", "upper-simple": "uppe
 
 
 def _cmd_density(parser, args):
-    _require_prime_power(parser, args.q)
+    _prime_power(parser, args.q)
     report = density.certify(
         _DENSITY_KINDS[args.kind], args.q, args.digits, depth=args.depth, terms=args.terms,
         budget=_env_budget(parser, "GPFQ_RN_BUDGET", density.DEFAULT_RN_BUDGET),
@@ -130,7 +133,7 @@ def _cmd_figure1(parser, args):
 
 
 def _cmd_checkpoint(parser, args):
-    _require_prime_power(parser, args.q)
+    _prime_power(parser, args.q)
     exact = str(density.checkpoint_density(args.q, args.k))
     _emit(args, [exact], {"command": "checkpoint", "q": args.q, "k": args.k, "exact": exact})
     return 0
@@ -221,6 +224,7 @@ def _cmd_greedy(parser, args):
         return 0 if ok else 1
 
     # enumerate
+    progfree.enumeration_size(spec.q, args.max_degree, budget)
     counts = []
     members = []
     for d in range(args.max_degree + 1):

@@ -37,14 +37,14 @@ from .factor import count_irreducibles
 from .intarith import prime_powers_upto
 from .numeric import Interval, exp_upper, render_decimal
 from .polyring import enumerate_upto
-from .progfree import DEFAULT_ENUM_BUDGET, greedy_member, nk
+from .progfree import DEFAULT_ENUM_BUDGET, enumeration_size, greedy_member, nk
 
 DEFAULT_START_DEPTH = 3
 #: One x86-64 core builds q=2 depth 9 in about 1.6 s and depth 10 in 14 s.
 MAX_DEPTH = 9
 MAX_TAIL_BITS = 3 ** (MAX_DEPTH + 1)  # the q=2 tail at MAX_DEPTH, as a cost bound for every q
 MAX_DIGITS = MAX_TAIL_BITS * 3 // 10  # about the most a product within MAX_TAIL_BITS resolves
-MAX_CHECKPOINT_BITS = 2**20  # denominator q^(N_k + 1); q=2, k=13 prints in a few seconds
+MAX_CHECKPOINT_BITS = 2**20  # denominators q^(N_k + 1) and q^(2+3T); q=2, k=13 prints in a few seconds
 DEFAULT_RN_BUDGET = 200
 MAX_RN_TERMS = 48
 
@@ -286,17 +286,20 @@ def checkpoint_density(q: int, k: int) -> Fraction:
 def upper_bound_simple(q: int, terms: Optional[int] = None) -> Fraction:
     """1 - (q-1)/(q^3-1) exactly, or the finite variant with `terms` families.
 
-    With T families: 1 - ((q-1)/q) * sum_{i<T} q^(-2-3i); decreases in T
-    toward the closed form.
+    With T families the bound is 1 - ((q-1)/q) * sum_{i<T} q^(-2-3i), a
+    geometric sum: 1 - (q-1)/(q^3-1) * (1 - q^(-3T)). It decreases in T toward
+    the closed form. q^(2+3T) may have at most MAX_CHECKPOINT_BITS bits.
     """
     if q < 2:
         raise ValueError("q must be >= 2")
+    limit = Fraction(q - 1, q**3 - 1)
     if terms is None:
-        return 1 - Fraction(q - 1, q**3 - 1)
+        return 1 - limit
     if terms < 0:
         raise ValueError("terms must be >= 0")
-    acc = sum((Fraction(1, q ** (2 + 3 * i)) for i in range(terms)), Fraction(0))
-    return 1 - Fraction(q - 1, q) * acc
+    if terms > MAX_CHECKPOINT_BITS or (2 + 3 * terms) * log2(q) > MAX_CHECKPOINT_BITS:
+        raise BudgetExceeded(f"upper-simple q={q} terms={terms} exceeds the {MAX_CHECKPOINT_BITS}-bit budget")
+    return 1 - limit * (1 - Fraction(1, q ** (3 * terms)))
 
 
 # ---------------------------------------------------------------------------
@@ -456,9 +459,7 @@ def empirical_greedy_density(spec, max_degree: int, budget: int = DEFAULT_ENUM_B
     """|{f != 0 : deg f <= D, member}| / q^(D+1) by full enumeration."""
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
-    total = spec.q ** (max_degree + 1)
-    if total > budget:
-        raise BudgetExceeded(f"q^(max_degree+1) = {total} exceeds budget {budget}")
+    total = enumeration_size(spec.q, max_degree, budget)
     count = sum(1 for f in enumerate_upto(spec, max_degree) if greedy_member(f))
     return Fraction(count, total)
 

@@ -345,19 +345,3 @@ def _default_modulus(p, k):
             return cand
     raise AssertionError("unreachable: an irreducible of every degree exists")
 
-
-def ff_add(a: FieldElem, b: FieldElem) -> FieldElem:
-    return a + b
-
-
-def ff_mul(a: FieldElem, b: FieldElem) -> FieldElem:
-    return a * b
-
-
-def ff_inv(a: FieldElem) -> FieldElem:
-    return a.inverse()
-
-
-def element_from_code(spec: FieldSpec, n: int) -> FieldElem:
-    """Decode an integer in [0, q) to the element with those base-p digits."""
-    return spec.element(n)

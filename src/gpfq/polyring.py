@@ -1,4 +1,4 @@
-"""The ring F_q[x]: canonical values, arithmetic, norms, enumeration, text format.
+"""The ring F_q[x]: canonical values, arithmetic, norm counts, enumeration, text format.
 
 A polynomial is stored as a tuple of coefficient codes, constant term first,
 with no trailing zero (the empty tuple is the zero polynomial). The canonical
@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
-from typing import Optional
 
 from .errors import (
     CoefficientOutOfRange,
@@ -277,25 +275,6 @@ def canonical_key(f: Poly):
     return (len(f.coeffs), f.coeffs)
 
 
-@dataclass(frozen=True)
-class NormValue:
-    """q^degree, with a flag for the zero polynomial (whose norm is 0)."""
-
-    q: int
-    exponent: Optional[int]  # None for the zero polynomial
-
-    @property
-    def is_zero(self) -> bool:
-        return self.exponent is None
-
-    @property
-    def value(self) -> int:
-        return 0 if self.exponent is None else self.q**self.exponent
-
-    def __int__(self):
-        return self.value
-
-
 # ---------------------------------------------------------------------------
 # constructors and basic operations
 # ---------------------------------------------------------------------------
@@ -320,13 +299,6 @@ def monomial(spec, degree: int, code: int = 1) -> Poly:
     if degree < 0:
         raise ValueError("monomial degree must be >= 0")
     return Poly(spec, (0,) * degree + (code,))
-
-
-def norm(f: Poly) -> NormValue:
-    """N(f) = q^deg(f); the zero polynomial gets the flagged zero norm."""
-    if f.is_zero():
-        return NormValue(f.spec.q, None)
-    return NormValue(f.spec.q, len(f.coeffs) - 1)
 
 
 def make_monic(f: Poly):

@@ -2,12 +2,14 @@
 
 Covers the greedily-built integer set with no 3-term arithmetic progression
 (ternary digits 0/1 only), the greedy polynomial set and its exponent
-characterization, detection of 3-term non-unit geometric progressions,
-degree-set (norm-class) machinery, and an exact extremal search.
+characterization, degree-set (norm-class) machinery, detection of 3-term
+non-unit geometric progressions, and an exact extremal search.
 
 A geometric progression here is the strict triple (b, r*b, r^2*b) with
 deg r >= 1; the unit-tolerant variant relaxes membership of the second and
-third terms to unit multiples.
+third terms to unit multiples. One enumerator, `_progressions`, lists these
+triples for both `has_progression` and the extremal search, which is a
+single include-first branch and bound over the triples as hyperedges.
 """
 
 from __future__ import annotations
@@ -30,6 +32,19 @@ DegreeSet = Tuple[int, ...]
 
 DEFAULT_ENUM_BUDGET = 1 << 21
 DEFAULT_VERTEX_BUDGET = 40
+
+
+def enumeration_size(q: int, max_degree: int, budget: int, nonzero: bool = False) -> int:
+    """q^(max_degree+1) polynomials of degree <= max_degree (one less with
+    `nonzero`), or BudgetExceeded past `budget`. The power is built only below
+    4^bits(budget): as q >= 2^(bits(q)-1), every larger one is over budget.
+    """
+    if (q.bit_length() - 1) * (max_degree + 1) <= budget.bit_length():
+        size = q ** (max_degree + 1) - nonzero
+        if size <= budget:
+            return size
+    kind = "nonzero polynomials" if nonzero else "polynomials"
+    raise BudgetExceeded(f"{kind} of degree <= {max_degree} over GF({q}) exceed budget {budget}")
 
 
 # ---------------------------------------------------------------------------
@@ -108,10 +123,7 @@ def greedy_construct_bruteforce(spec, max_degree: int, budget: int = DEFAULT_ENU
     """
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
-    if spec.q ** (max_degree + 1) > budget:
-        raise BudgetExceeded(
-            f"q^(max_degree+1) = {spec.q ** (max_degree + 1)} exceeds budget {budget}"
-        )
+    enumeration_size(spec.q, max_degree, budget)
     admitted = set(enumerate_polys(spec, 0))
     ratios = []  # all non-unit candidate ratios of degree <= max_degree // 2
     for d in range(1, max_degree // 2 + 1):
@@ -159,29 +171,33 @@ def has_progression(polys, unit_tolerant: bool = False) -> Optional[ProgressionW
             raise SpecMismatch(f"{f.spec!r} vs {spec!r}")
         if f.is_zero():
             raise ZeroPolynomial("progression search over a set containing 0")
-    member_set = set(members)
     if unit_tolerant:
         member_set = {make_monic(f)[1] for f in members}
 
-    def present(g: Poly) -> bool:
-        if unit_tolerant:
+        def present(g: Poly) -> bool:
             return make_monic(g)[1] in member_set
-        return g in member_set
+    else:
+        present = set(members).__contains__
 
     max_deg = max(len(f.coeffs) - 1 for f in members)
-    ratio_budget = (max_deg - 0) // 2
-    ratios = []
-    for d in range(1, ratio_budget + 1):
-        ratios.extend(enumerate_polys(spec, d))
-    for a in sorted(members, key=canonical_key):
-        da = len(a.coeffs) - 1
-        for r in ratios:
-            if da + 2 * r.degree > max_deg:
-                continue
-            mid = r * a
-            if present(mid) and present(mid * r):
-                return ProgressionWitness(a, r)
+    bases = sorted(members, key=canonical_key)
+    for a, r, mid, top in _progressions(spec, bases, max_deg):
+        if present(mid) and present(top):
+            return ProgressionWitness(a, r)
     return None
+
+
+def _progressions(spec, bases, max_degree: int):
+    """(base, ratio, middle, top) for each base in the order given and each
+    non-unit ratio in canonical order with deg base + 2 deg ratio <= max_degree."""
+    ratios = [r for d in range(1, max_degree // 2 + 1) for r in enumerate_polys(spec, d)]
+    for a in bases:
+        room = max_degree - (len(a.coeffs) - 1)
+        for r in ratios:
+            if 2 * (len(r.coeffs) - 1) > room:
+                break  # ratios are in canonical (degree-major) order
+            mid = r * a
+            yield a, r, mid, mid * r
 
 
 # ---------------------------------------------------------------------------
@@ -192,72 +208,60 @@ def max_progression_free_subset(spec, max_degree: int, budget: int = DEFAULT_VER
     """Exact maximum size of a strict-progression-free subset of the nonzero
     polynomials of degree <= max_degree, with the canonically least witness.
 
-    The progressions form a 3-uniform hypergraph; a maximum progression-free
-    subset is the complement of a minimum hitting set, found by branching on
-    an uncovered triple (at most three ways). Deterministic.
+    The progressions are the edges of a 3-uniform hypergraph on these
+    polynomials, and the answer is its largest edge-free vertex set, found by
+    one branch-and-bound search (`_largest_free_set`). Deterministic.
     """
+    enumeration_size(spec.q, max_degree, budget, nonzero=True)
     universe = list(enumerate_upto(spec, max_degree))
-    n = len(universe)
-    if n > budget:
-        raise BudgetExceeded(f"{n} vertices exceed budget {budget}")
     index = {f: i for i, f in enumerate(universe)}
-    edges = set()
-    for a in universe:
-        da = len(a.coeffs) - 1
-        for d in range(1, (max_degree - da) // 2 + 1):
-            for r in enumerate_polys(spec, d):
-                mid = r * a
-                top = mid * r
-                edges.add((index[a], index[mid], index[top]))
-    edges = sorted(edges)
+    edges = [
+        (index[a], index[mid], index[top])
+        for a, _, mid, top in _progressions(spec, universe, max_degree)
+    ]
+    chosen = _largest_free_set(len(universe), edges)
+    return len(chosen), tuple(universe[v] for v in chosen)
 
-    best_cover = _min_hitting_set(n, edges, banned=0)
-    size = n - len(best_cover)
 
-    # lexicographically least witness: force vertices in canonical order
-    chosen = []
-    banned_mask = 0  # vertices the cover may not use = vertices forced into the set
-    for v in range(n):
-        trial = banned_mask | (1 << v)
-        cover = _min_hitting_set(n, edges, banned=trial)
-        if cover is not None and n - len(cover) == size:
-            banned_mask = trial
-            chosen.append(universe[v])
-            if len(chosen) == size:
+def _largest_free_set(n, edges):
+    """The largest subset of range(n) containing no edge, as a sorted list;
+    among several, the lexicographically least.
+
+    Depth-first over the vertices in order, "include v" before "exclude v",
+    recording a best only on strict improvement, so the first maximum reached
+    is the least one. A node is cut when its included count plus a bound on
+    the undecided vertices that can still join does not beat the best: the
+    undecided count minus a greedy packing of edges that no excluded vertex
+    meets and whose undecided parts are disjoint (each loses one of them).
+    Pending "exclude" branches wait on an explicit stack, not the call stack.
+    """
+    masks = [(1 << a) | (1 << b) | (1 << c) for a, b, c in edges]
+    others = [[] for _ in range(n)]  # per vertex: the other two vertices of each edge
+    for m, edge in zip(masks, edges):
+        for v in edge:
+            others[v].append(m ^ (1 << v))
+    best, best_set = -1, 0
+    stack = [(0, 0, 0, 0)]  # (next vertex, included mask, excluded mask, included count)
+    while stack:
+        v, inc, exc, k = stack.pop()
+        while True:
+            undecided = (1 << n) - (1 << v)
+            used = packed = 0
+            for m in masks:
+                if not m & exc and not m & undecided & used:
+                    used |= m & undecided
+                    packed += 1
+            if k + n - v - packed <= best:
                 break
-    return size, tuple(chosen)
-
-
-def _min_hitting_set(n, edges, banned):
-    """Smallest set of non-banned vertices meeting every edge, or None."""
-    best = [None]
-
-    def lower_bound(remaining):
-        used = 0
-        count = 0
-        for e in remaining:
-            m = (1 << e[0]) | (1 << e[1]) | (1 << e[2])
-            if not m & used:
-                used |= m
-                count += 1
-        return count
-
-    def rec(cover_mask, cover_size, start_edges):
-        remaining = [
-            e
-            for e in start_edges
-            if not cover_mask & ((1 << e[0]) | (1 << e[1]) | (1 << e[2]))
-        ]
-        if not remaining:
-            if best[0] is None or cover_size < len(best[0]):
-                best[0] = [i for i in range(n) if cover_mask >> i & 1]
-            return
-        if best[0] is not None and cover_size + lower_bound(remaining) >= len(best[0]):
-            return
-        e = remaining[0]
-        for v in e:
-            if not banned >> v & 1:
-                rec(cover_mask | (1 << v), cover_size + 1, remaining)
-
-    rec(0, 0, edges)
-    return best[0]
+            if v == n:
+                best, best_set = k, inc
+                break
+            bit = 1 << v
+            if all(o & inc != o for o in others[v]):
+                stack.append((v + 1, inc, exc | bit, k))
+                inc |= bit
+                k += 1
+            else:
+                exc |= bit
+            v += 1
+    return [v for v in range(n) if best_set >> v & 1]

@@ -2,13 +2,14 @@
 
 Nothing here shares code with the package's own factorization or search
 paths: irreducibility and factorization by literal trial division over the
-full monic enumeration, the AP-free integer set by its greedy definition,
-and AP-free subset existence by exhaustive combinations.
+full monic enumeration, integer factorization by trial division, the AP-free
+integer set by its greedy definition, and AP-free subset existence and the
+largest progression-free set by exhaustive combinations.
 """
 
 from itertools import combinations
 
-from gpfq.polyring import enumerate_monic, make_monic
+from gpfq.polyring import canonical_key, enumerate_monic, enumerate_upto, make_monic
 
 
 def naive_is_irreducible(f):
@@ -81,3 +82,57 @@ def rn_brute(n):
     while not apfree_subset_exists_brute(m, n):
         m += 1
     return m
+
+
+def factorint(n):
+    """Prime factorization of n >= 1 as {prime: exponent}, by trial division."""
+    out = {}
+    f = 2
+    while f * f <= n:
+        while n % f == 0:
+            out[f] = out.get(f, 0) + 1
+            n //= f
+        f += 1 if f == 2 else 2
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def trial_prime_power(n):
+    """(p, k) with n = p^k, p prime, or None; by trial division."""
+    fac = factorint(n) if n >= 2 else {}
+    return next(iter(fac.items())) if len(fac) == 1 else None
+
+
+def largest_free_set_brute(n, edges):
+    """Largest subset of range(n) containing no edge, as the least sorted tuple.
+
+    Subsets are tried largest first and in lexicographic order, so the first
+    edge-free one is the answer. Only sane for n <= 15.
+    """
+    for size in range(n, -1, -1):
+        for chosen in combinations(range(n), size):
+            s = set(chosen)
+            if not any(set(e) <= s for e in edges):
+                return chosen
+    raise AssertionError("unreachable: the empty set contains no edge")
+
+
+def max_progression_free_brute(spec, max_degree):
+    """(size, witness) of the largest progression-free set of nonzero
+    polynomials of degree <= max_degree, the canonically least on ties.
+
+    A progression (a, b, c) is found from the definition: a divides b,
+    deg b > deg a, and c = (b / a) * b.
+    """
+    universe = sorted(enumerate_upto(spec, max_degree), key=canonical_key)
+    assert len(universe) <= 15, "exhaustive search over more than 2^15 subsets"
+    pos = {f: i for i, f in enumerate(universe)}
+    edges = []
+    for i, a in enumerate(universe):
+        for b in universe:
+            r, rem = divmod(b, a)
+            if b.degree > a.degree and rem.is_zero() and r * b in pos:
+                edges.append((i, pos[b], pos[r * b]))
+    chosen = largest_free_set_brute(len(universe), edges)
+    return len(chosen), tuple(universe[i] for i in chosen)

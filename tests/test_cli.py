@@ -1,6 +1,9 @@
 """CLI behavior: outputs, exit codes, JSON schema conformance, determinism."""
 
+import hashlib
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
 from importlib import resources
@@ -283,3 +286,61 @@ def test_bad_argv_or_env_is_usage_error(capsys, monkeypatch, argv, env):
     code, out, err = invoke(capsys, *argv)
     assert code == 2
     assert "Traceback" not in err and out == ""
+
+
+@pytest.mark.parametrize(
+    "q, max_degree, digest",
+    [
+        (2, 6, "1e09ebe0f7365e86"),
+        (5, 2, "b7fa939136dad5dc"),
+        (3, 3, "bbeb97ecc1f53528"),
+        (4, 2, "75c983b0b1f8d1b4"),
+        (2, 5, "4fd50b0ceffbd611"),
+        (9, 1, "933ec869411489cc"),
+    ],
+)
+def test_extremal_stdout_pinned(capsys, q, max_degree, digest):
+    # sha256 prefixes of the stdout of the earlier solver (a minimum hitting set
+    # re-solved once per vertex to force the canonically least witness)
+    argv = ["extremal", "--q", str(q), "--max-degree", str(max_degree), "--budget", "200"]
+    code, out, _ = invoke(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
+
+def test_extremal_many_vertices_no_recursion(capsys):
+    # 1030 vertices and no progression: the include-first path is 1030 deep
+    code, out, _ = invoke(capsys, "extremal", "--q", "1031", "--max-degree", "0", "--budget", "2000")
+    assert code == 0
+    assert out.splitlines()[0] == "size=1030"
+
+
+def _run_cli(*argv):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    return subprocess.run(
+        [sys.executable, "-m", "gpfq.cli", *argv], capture_output=True, text=True, timeout=10, env=env,
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["extremal", "--q", "2", "--max-degree", "26"], 1),
+        (["empirical", "--q", "3", "--max-degree", "30000000"], 1),
+        (["greedy", "check", "--q", "3", "--max-degree", "30000000"], 1),
+        (["greedy", "enumerate", "--q", "2", "--max-degree", "40", "--counts-only"], 1),
+        (["density", "upper-simple", "--q", "2", "--terms", "1000000000"], 1),
+        (["density", "upper-simple", "--q", "2", "--terms", "100000"], 0),
+        (["factor", "--q", "2305843009213693951", "x+1"], 0),
+        (["factor", "--q", str(2**89 - 1), "x+1"], 2),
+    ],
+)
+def test_large_arguments_end_at_once(argv, code):
+    # each of these once enumerated, summed or trial-divided for minutes
+    proc = _run_cli(*argv)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    if code == 1:
+        assert proc.stderr.startswith("error:") and "budget" in proc.stderr
+    if code == 0:
+        assert proc.stdout.strip() in ("0.857143", "1 * (x+1)")

@@ -163,6 +163,22 @@ def test_upper_simple_decreasing_in_terms():
         assert values[-1] - closed < Fraction(1, q**17)
 
 
+def test_upper_simple_closed_form_equals_sum():
+    # oracle: the finite sum the closed form replaced
+    for q in (2, 3, 4, 5, 7, 8, 9, 27):
+        for terms in range(30):
+            acc = sum((Fraction(1, q ** (2 + 3 * i)) for i in range(terms)), Fraction(0))
+            assert upper_bound_simple(q, terms) == 1 - Fraction(q - 1, q) * acc
+
+
+def test_upper_simple_terms_budget():
+    # q^(2+3T) may have at most MAX_CHECKPOINT_BITS = 2^20 bits
+    assert upper_bound_simple(2, 349524) < upper_bound_simple(2, 349523)
+    for q, terms in ((2, 349525), (2, 10**9), (2, 10**4000), (1031, 40000)):
+        with pytest.raises(BudgetExceeded):
+            upper_bound_simple(q, terms)
+
+
 def test_rn_first_values():
     assert list(rn_sequence(9)) == [1, 2, 4, 5, 9, 11, 13, 14, 20]
     assert list(rn_sequence(2)) == [1, 2]

@@ -1,6 +1,11 @@
-"""Integer helper sanity checks."""
+"""Integer helper sanity checks, against trial division where it is feasible."""
 
-from gpfq.intarith import divisors, factorint, is_prime, prime_power, prime_powers_upto
+import time
+
+import pytest
+
+from _oracles import factorint, trial_prime_power
+from gpfq.intarith import divisors, is_prime, prime_power, prime_powers_upto
 
 
 def test_is_prime():
@@ -23,6 +28,45 @@ def test_prime_power():
     assert prime_power(1024) == (2, 10)
     assert prime_power(6) is None
     assert prime_power(1) is None
+
+
+def test_against_trial_division():
+    for n in range(-2, 10**5):
+        fac = factorint(n) if n >= 1 else {}
+        assert is_prime(n) == (list(fac.values()) == [1]), n
+        assert prime_power(n) == trial_prime_power(n), n
+
+
+def _lucas_lehmer(p):
+    """2^p - 1 is prime (p an odd prime) iff the Lucas-Lehmer residue is 0."""
+    m, s = 2**p - 1, 4
+    for _ in range(p - 2):
+        s = (s * s - 2) % m
+    return s == 0
+
+
+def test_large():
+    assert _lucas_lehmer(61) and is_prime(2**61 - 1)
+    assert prime_power(2**61 - 1) == (2**61 - 1, 1)
+    assert prime_power((2**61 - 1) ** 6) == (2**61 - 1, 6)
+    assert prime_power(47**2000) == (47, 2000)
+    assert prime_power(3**9000) == (3, 9000)
+    assert prime_power((2**61 - 1) * 1000003) is None
+    assert prime_power(1000003**2 * 1000033) is None
+    # strong pseudoprimes to the first 8 and the first 12 prime bases
+    for p, q in ((149491 * 747451, 34233211), (399165290221, 798330580441)):
+        assert not is_prime(p * q)
+        assert prime_power(p * q) is None
+    # 2^89 - 1 is a Mersenne prime past the range the 13 bases decide
+    assert _lucas_lehmer(89)
+    with pytest.raises(ValueError):
+        is_prime(2**89 - 1)
+    with pytest.raises(ValueError):
+        prime_power(2**89 - 1)
+    start = time.monotonic()
+    with pytest.raises(ValueError):
+        prime_power(10**4299 + 7)  # the longest --q argparse accepts
+    assert time.monotonic() - start < 2
 
 
 def test_divisors():

@@ -1,8 +1,14 @@
 """Progression-free combinatorics: integer set, greedy set, witnesses, extremal."""
 
+import random
+
 import pytest
 
-from _oracles import greedy_apfree_integers
+from _oracles import (
+    greedy_apfree_integers,
+    largest_free_set_brute,
+    max_progression_free_brute,
+)
 from gpfq import (
     BudgetExceeded,
     SpecMismatch,
@@ -23,6 +29,7 @@ from gpfq import (
     t3q_degrees,
     zero,
 )
+from gpfq.progfree import _largest_free_set, enumeration_size
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -186,3 +193,42 @@ def test_extremal_deterministic():
 
     keys = [canonical_key(f) for f in a[1]]
     assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("q, max_degree", [(2, 0), (2, 1), (2, 2), (2, 3), (3, 1), (4, 1)])
+def test_extremal_against_bruteforce(q, max_degree):
+    spec = make_field(*{2: (2, 1), 3: (3, 1), 4: (2, 2)}[q])
+    assert max_progression_free_subset(spec, max_degree) == max_progression_free_brute(spec, max_degree)
+
+
+def test_largest_free_set_random_hypergraphs():
+    # include-first order plus strict improvement must give the least maximum
+    rng = random.Random(20151201)
+    for _ in range(400):
+        n = rng.randrange(3, 13)
+        edges = sorted({tuple(rng.sample(range(n), 3)) for _ in range(rng.randrange(3 * n + 1))})
+        rng.shuffle(edges)
+        assert tuple(_largest_free_set(n, edges)) == largest_free_set_brute(n, edges)
+
+
+def test_enumeration_size_boundary():
+    # q^(D+1) polynomials of degree <= D, zero included; the budget is inclusive
+    assert enumeration_size(2, 4, 32) == 32
+    assert enumeration_size(2, 4, 31, nonzero=True) == 31
+    with pytest.raises(BudgetExceeded):
+        enumeration_size(2, 4, 31)
+    with pytest.raises(BudgetExceeded):
+        enumeration_size(2, 4, 30, nonzero=True)
+    assert enumeration_size(3, 100, 3**101) == 3**101
+    with pytest.raises(BudgetExceeded):
+        enumeration_size(3, 100, 3**101 - 1)
+    for q in (2, 3, 4, 7, 1031):
+        for budget in range(1, 300):
+            for d in range(10):
+                fits = q ** (d + 1) <= budget
+                try:
+                    assert enumeration_size(q, d, budget) == q ** (d + 1) and fits
+                except BudgetExceeded:
+                    assert not fits
+    with pytest.raises(BudgetExceeded):  # q^(D+1) is never built far past the budget
+        enumeration_size(3, 30_000_000_000, 1 << 21)
