@@ -15,6 +15,7 @@ from .density import (
     cross_check_density_forms,
     empirical_greedy_density,
     figure1_data,
+    greedy_counts,
     greedy_density,
     greedy_density_interval,
     lower_bound_mq,

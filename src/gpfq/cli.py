@@ -22,7 +22,7 @@ from .errors import Error
 from .factor import factorize
 from .ff import make_field
 from .intarith import prime_power
-from .polyring import enumerate_polys, enumerate_upto, format_poly, parse_poly
+from .polyring import enumerate_upto, format_poly, parse_poly
 
 
 def _int_in(lo: int, hi: float = float("inf")):
@@ -223,27 +223,21 @@ def _cmd_greedy(parser, args):
         _emit(args, lines, obj)
         return 0 if ok else 1
 
-    # enumerate
+    # enumerate: counts from the Euler product; members only when listed
     progfree.enumeration_size(spec.q, args.max_degree, budget)
-    counts = []
-    members = []
-    for d in range(args.max_degree + 1):
-        at_d = [f for f in enumerate_polys(spec, d) if progfree.greedy_member(f)]
-        counts.append(len(at_d))
-        if not args.counts_only:
-            members.extend(at_d)
-    if args.counts_only:
-        lines = [f"{d} {c}" for d, c in enumerate(counts)]
-    else:
-        lines = [format_poly(f) for f in members]
+    counts = density.greedy_counts(spec.q, args.max_degree)
     obj = {
         "command": "greedy-enumerate",
         "q": args.q,
         "max_degree": args.max_degree,
         "counts": counts,
     }
-    if not args.counts_only:
-        obj["members"] = [format_poly(f) for f in members]
+    if args.counts_only:
+        lines = [f"{d} {c}" for d, c in enumerate(counts)]
+    else:
+        lines = obj["members"] = [
+            format_poly(f) for f in enumerate_upto(spec, args.max_degree) if progfree.greedy_member(f)
+        ]
     _emit(args, lines, obj)
     return 0
 

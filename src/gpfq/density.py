@@ -1,6 +1,6 @@
 """Closed-form and truncated-product density quantities.
 
-Four families of numbers, all exact or certified:
+Five families of numbers, all exact or certified:
 
   * the greedy-set density  (1 - 1/q) * prod_{i>=1} (1 - q^(1-2*3^i)) / (1 - q^(1-3^i)),
     also computable through the zeta quotient and the irreducible-count
@@ -10,7 +10,10 @@ Four families of numbers, all exact or certified:
   * the simple upper bound  1 - (q-1)/(q^3-1)  and its finite-family variants;
   * the sharper upper bound  (q-1) * sum_n q^(-r_n), where r_n is the least m
     such that [1, m] holds an n-element subset free of 3-term arithmetic
-    progressions (r_n found by certified exhaustive search).
+    progressions (r_n found by certified exhaustive search);
+  * the exact count of greedy-set members of each degree, the coefficients of
+    the Euler product  prod_{s>=1} (1 + t^s)^M(s)  (`greedy_counts`), and the
+    finite-stage density they sum to.
 
 Infinite products are truncated at product index I with a certified tail
 enclosure: every omitted factor of the m_q/local kind lies in
@@ -36,8 +39,7 @@ from .errors import BudgetExceeded, Divergent, NeedsMorePrecision
 from .factor import count_irreducibles
 from .intarith import prime_powers_upto
 from .numeric import Interval, exp_upper, render_decimal
-from .polyring import enumerate_upto
-from .progfree import DEFAULT_ENUM_BUDGET, enumeration_size, greedy_member, nk
+from .progfree import DEFAULT_ENUM_BUDGET, enumeration_size, nk
 
 DEFAULT_START_DEPTH = 3
 #: One x86-64 core builds q=2 depth 9 in about 1.6 s and depth 10 in 14 s.
@@ -106,33 +108,31 @@ class ZetaIdentityCheck:
         return self.ok
 
 
+def _times_sparse(series: list, step: int, coeffs: list) -> list:
+    """series * sum_j coeffs[j] t^(step*j), truncated to the length of series."""
+    out = [0] * len(series)
+    for i, a in enumerate(series):
+        if a:
+            for j, b in enumerate(coeffs[: (len(series) - 1 - i) // step + 1]):
+                out[i + step * j] += a * b
+    return out
+
+
 def zeta_identity_check(q: int, series_degree: int) -> ZetaIdentityCheck:
     """Verify prod_{n<=D} (1 - t^n)^(-m(n,q)) = sum_{d<=D} q^d t^d (mod t^(D+1)).
 
-    Pure integer power-series arithmetic; the right side counts monic
-    polynomials by degree, the left collects them by factorization shape.
+    Pure integer power-series arithmetic through `_times_sparse`, as in
+    `greedy_counts`; the right side counts monic polynomials by degree, the
+    left collects them by factorization shape.
     """
     if series_degree < 1:
         raise ValueError("series degree must be >= 1")
-    trunc = series_degree + 1
     series = [1] + [0] * series_degree
-    for n in range(1, trunc):
+    for n in range(1, series_degree + 1):
         m = count_irreducibles(q, n)
         # multiply by (1 - t^n)^(-m) = sum_j C(m-1+j, j) t^(nj)
-        factor = [0] * trunc
-        j = 0
-        while n * j < trunc:
-            factor[n * j] = comb(m - 1 + j, j)
-            j += 1
-        out = [0] * trunc
-        for i, a in enumerate(series):
-            if a:
-                for k in range(0, trunc - i, n):
-                    b = factor[k]
-                    if b:
-                        out[i + k] += a * b
-        series = out
-    for d in range(trunc):
+        series = _times_sparse(series, n, [comb(m - 1 + j, j) for j in range(series_degree // n + 1)])
+    for d in range(series_degree + 1):
         if series[d] != q**d:
             return ZetaIdentityCheck(False, d, series[d], q**d)
     return ZetaIdentityCheck(True)
@@ -455,13 +455,36 @@ def certify(
 # finite-stage empirical density and the density-vs-q table
 # ---------------------------------------------------------------------------
 
+def greedy_counts(q: int, max_degree: int) -> list:
+    """Nonzero members of the greedy set of each exact degree 0..max_degree.
+
+    f is a member iff every exponent in its factorization lies in the AP-free
+    set A (ternary digits 0/1), so the monic members are counted by the Euler
+    product prod_n (sum_{e in A} t^(ne))^m(n,q). As sum_{e in A} s^e =
+    prod_i (1 + s^(3^i)), that is prod_{s>=1} (1 + t^s)^M(s) with M(s) the
+    sum of m(s/3^i, q) over the 3^i dividing s; each unit gives q - 1 members.
+    """
+    if max_degree < 0:
+        raise ValueError("max_degree must be >= 0")
+    series = [1] + [0] * max_degree
+    for s in range(1, max_degree + 1):
+        m, n = count_irreducibles(q, s), s
+        while n % 3 == 0:
+            n //= 3
+            m += count_irreducibles(q, n)
+        series = _times_sparse(series, s, [comb(m, j) for j in range(min(m, max_degree // s) + 1)])
+    return [(q - 1) * c for c in series]
+
+
 def empirical_greedy_density(spec, max_degree: int, budget: int = DEFAULT_ENUM_BUDGET) -> Fraction:
-    """|{f != 0 : deg f <= D, member}| / q^(D+1) by full enumeration."""
+    """|{f != 0 : deg f <= D, member}| / q^(D+1), the member count summed
+    from the Euler product of `greedy_counts`. The q^(D+1) polynomials must
+    fit in `budget`, as for an enumeration of them.
+    """
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
     total = enumeration_size(spec.q, max_degree, budget)
-    count = sum(1 for f in enumerate_upto(spec, max_degree) if greedy_member(f))
-    return Fraction(count, total)
+    return Fraction(sum(greedy_counts(spec.q, max_degree)), total)
 
 
 def figure1_data(q_max: int, digits: int = 6) -> list:

@@ -339,7 +339,8 @@ def _default_modulus(p, k):
     from . import factor, polyring
 
     base = make_field(p)
-    for low in itertools.product(range(p), repeat=k):
+    # a zero constant term makes x a factor, so those candidates are skipped
+    for low in itertools.product(range(1, p), *[range(p)] * (k - 1)):
         cand = low + (1,)
         if factor.is_irreducible(polyring.Poly(base, cand)):
             return cand

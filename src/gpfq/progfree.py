@@ -125,16 +125,15 @@ def greedy_construct_bruteforce(spec, max_degree: int, budget: int = DEFAULT_ENU
         raise ValueError("max_degree must be >= 0")
     enumeration_size(spec.q, max_degree, budget)
     admitted = set(enumerate_polys(spec, 0))
-    ratios = []  # all non-unit candidate ratios of degree <= max_degree // 2
-    for d in range(1, max_degree // 2 + 1):
-        ratios.extend(enumerate_polys(spec, d))
+    # all non-unit candidate ratios of degree <= max_degree // 2, each with its square
+    ratios = [(r, r * r) for d in range(1, max_degree // 2 + 1) for r in enumerate_polys(spec, d)]
     for d in range(1, max_degree + 1):
         for f in enumerate_polys(spec, d):
             ok = True
-            for r in ratios:
+            for r, square in ratios:
                 if 2 * r.degree > d:
                     break  # ratios are in canonical (degree-major) order
-                a, rem = divmod(f, r * r)
+                a, rem = divmod(f, square)
                 if rem.is_zero() and a in admitted and r * a in admitted:
                     ok = False
                     break

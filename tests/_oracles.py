@@ -1,15 +1,18 @@
 """Independent brute-force oracles the real implementations are checked against.
 
-Nothing here shares code with the package's own factorization or search
-paths: irreducibility and factorization by literal trial division over the
-full monic enumeration, integer factorization by trial division, the AP-free
-integer set by its greedy definition, and AP-free subset existence and the
-largest progression-free set by exhaustive combinations.
+Nothing here shares code with the package's own factorization, counting or
+search paths: irreducibility and factorization by literal trial division over
+the monic enumeration, the default field modulus by a search over every
+candidate, greedy-set member counts by factoring every monic polynomial,
+integer factorization by trial division, the AP-free integer set by its
+greedy definition, and AP-free subset existence and the largest
+progression-free set by exhaustive combinations.
 """
 
-from itertools import combinations
+from itertools import combinations, product
 
-from gpfq.polyring import canonical_key, enumerate_monic, enumerate_upto, make_monic
+from gpfq.ff import make_field
+from gpfq.polyring import Poly, canonical_key, enumerate_monic, enumerate_upto, make_monic
 
 
 def naive_is_irreducible(f):
@@ -25,17 +28,31 @@ def naive_is_irreducible(f):
     return True
 
 
+def default_modulus_brute(p, k):
+    """The first monic irreducible of degree k over F_p, trying every
+    coefficient tuple (constant first) in lexicographic order."""
+    base = make_field(p)
+    for low in product(range(p), repeat=k):
+        cand = low + (1,)
+        if naive_is_irreducible(Poly(base, cand)):
+            return cand
+    raise AssertionError("unreachable: an irreducible of every degree exists")
+
+
 def trial_division_factorize(f):
     """(unit code, [(monic poly, exponent)]) by dividing out monics in canonical order.
 
     Composite candidates never divide: all their lower-degree prime factors
     were already removed, so every recorded divisor is automatically prime.
+    Once no monic of degree <= deg m / 2 is left to try, the rest m is prime.
     """
     unit, m = make_monic(f)
     parts = []
     d = 1
-    while m.degree >= 1:
+    while 2 * d <= m.degree:
         for g in enumerate_monic(f.spec, d):
+            if 2 * d > m.degree:
+                break
             e = 0
             q, r = divmod(m, g)
             while r.is_zero():
@@ -47,7 +64,30 @@ def trial_division_factorize(f):
             if e:
                 parts.append((g, e))
         d += 1
+    if m.degree >= 1:
+        parts.append((m, 1))
     return unit.code, parts
+
+
+def greedy_counts_brute(spec, max_degree):
+    """Greedy-set members of each exact degree 0..max_degree: every monic
+    polynomial is factored by trial division and, when each exponent has only
+    the ternary digits 0 and 1, counts for its q - 1 unit multiples, which
+    have the same factorization."""
+
+    def ternary_01(e):
+        while e:
+            if e % 3 == 2:
+                return False
+            e //= 3
+        return True
+
+    counts = [0] * (max_degree + 1)
+    for d in range(max_degree + 1):
+        for f in enumerate_monic(spec, d):
+            _, parts = trial_division_factorize(f)
+            counts[d] += (spec.q - 1) * all(ternary_01(e) for _, e in parts)
+    return counts
 
 
 def greedy_apfree_integers(limit):

@@ -11,6 +11,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
+from gpfq import factor, progfree
 from gpfq.cli import run
 
 
@@ -158,6 +159,21 @@ def test_greedy_enumerate(capsys, schema):
         capsys, schema, "greedy", "enumerate", "--q", "2", "--max-degree", "2", "--json"
     )
     assert obj["counts"] == [1, 2, 2]
+
+
+def test_greedy_counts_factor_nothing(capsys, monkeypatch):
+    def refuse(*_):
+        raise AssertionError("factorization called")
+
+    for module in (factor, progfree):
+        monkeypatch.setattr(module, "factorization_exponents", refuse)
+    monkeypatch.setattr(factor, "factorize", refuse)
+    code, out, _ = invoke(capsys, "empirical", "--q", "2", "--max-degree", "13")
+    assert (code, out.strip()) == (0, "10639/16384")
+    code, out, _ = invoke(capsys, "greedy", "enumerate", "--q", "2", "--max-degree", "11", "--counts-only")
+    assert code == 0 and out.splitlines()[-1] == "11 1324"
+    with pytest.raises(AssertionError, match="factorization called"):  # listing members does factor
+        run(["greedy", "enumerate", "--q", "2", "--max-degree", "2"])
 
 
 def test_progcheck(capsys, schema, tmp_path):
@@ -333,14 +349,15 @@ def _run_cli(*argv):
         (["density", "upper-simple", "--q", "2", "--terms", "100000"], 0),
         (["factor", "--q", "2305843009213693951", "x+1"], 0),
         (["factor", "--q", str(2**89 - 1), "x+1"], 2),
+        (["factor", "--q", "18446744073709551616", "x+1"], 0),
     ],
 )
 def test_large_arguments_end_at_once(argv, code):
-    # each of these once enumerated, summed or trial-divided for minutes
+    # each of these once enumerated, summed, trial-divided or searched for a modulus for minutes
     proc = _run_cli(*argv)
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
     if code == 1:
         assert proc.stderr.startswith("error:") and "budget" in proc.stderr
     if code == 0:
-        assert proc.stdout.strip() in ("0.857143", "1 * (x+1)")
+        assert proc.stdout.strip() in ("0.857143", "1 * (x+1)", "1 * (x+[1])")

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import rn_brute
+from _oracles import greedy_counts_brute, rn_brute
 from gpfq import (
     BudgetExceeded,
     Divergent,
@@ -17,6 +17,7 @@ from gpfq import (
     cross_check_density_forms,
     empirical_greedy_density,
     figure1_data,
+    greedy_counts,
     greedy_density,
     greedy_density_interval,
     lower_bound_mq,
@@ -30,7 +31,7 @@ from gpfq import (
     zeta_identity_check,
     zeta_q,
 )
-from gpfq.intarith import prime_powers_upto
+from gpfq.intarith import prime_power, prime_powers_upto
 
 F2 = make_field(2)
 
@@ -218,6 +219,31 @@ def test_empirical_small():
     assert empirical_greedy_density(F2, 0) == Fraction(1, 2)
     with pytest.raises(BudgetExceeded):
         empirical_greedy_density(F2, 10, budget=100)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_greedy_counts_match_enumeration(q):
+    # every D with q^D <= 4096; exact-degree counts do not depend on D
+    top = max(d for d in range(13) if q**d <= 4096)
+    brute = greedy_counts_brute(make_field(*prime_power(q)), top)
+    for d in range(top + 1):
+        assert greedy_counts(q, d) == brute[: d + 1]
+
+
+@pytest.mark.parametrize(
+    "q, max_degree, value",
+    [
+        (2, 13, Fraction(10639, 16384)),
+        (2, 14, Fraction(21255, 32768)),
+        (2, 16, Fraction(85011, 131072)),
+        (3, 8, Fraction(14708, 19683)),
+        (3, 9, Fraction(44126, 59049)),
+        (4, 6, Fraction(13107, 16384)),
+        (4, 8, Fraction(209523, 262144)),
+    ],
+)
+def test_empirical_pinned(q, max_degree, value):
+    assert empirical_greedy_density(make_field(*prime_power(q)), max_degree) == value
 
 
 def test_figure1():

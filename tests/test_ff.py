@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from _oracles import default_modulus_brute
 from gpfq import (
     CodeOutOfRange,
     DivisionByZero,
@@ -13,6 +14,7 @@ from gpfq import (
     WrongDegreeModulus,
     make_field,
 )
+from gpfq.ff import _default_modulus
 
 FIELD_PARAMS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
                 (2, 4), (5, 2), (3, 3), (2, 5), (7, 2), (2, 6)]
@@ -58,6 +60,15 @@ def test_default_modulus_deterministic():
     for p, k in [(2, 4), (3, 3), (5, 2)]:
         assert make_field(p, k).modulus == make_field(p, k).modulus
         assert make_field(p, k) == make_field(p, k)
+
+
+def test_default_modulus_matches_full_search():
+    # skipping the candidates with constant term 0 changes no default modulus
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+        k = 2
+        while p**k <= 1024:
+            assert _default_modulus(p, k) == default_modulus_brute(p, k), (p, k)
+            k += 1
 
 
 def test_gf4_generator_relation():
