@@ -10,7 +10,8 @@ Five families of numbers, all exact or certified:
   * the simple upper bound  1 - (q-1)/(q^3-1)  and its finite-family variants;
   * the sharper upper bound  (q-1) * sum_n q^(-r_n), where r_n is the least m
     such that [1, m] holds an n-element subset free of 3-term arithmetic
-    progressions (r_n found by certified exhaustive search);
+    progressions (r_n found by certified exhaustive search, a DFS cut by the
+    window bound that the r values found before it give);
   * the exact count of greedy-set members of each degree, the coefficients of
     the Euler product  prod_{s>=1} (1 + t^s)^M(s)  (`greedy_counts`), and the
     finite-stage density they sum to.
@@ -326,14 +327,29 @@ class RnTable:
         return iter(self.values)
 
 
-def _apfree_exists(m: int, n: int) -> bool:
+def _apfree_exists(m: int, n: int, rs: list) -> bool:
     """Is there an AP-free subset of [1, m] of size n, given none fits in [1, m-1]?
 
-    Under that premise any witness must contain m, and translating down shows
-    one must contain 1 as well, so both are forced. The DFS keeps a bitmask of
-    positions still usable: when x joins, every position that would complete a
-    3-term AP with x and an earlier member (2x - y, and the midpoint with m)
-    is cleared, so every drawn candidate is valid by construction.
+    `rs` holds r_1..r_(n-1). Under the premise any witness must contain m,
+    and translating down shows one must contain 1 as well, so both are
+    forced. The DFS keeps a bitmask of positions still usable: when x joins,
+    every position that would complete a 3-term AP with x and an earlier
+    member y (2x - y, and the midpoint with m) is cleared, so every drawn
+    candidate is valid by construction. The positions 2x - y are the mirror
+    mask (bit m - y for every member y < x) shifted by 2x - m.
+
+    Two cuts end a scan over candidates x in increasing order, both monotone
+    in x. The popcount cut: fewer usable positions from x on than members
+    still needed. The window bound (Dybizbanski, "Sequences containing no
+    3-term arithmetic progressions", EJC 19(2), 2012, #P15; Gasarch, Glenn and
+    Kruskal, "Finding large 3-free sets I", JCSS 74, 2008): AP-freeness is
+    invariant under translation, so L consecutive integers hold at most
+    s(L) = max{k : r_k <= L} members. Choosing x with `need` members still
+    to place puts need + 1 members (x, the rest and m) into the m - x + 1
+    integers [x, m], which needs s(m - x + 1) >= need + 1, that is
+    r_(need+1) <= m - x + 1. For x >= 2 the window is shorter than m; the
+    premise r_n >= m then makes s exact from r_1..r_(n-1) alone, and
+    need + 1 <= n - 1 keeps every r looked up inside `rs`.
     """
     if n <= 1:
         return m >= n
@@ -346,34 +362,28 @@ def _apfree_exists(m: int, n: int) -> bool:
         avail |= 1 << i
     if (1 + m) % 2 == 0:
         avail &= ~(1 << ((1 + m) // 2))
-    chosen = [1, m]
+    last = [m + 1 - r for r in rs]  # last[need]: the largest x the window bound admits
 
-    def rec(avail: int, need: int) -> bool:
+    def rec(avail: int, mirror: int, need: int) -> bool:
         if need == 0:
             return True
         a = avail
         while a:
             low = a & -a
             x = low.bit_length() - 1
-            if (avail >> x).bit_count() < need:
+            if x > last[need] or (avail >> x).bit_count() < need:
                 return False
             a ^= low
-            nxt = avail & ~((low << 1) - 1)  # only positions above x remain
-            for y in chosen:
-                if y < x:
-                    t = 2 * x - y
-                    if t < m:
-                        nxt &= ~(1 << t)
+            shift = 2 * x - m
+            blocked = mirror << shift if shift >= 0 else mirror >> -shift
+            nxt = avail & ~(((low << 1) - 1) | blocked)  # positions above x, none of them 2x - y
             if (x + m) % 2 == 0:
                 nxt &= ~(1 << ((x + m) // 2))
-            chosen.append(x)
-            if rec(nxt, need - 1):
-                chosen.pop()
+            if rec(nxt, mirror | 1 << (m - x), need - 1):
                 return True
-            chosen.pop()
         return False
 
-    return rec(avail, n - 2)
+    return rec(avail, 1 << (m - 1), n - 2)
 
 
 _rn_cache: list = [1, 2]
@@ -390,7 +400,7 @@ def rn_sequence(n_max: int, budget: int = DEFAULT_RN_BUDGET) -> RnTable:
     while len(_rn_cache) < n_max:
         n = len(_rn_cache) + 1
         m = _rn_cache[-1] + 1
-        while m <= budget and not _apfree_exists(m, n):
+        while m <= budget and not _apfree_exists(m, n, _rn_cache):
             m += 1
         if m > budget:
             raise BudgetExceeded(f"r_{n} exceeds search budget {budget}")

@@ -32,6 +32,8 @@ DegreeSet = Tuple[int, ...]
 
 DEFAULT_ENUM_BUDGET = 1 << 21
 DEFAULT_VERTEX_BUDGET = 40
+#: Edge scans (nodes times edges) `_largest_free_set` may make; q=2, D=7 needs about 2.1e7.
+MAX_SEARCH_WORK = 2**25
 
 
 def enumeration_size(q: int, max_degree: int, budget: int, nonzero: bool = False) -> int:
@@ -209,7 +211,9 @@ def max_progression_free_subset(spec, max_degree: int, budget: int = DEFAULT_VER
 
     The progressions are the edges of a 3-uniform hypergraph on these
     polynomials, and the answer is its largest edge-free vertex set, found by
-    one branch-and-bound search (`_largest_free_set`). Deterministic.
+    one branch-and-bound search (`_largest_free_set`). Deterministic. The
+    vertex count is capped by `budget` before anything is listed, and the
+    search by MAX_SEARCH_WORK edge scans; past either, BudgetExceeded.
     """
     enumeration_size(spec.q, max_degree, budget, nonzero=True)
     universe = list(enumerate_upto(spec, max_degree))
@@ -233,6 +237,8 @@ def _largest_free_set(n, edges):
     undecided count minus a greedy packing of edges that no excluded vertex
     meets and whose undecided parts are disjoint (each loses one of them).
     Pending "exclude" branches wait on an explicit stack, not the call stack.
+    Every node scans every edge, so the work is the nodes visited times the
+    edges; past MAX_SEARCH_WORK it raises BudgetExceeded.
     """
     masks = [(1 << a) | (1 << b) | (1 << c) for a, b, c in edges]
     others = [[] for _ in range(n)]  # per vertex: the other two vertices of each edge
@@ -240,10 +246,17 @@ def _largest_free_set(n, edges):
         for v in edge:
             others[v].append(m ^ (1 << v))
     best, best_set = -1, 0
+    nodes_left = MAX_SEARCH_WORK // max(len(masks), 1)
     stack = [(0, 0, 0, 0)]  # (next vertex, included mask, excluded mask, included count)
     while stack:
         v, inc, exc, k = stack.pop()
         while True:
+            nodes_left -= 1
+            if nodes_left < 0:
+                raise BudgetExceeded(
+                    f"extremal search over {n} vertices and {len(masks)} edges exceeds "
+                    f"the work budget of {MAX_SEARCH_WORK} edge scans"
+                )
             undecided = (1 << n) - (1 << v)
             used = packed = 0
             for m in masks:

@@ -5,8 +5,9 @@ search paths: irreducibility and factorization by literal trial division over
 the monic enumeration, the default field modulus by a search over every
 candidate, greedy-set member counts by factoring every monic polynomial,
 integer factorization by trial division, the AP-free integer set by its
-greedy definition, and AP-free subset existence and the largest
-progression-free set by exhaustive combinations.
+greedy definition, AP-free subset existence by exhaustive combinations and
+by plain backtracking over sets, and the largest progression-free set by
+exhaustive combinations.
 """
 
 from itertools import combinations, product
@@ -120,6 +121,35 @@ def apfree_subset_exists_brute(m, n):
 def rn_brute(n):
     m = n
     while not apfree_subset_exists_brute(m, n):
+        m += 1
+    return m
+
+
+def apfree_subset_exists_backtrack(m, n):
+    """Does [1, m] hold an n-element set with no 3-term AP? Plain backtracking:
+    members join in increasing order, a candidate x only when no two members
+    a < b have x = 2b - a, and only while enough integers are left above it."""
+    members = set()
+
+    def extend(low, need):
+        if need == 0:
+            return True
+        for x in range(low, m - need + 2):
+            if not any((x + a) % 2 == 0 and (x + a) // 2 in members for a in members):
+                members.add(x)
+                found = extend(x + 1, need - 1)
+                members.discard(x)
+                if found:
+                    return True
+        return False
+
+    return extend(1, n)
+
+
+def rn_backtrack(n):
+    """r_n: the least m for which `apfree_subset_exists_backtrack(m, n)` holds."""
+    m = n
+    while not apfree_subset_exists_backtrack(m, n):
         m += 1
     return m
 

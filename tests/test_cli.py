@@ -350,14 +350,24 @@ def _run_cli(*argv):
         (["factor", "--q", "2305843009213693951", "x+1"], 0),
         (["factor", "--q", str(2**89 - 1), "x+1"], 2),
         (["factor", "--q", "18446744073709551616", "x+1"], 0),
+        (["rn", "--n", "18"], 0),
+        (["density", "upper-no", "--q", "2", "--digits", "15"], 0),
+        (["extremal", "--q", "2", "--max-degree", "8", "--budget", "1000"], 1),
     ],
 )
 def test_large_arguments_end_at_once(argv, code):
-    # each of these once enumerated, summed, trial-divided or searched for a modulus for minutes
+    # each of these once enumerated, summed, trial-divided or searched (for a modulus,
+    # for r_n or for a largest progression-free set) for seconds to minutes
     proc = _run_cli(*argv)
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
     if code == 1:
         assert proc.stderr.startswith("error:") and "budget" in proc.stderr
     if code == 0:
-        assert proc.stdout.strip() in ("0.857143", "1 * (x+1)", "1 * (x+[1])")
+        assert proc.stdout.strip() in (
+            "0.857143",
+            "1 * (x+1)",
+            "1 * (x+[1])",
+            "1 2 4 5 9 11 13 14 20 24 26 30 32 36 40 41 51 54",
+            "0.846375541078942",
+        )

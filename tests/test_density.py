@@ -1,13 +1,20 @@
 """Density quantities: exact identities, certified table values, searches."""
 
 from fractions import Fraction
+from math import comb
 
 import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import greedy_counts_brute, rn_brute
+from _oracles import (
+    apfree_subset_exists_backtrack,
+    apfree_subset_exists_brute,
+    greedy_counts_brute,
+    rn_backtrack,
+    rn_brute,
+)
 from gpfq import (
     BudgetExceeded,
     Divergent,
@@ -31,6 +38,7 @@ from gpfq import (
     zeta_identity_check,
     zeta_q,
 )
+from gpfq.density import _apfree_exists
 from gpfq.intarith import prime_power, prime_powers_upto
 
 F2 = make_field(2)
@@ -190,10 +198,35 @@ def test_rn_against_bruteforce():
     assert got == [rn_brute(n) for n in range(1, 7)]
 
 
+# r_1..r_20 as printed by `gpfq rn --n 20` before the window bound (OEIS A065825)
+R20 = [1, 2, 4, 5, 9, 11, 13, 14, 20, 24, 26, 30, 32, 36, 40, 41, 51, 54, 58, 63]
+
+
 def test_rn_strictly_increasing_and_r10():
     vals = list(rn_sequence(12))
     assert all(b > a for a, b in zip(vals, vals[1:]))
-    assert vals[9] > 20  # r_10 from the exhaustive search; strictly beyond r_9
+    assert vals[9] == 24  # r_10 from the exhaustive search
+    assert vals == R20[:12]
+
+
+def test_rn_against_backtracking():
+    assert list(rn_sequence(12)) == [rn_backtrack(n) for n in range(1, 13)]
+
+
+def test_rn_pinned_to_20():
+    assert list(rn_sequence(20)) == R20
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_window_bounded_search_against_oracles(n):
+    # every m the search is asked about for this n: r_(n-1) < m <= r_n
+    low = R20[n - 2] if n >= 2 else 0
+    for m in range(low + 1, R20[n - 1] + 1):
+        if comb(m, n) <= 20000:
+            expected = apfree_subset_exists_brute(m, n)
+        else:
+            expected = apfree_subset_exists_backtrack(m, n)
+        assert _apfree_exists(m, n, R20[: n - 1]) == expected == (m == R20[n - 1])
 
 
 def test_rn_budget():
