@@ -18,7 +18,7 @@ import sys
 import time
 
 from . import density, progfree, tables
-from .errors import Error
+from .errors import BudgetExceeded, Error
 from .factor import factorize
 from .ff import make_field
 from .intarith import prime_power
@@ -66,6 +66,8 @@ def _field_for(parser, args):
             parser.error(f"--modulus {args.modulus!r} is not a comma-separated integer list")
     try:
         return make_field(p, k, modulus)
+    except BudgetExceeded:
+        raise  # a computation limit (exit 1), not a usage error
     except Error as exc:
         parser.error(f"invalid field: {exc}")
 

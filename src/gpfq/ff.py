@@ -13,8 +13,10 @@ what makes every enumeration downstream canonical and reproducible.
 from __future__ import annotations
 
 import itertools
+import math
 
 from .errors import (
+    BudgetExceeded,
     CodeOutOfRange,
     CoefficientOutOfRange,
     DivisionByZero,
@@ -28,6 +30,13 @@ from .intarith import is_prime
 # Full add/mul/inv tables are built for extension fields up to this order;
 # larger fields fall back to per-call digit arithmetic.
 _TABLE_MAX = 256
+
+# The default modulus is searched for only while k * log2(p) stays within this
+# many bits (k <= 128 at p = 2, k <= 80 at p = 3). Each candidate's
+# irreducibility test makes about k * log2(p) modular squarings; every search
+# measured within the budget ends in under 1.5 s, while some just past it
+# (GF(2^149), GF(5^64)) take about 7 s.
+MAX_MODULUS_SEARCH_BITS = 128
 
 
 class FieldSpec:
@@ -48,11 +57,13 @@ class FieldSpec:
 
     def _init_ops(self):
         p, k, q = self.p, self.k, self.q
+        if p == 2:
+            # codes are bit vectors of GF(2) digits: addition is XOR at every k
+            self.add_c = lambda a, b: a ^ b
+            self.sub_c = lambda a, b: a ^ b
+            self.neg_c = lambda a: a
         if k == 1:
             if p == 2:
-                self.add_c = lambda a, b: a ^ b
-                self.sub_c = lambda a, b: a ^ b
-                self.neg_c = lambda a: a
                 self.mul_c = lambda a, b: a & b
             else:
                 self.add_c = lambda a, b: (a + b) % p
@@ -77,16 +88,17 @@ class FieldSpec:
         if q <= _TABLE_MAX:
             digits = [self._digits_raw(c) for c in range(q)]
             self._digit_cache = digits
-            add_t = [
-                [self._code_of(tuple((x + y) % p for x, y in zip(da, db))) for db in digits]
-                for da in digits
-            ]
             mul_t = [[self._code_of(self._mul_digits(da, db)) for db in digits] for da in digits]
-            self.add_c = lambda a, b: add_t[a][b]
             self.mul_c = lambda a, b: mul_t[a][b]
-            neg_t = [self._code_of(tuple((-x) % p for x in d)) for d in digits]
-            self.neg_c = lambda a: neg_t[a]
-            self.sub_c = lambda a, b: add_t[a][neg_t[b]]
+            if p != 2:
+                add_t = [
+                    [self._code_of(tuple((x + y) % p for x, y in zip(da, db))) for db in digits]
+                    for da in digits
+                ]
+                neg_t = [self._code_of(tuple((-x) % p for x in d)) for d in digits]
+                self.add_c = lambda a, b: add_t[a][b]
+                self.neg_c = lambda a: neg_t[a]
+                self.sub_c = lambda a, b: add_t[a][neg_t[b]]
             inv_t = [0] * q
             for a in range(1, q):
                 if inv_t[a]:
@@ -96,9 +108,10 @@ class FieldSpec:
             self._inv_table = inv_t
             self.inv_c = self._inv_tabled
         else:
-            self.add_c = self._add_digitwise
-            self.sub_c = self._sub_digitwise
-            self.neg_c = self._neg_digitwise
+            if p != 2:
+                self.add_c = self._add_digitwise
+                self.sub_c = self._sub_digitwise
+                self.neg_c = self._neg_digitwise
             self.mul_c = self._mul_codes
             self.inv_c = self._inv_pow
 
@@ -338,11 +351,19 @@ def _validate_modulus(p, k, modulus):
 def _default_modulus(p, k):
     from . import factor, polyring
 
+    if k * math.log2(p) > MAX_MODULUS_SEARCH_BITS:
+        raise BudgetExceeded(
+            f"a default modulus for GF({p}^{k}) exceeds the {MAX_MODULUS_SEARCH_BITS}-bit search budget"
+        )
     base = make_field(p)
-    # a zero constant term makes x a factor, so those candidates are skipped
-    for low in itertools.product(range(1, p), *[range(p)] * (k - 1)):
-        cand = low + (1,)
+    # Candidates in constant-first lexicographic order are the big-endian
+    # base-p digits of p^(k-1), p^(k-1) + 1, ...: starting there skips the
+    # constant term 0 (x divides those), and no range(p) is ever listed.
+    for n in itertools.count(p ** (k - 1)):
+        low = []
+        for _ in range(k):
+            n, c = divmod(n, p)
+            low.append(c)
+        cand = tuple(reversed(low)) + (1,)
         if factor.is_irreducible(polyring.Poly(base, cand)):
             return cand
-    raise AssertionError("unreachable: an irreducible of every degree exists")
-

@@ -1,7 +1,8 @@
 """Independent brute-force oracles the real implementations are checked against.
 
 Nothing here shares code with the package's own factorization, counting or
-search paths: irreducibility and factorization by literal trial division over
+search paths: schoolbook multiplication and long division of F_p coefficient
+lists, irreducibility and factorization by literal trial division over
 the monic enumeration, the default field modulus by a search over every
 candidate, greedy-set member counts by factoring every monic polynomial,
 integer factorization by trial division, the AP-free integer set by its
@@ -14,6 +15,37 @@ from itertools import combinations, product
 
 from gpfq.ff import make_field
 from gpfq.polyring import Poly, canonical_key, enumerate_monic, enumerate_upto, make_monic
+
+
+def _trim_list(cs):
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def fp_mul(p, a, b):
+    """Product of two F_p coefficient lists (constant first), schoolbook."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return _trim_list(out)
+
+
+def fp_divmod(p, a, b):
+    """(quotient, remainder) of F_p coefficient lists by long division;
+    b must be trimmed and nonzero, its leading coefficient need not be 1."""
+    inv = pow(b[-1], p - 2, p)
+    rem = list(a)
+    quot = [0] * max(len(a) - len(b) + 1, 0)
+    for i in range(len(quot) - 1, -1, -1):
+        t = rem[i + len(b) - 1] * inv % p
+        quot[i] = t
+        for j, y in enumerate(b):
+            rem[i + j] = (rem[i + j] - t * y) % p
+    return _trim_list(quot), _trim_list(rem[: len(b) - 1])
 
 
 def naive_is_irreducible(f):

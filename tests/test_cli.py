@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -324,6 +325,34 @@ def test_extremal_stdout_pinned(capsys, q, max_degree, digest):
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
 
 
+def _factor_text(q, degree, spread, seed):
+    """Text of a random polynomial g(x^spread) with deg g = degree // spread;
+    spread = p makes it a p-th power."""
+    rng = random.Random(seed)
+    n = degree // spread
+    codes = [rng.randrange(q) for _ in range(n)] + [rng.randrange(1, q)]
+    terms = [f"{c}*x^{i * spread}" if i else str(c) for i, c in enumerate(codes) if c]
+    return "+".join(reversed(terms))
+
+
+@pytest.mark.parametrize(
+    "q, degree, spread, digest",
+    [
+        (2, 200, 1, "02acf047eb0a6c0f"),
+        (2, 192, 2, "0fae0fd677916ef4"),
+        (3, 100, 1, "124f023230775374"),
+        (3, 99, 3, "34321f31807eb08b"),
+        (7, 60, 1, "bd7706a2a254e47f"),
+        (512, 12, 1, "cc24a090c60b783f"),
+    ],
+)
+def test_factor_stdout_pinned(capsys, q, degree, spread, digest):
+    # sha256 prefixes of the stdout of the per-coefficient polynomial arithmetic
+    code, out, _ = invoke(capsys, "factor", "--q", str(q), _factor_text(q, degree, spread, degree))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
+
 def test_extremal_many_vertices_no_recursion(capsys):
     # 1030 vertices and no progression: the include-first path is 1030 deep
     code, out, _ = invoke(capsys, "extremal", "--q", "1031", "--max-degree", "0", "--budget", "2000")
@@ -350,6 +379,7 @@ def _run_cli(*argv):
         (["factor", "--q", "2305843009213693951", "x+1"], 0),
         (["factor", "--q", str(2**89 - 1), "x+1"], 2),
         (["factor", "--q", "18446744073709551616", "x+1"], 0),
+        (["factor", "--q", str(3**300), "x+1"], 1),
         (["rn", "--n", "18"], 0),
         (["density", "upper-no", "--q", "2", "--digits", "15"], 0),
         (["extremal", "--q", "2", "--max-degree", "8", "--budget", "1000"], 1),

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _oracles import naive_is_irreducible, trial_division_factorize
 from gpfq import (
@@ -167,3 +169,22 @@ def test_factorize_deterministic():
     c = factorize(f, seed=12345)
     assert _parts(a) == _parts(b) == _parts(c)
     assert a.expand() == f
+
+
+# (field, largest degree drawn): prime fields reach past the packed-kernel cutoff
+EXPAND_FIELDS = ((F2, 64), (F3, 40), (make_field(7), 24), (F4, 24), (make_field(2, 9), 6))
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data(), field=st.sampled_from(EXPAND_FIELDS), e=st.integers(1, 4))
+def test_factorize_expand_identity(data, field, e):
+    # f = g * h^e, so repeated factors and p-th powers turn up as well
+    spec, dmax = field
+    codes = st.integers(0, spec.q - 1)
+    d = data.draw(st.integers(0, dmax))
+    g = Poly(spec, data.draw(st.lists(codes, min_size=d, max_size=d)) + [data.draw(st.integers(1, spec.q - 1))])
+    h = Poly(spec, data.draw(st.lists(codes, max_size=dmax // (2 * e) + 1)))
+    f = g * h**e if not h.is_zero() else g
+    fac = factorize(f)
+    assert fac.expand() == f
+    assert all(p.is_monic() and p.degree >= 1 for p, _ in fac.parts)

@@ -6,6 +6,7 @@ import pytest
 
 from _oracles import default_modulus_brute
 from gpfq import (
+    BudgetExceeded,
     CodeOutOfRange,
     DivisionByZero,
     NotPrime,
@@ -71,6 +72,15 @@ def test_default_modulus_matches_full_search():
             k += 1
 
 
+def test_default_modulus_budget():
+    # k * log2(p) past the budget fails at once; a large p lists no range(p)
+    for p, k in ((3, 81), (2, 129), (65521, 9), (2**61 - 1, 3)):
+        with pytest.raises(BudgetExceeded):
+            make_field(p, k)
+    assert make_field(65521, 8).k == 8
+    assert make_field(2**31 - 1, 2).modulus == (1, 0, 1)
+
+
 def test_gf4_generator_relation():
     f = make_field(2, 2)
     g = f.element(2)
@@ -134,6 +144,19 @@ def test_axioms_triples(field):
         assert (a + b) + c == a + (b + c)
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
+
+
+@pytest.mark.parametrize("p, k", [(2, 2), (2, 9), (2, 10), (3, 6)])
+def test_additive_ops_are_digitwise(p, k):
+    # tabled and untabled, XOR at p = 2: each digit adds, subtracts and negates mod p
+    spec = make_field(p, k)
+    rng = random.Random(p**k)
+    for _ in range(500):
+        a, b = rng.randrange(spec.q), rng.randrange(spec.q)
+        da, db = spec.digits_of(a), spec.digits_of(b)
+        assert spec.digits_of(spec.add_c(a, b)) == tuple((x + y) % p for x, y in zip(da, db))
+        assert spec.digits_of(spec.sub_c(a, b)) == tuple((x - y) % p for x, y in zip(da, db))
+        assert spec.digits_of(spec.neg_c(a)) == tuple(-x % p for x in da)
 
 
 def test_frobenius(field):

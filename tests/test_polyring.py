@@ -3,7 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from _oracles import fp_divmod, fp_mul
 from gpfq import (
     CoefficientOutOfRange,
     DivisionByZero,
@@ -27,6 +30,7 @@ from gpfq import (
     x,
     zero,
 )
+from gpfq.polyring import _PACK_MIN, _divmod, _lane, _mul
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -212,3 +216,58 @@ def test_canonical_order_constant_first():
     a, b = P(F2, "x^3+x^2+1"), P(F2, "x^3+x+1")
     assert canonical_key(a) < canonical_key(b)  # (1,0,1,1) < (1,1,0,1)
     assert x(F2) < P(F2, "x+1") < P(F2, "x^2")
+
+
+# ---------------------------------------------------------------------------
+# the packed GF(p) kernel of _mul/_divmod against the list-based oracle
+# ---------------------------------------------------------------------------
+
+# 2, 3, 5, 7: 16-bit lanes; 251: 32-bit lanes; 65521: 64-bit lanes;
+# 2^31 - 1 and 2^61 - 1: no lane fits, the per-coefficient loop runs
+KERNEL_PRIMES = (2, 3, 5, 7, 251, 65521, 2**31 - 1, 2**61 - 1)
+
+
+def _poly_codes(draw, p, length):
+    """A trimmed code tuple of exactly `length` coefficients, any nonzero lead."""
+    if length == 0:
+        return ()
+    low = draw(st.lists(st.integers(0, p - 1), min_size=length - 1, max_size=length - 1))
+    return tuple(low) + (draw(st.integers(1, p - 1)),)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), p=st.sampled_from(KERNEL_PRIMES))
+def test_kernel_mul_divmod_match_oracle(data, p):
+    spec = make_field(p)
+    # lengths on both sides of the cutoff; dividends up to many steps long
+    a = _poly_codes(data.draw, p, data.draw(st.integers(0, 6 * _PACK_MIN)))
+    b = _poly_codes(data.draw, p, data.draw(st.integers(0, 2 * _PACK_MIN + 8)))
+    assert list(_mul(spec, a, b)) == fp_mul(p, list(a), list(b))
+    assert list(_mul(spec, b, b)) == fp_mul(p, list(b), list(b))
+    if b:
+        quot, rem = _divmod(spec, a, b)
+        assert (list(quot), list(rem)) == fp_divmod(p, list(a), list(b))
+
+
+def test_lane_widths():
+    assert _lane(2**16 - 1)[0] == 16
+    assert _lane(2**16)[0] == 32
+    assert _lane(2**64 - 1)[0] == 64
+    assert _lane(2**64) is None
+
+
+@pytest.mark.parametrize("p", [2, 3, 65521])
+def test_kernel_makes_no_coefficient_calls(p):
+    # past the cutoff over a prime field no per-coefficient ff operation runs
+    spec = make_field(p)
+
+    def refuse(*args):
+        raise AssertionError("per-coefficient call")
+
+    rng = random.Random(p)
+    a = tuple(rng.randrange(p) for _ in range(3 * _PACK_MIN)) + (1,)
+    b = tuple(rng.randrange(p) for _ in range(_PACK_MIN)) + (p - 1,)
+    expect = (_mul(spec, a, b), _divmod(spec, a, b))
+    for name in ("add_c", "sub_c", "neg_c", "mul_c"):
+        setattr(spec, name, refuse)
+    assert (_mul(spec, a, b), _divmod(spec, a, b)) == expect
