@@ -12,7 +12,6 @@ integer: GPFQ_ENUM_BUDGET (polynomial enumerations), GPFQ_VERTEX_BUDGET
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -75,6 +74,8 @@ def _field_for(parser, args):
 def _emit(args, text_lines, json_obj):
     """Print the text lines, or under --json the object (called first if a function)."""
     if getattr(args, "json", False):
+        import json  # only --json pays for loading it
+
         obj = json_obj() if callable(json_obj) else json_obj
         print(json.dumps(obj, indent=2, sort_keys=True))
     else:

@@ -30,11 +30,10 @@ costs seconds at any q.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from math import comb, log2
-from typing import Optional, Tuple, Union
+from typing import NamedTuple, Optional, Union
 
 from .errors import BudgetExceeded, Divergent, NeedsMorePrecision
 from .factor import count_irreducibles
@@ -50,10 +49,12 @@ MAX_DIGITS = MAX_TAIL_BITS * 3 // 10  # about the most a product within MAX_TAIL
 MAX_CHECKPOINT_BITS = 2**20  # denominators q^(N_k + 1) and q^(2+3T); q=2, k=13 prints in a few seconds
 DEFAULT_RN_BUDGET = 200
 MAX_RN_TERMS = 48
+#: DFS nodes one rn_sequence call may visit. r_1..r_20 take 0.57M nodes and r_1..r_22 10.0M;
+#: the r_23 search alone needs more, so `rn --n 23` exits 1 after about 25 s on one x86-64 core.
+MAX_RN_WORK = 2**24
 
 
-@dataclass(frozen=True)
-class DensityReport:
+class DensityReport(NamedTuple):
     """A computed quantity plus the truncation parameters that certify it."""
 
     q: int
@@ -96,8 +97,7 @@ def zeta_q(q: int, s: int) -> Fraction:
     return 1 / (1 - Fraction(1, q ** (s - 1)))
 
 
-@dataclass(frozen=True)
-class ZetaIdentityCheck:
+class ZetaIdentityCheck(NamedTuple):
     """Result of the exact power-series comparison, with first mismatch if any."""
 
     ok: bool
@@ -194,8 +194,7 @@ def lower_bound_mq(q: int, digits: int = 6) -> DensityReport:
     return certify("lower_mq", q, digits)
 
 
-@dataclass(frozen=True)
-class CrossCheckResult:
+class CrossCheckResult(NamedTuple):
     ok: bool
     zeta_form: Interval       # through zeta_q quotients
     count_form: Interval      # through the m(n,q) double product
@@ -307,27 +306,19 @@ def upper_bound_simple(q: int, terms: Optional[int] = None) -> Fraction:
 # the r_n sequence (exhaustive AP-free search) and the sharper upper bound
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RnTable:
+class RnTable(tuple):
     """r_1..r_N: least right endpoints admitting AP-free subsets of each size."""
 
-    values: Tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if any(b <= a for a, b in zip(self.values, self.values[1:])):
+    def __new__(cls, values):
+        self = super().__new__(cls, values)
+        if any(b <= a for a, b in zip(self, self[1:])):
             raise ValueError("r_n must be strictly increasing")
-
-    def __len__(self):
-        return len(self.values)
-
-    def __getitem__(self, i):
-        return self.values[i]
-
-    def __iter__(self):
-        return iter(self.values)
+        return self
 
 
-def _apfree_exists(m: int, n: int, rs: list) -> bool:
+def _apfree_exists(m: int, n: int, rs: list, work: Optional[list] = None) -> bool:
     """Is there an AP-free subset of [1, m] of size n, given none fits in [1, m-1]?
 
     `rs` holds r_1..r_(n-1). Under the premise any witness must contain m,
@@ -350,6 +341,10 @@ def _apfree_exists(m: int, n: int, rs: list) -> bool:
     r_(need+1) <= m - x + 1. For x >= 2 the window is shorter than m; the
     premise r_n >= m then makes s exact from r_1..r_(n-1) alone, and
     need + 1 <= n - 1 keeps every r looked up inside `rs`.
+
+    `work` is a one-element list of the DFS nodes still allowed (default
+    MAX_RN_WORK); the search takes its nodes from it and raises BudgetExceeded
+    when none are left.
     """
     if n <= 1:
         return m >= n
@@ -363,10 +358,17 @@ def _apfree_exists(m: int, n: int, rs: list) -> bool:
     if (1 + m) % 2 == 0:
         avail &= ~(1 << ((1 + m) // 2))
     last = [m + 1 - r for r in rs]  # last[need]: the largest x the window bound admits
+    if work is None:
+        work = [MAX_RN_WORK]
+    left = work[0]
 
     def rec(avail: int, mirror: int, need: int) -> bool:
+        nonlocal left
         if need == 0:
             return True
+        left -= 1
+        if left < 0:
+            raise BudgetExceeded(f"r_{n} search at m={m} exceeds the budget of {MAX_RN_WORK} DFS nodes")
         a = avail
         while a:
             low = a & -a
@@ -383,7 +385,9 @@ def _apfree_exists(m: int, n: int, rs: list) -> bool:
                 return True
         return False
 
-    return rec(avail, 1 << (m - 1), n - 2)
+    found = rec(avail, 1 << (m - 1), n - 2)
+    work[0] = left
+    return found
 
 
 _rn_cache: list = [1, 2]
@@ -393,14 +397,16 @@ def rn_sequence(n_max: int, budget: int = DEFAULT_RN_BUDGET) -> RnTable:
     """The first n_max values of r_n, each minimal by exhaustive search.
 
     Results are cached in-process; the search is deterministic, so concurrent
-    recomputation is harmless.
+    recomputation is harmless. The values not yet cached may take at most
+    MAX_RN_WORK search nodes in all, and `budget` caps every r_n.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    work = [MAX_RN_WORK]
     while len(_rn_cache) < n_max:
         n = len(_rn_cache) + 1
         m = _rn_cache[-1] + 1
-        while m <= budget and not _apfree_exists(m, n, _rn_cache):
+        while m <= budget and not _apfree_exists(m, n, _rn_cache, work):
             m += 1
         if m > budget:
             raise BudgetExceeded(f"r_{n} exceeds search budget {budget}")

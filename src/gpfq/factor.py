@@ -16,9 +16,8 @@ factorizations are bit-reproducible unless a caller overrides the seed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 from .errors import ZeroPolynomial
 from .ff import FieldElem, FieldSpec
@@ -39,8 +38,7 @@ from .polyring import (
 )
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(NamedTuple):
     """unit * product of monic irreducibles with exponents, canonically sorted."""
 
     unit: FieldElem

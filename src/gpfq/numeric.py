@@ -12,7 +12,6 @@ bounded above by its truncated series plus a geometric remainder.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from typing import Union
@@ -29,18 +28,37 @@ def _rat(v: _RatLike) -> Fraction:
     return v if isinstance(v, Fraction) else Fraction(v)
 
 
-@dataclass(frozen=True)
 class Interval:
-    """Exact enclosure [lo, hi] of a real value."""
+    """Exact enclosure [lo, hi] of a real value; immutable, equal and hashed by endpoints."""
 
-    lo: Fraction
-    hi: Fraction
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self):
-        object.__setattr__(self, "lo", _rat(self.lo))
-        object.__setattr__(self, "hi", _rat(self.hi))
-        if self.lo > self.hi:
-            raise ValueError(f"empty interval: {self.lo} > {self.hi}")
+    def __init__(self, lo: _RatLike, hi: _RatLike):
+        lo, hi = _rat(lo), _rat(hi)
+        if lo > hi:
+            raise ValueError(f"empty interval: {lo} > {hi}")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.lo == other.lo and self.hi == other.hi
+
+    def __hash__(self):
+        return hash((self.lo, self.hi))
+
+    def __repr__(self):
+        return f"Interval(lo={self.lo!r}, hi={self.hi!r})"
+
+    def __reduce__(self):
+        return self.__class__, (self.lo, self.hi)
 
     @classmethod
     def point(cls, v: _RatLike) -> "Interval":

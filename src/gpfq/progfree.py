@@ -14,8 +14,7 @@ single include-first branch and bound over the triples as hyperedges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, NamedTuple, Optional, Tuple
 
 from .errors import BudgetExceeded, SpecMismatch, ZeroPolynomial
 from .factor import factorization_exponents
@@ -144,8 +143,7 @@ def greedy_construct_bruteforce(spec, max_degree: int, budget: int = DEFAULT_ENU
     return admitted
 
 
-@dataclass(frozen=True)
-class ProgressionWitness:
+class ProgressionWitness(NamedTuple):
     """A found triple (base, ratio*base, ratio^2*base) with non-unit ratio."""
 
     base: Poly

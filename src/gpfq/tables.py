@@ -7,8 +7,7 @@ compares the rendered decimals character by character.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List
+from typing import List, NamedTuple
 
 from . import density
 from .numeric import Interval
@@ -64,8 +63,7 @@ TABLE3 = {
 }
 
 
-@dataclass(frozen=True)
-class CellResult:
+class CellResult(NamedTuple):
     q: int
     column: str
     expected: str

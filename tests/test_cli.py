@@ -1,6 +1,8 @@
 """CLI behavior: outputs, exit codes, JSON schema conformance, determinism."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import random
@@ -8,9 +10,12 @@ import subprocess
 import sys
 from fractions import Fraction
 from importlib import resources
+from unittest import mock
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gpfq import factor, progfree
 from gpfq.cli import run
@@ -401,3 +406,80 @@ def test_large_arguments_end_at_once(argv, code):
             "1 2 4 5 9 11 13 14 20 24 26 30 32 36 40 41 51 54",
             "0.846375541078942",
         )
+
+
+_LAYERS = ("cli", "tables", "density", "progfree", "factor", "polyring", "numeric")
+_STARTUP_PROBE = f"""
+import sys
+before = set(sys.modules)
+from gpfq import cli
+code = cli.run(sys.argv[1:])
+print(code, file=sys.stderr)
+print(*(m for m in ("dataclasses", "inspect", "json") if m in sys.modules and m not in before), file=sys.stderr)
+print(*(m for m in {_LAYERS!r} if "gpfq." + m in sys.modules), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("json_flag, heavy", [([], ""), (["--json"], "json")])
+def test_startup_imports(json_flag, heavy):
+    # a cold run loads neither dataclasses nor inspect, and json only under --json;
+    # it still loads every layer module, which per-layer tracing of a cold run relies on
+    argv = ["density", "greedy", "--q", "2", "--digits", "6", *json_flag]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run(
+        [sys.executable, "-c", _STARTUP_PROBE, *argv], capture_output=True, text=True, timeout=30, env=env,
+    )
+    assert proc.stderr.splitlines() == ["0", heavy, " ".join(_LAYERS)]
+    assert "0.648361" in proc.stdout
+
+
+_FUZZ_COMMANDS = {  # subcommand: (the flags it requires, the flags it takes besides)
+    "": ("", "--help"),
+    "nonsense": ("", "--json"),
+    "density greedy": ("--q", "--digits --depth --json"),
+    "density lower": ("--q", "--digits --depth --json"),
+    "density upper-simple": ("--q", "--digits --terms --json"),
+    "density upper-no": ("--q", "--digits --json"),
+    "density bogus": ("--q", "--digits"),
+    "tables": ("--which", "--json"),
+    "figure1": ("", "--qmax"),
+    "checkpoint": ("--q --k", "--json"),
+    "empirical": ("--q --max-degree", "--modulus --json"),
+    "rn": ("--n", "--json"),
+    "factor": ("--q", "--modulus --seed --json"),
+    "greedy": ("--q", "--max-degree"),
+    "greedy check": ("--q --max-degree", "--modulus --json"),
+    "greedy enumerate": ("--q --max-degree", "--modulus --counts-only --json"),
+    "progcheck": ("--q --file", "--modulus --unit-tolerant --json"),
+    "extremal": ("--q --max-degree", "--modulus --budget --json"),
+}
+_FUZZ_INTS = st.integers(-2, 6).map(str)
+_FUZZ_VALUES = st.one_of(
+    _FUZZ_INTS,
+    st.sampled_from(["", "x", "x^2+1", "2*x+1", "1,0,1", "1,1", "abc", "1e3", "0x10", "2^2", "--", "-"]),
+)
+
+
+@st.composite
+def _fuzz_argv(draw):
+    """A subcommand, its required flags with small integers, then a few more tokens."""
+    command = draw(st.sampled_from(sorted(_FUZZ_COMMANDS)))
+    required, optional = (text.split() for text in _FUZZ_COMMANDS[command])
+    argv = command.split()
+    for flag in required:
+        argv += [flag, draw(_FUZZ_INTS)]
+    flags = st.sampled_from(optional + required + ["--q"])
+    extra = st.one_of(st.tuples(flags, _FUZZ_VALUES), st.tuples(flags), st.tuples(_FUZZ_VALUES))
+    return argv + [token for group in draw(st.lists(extra, max_size=3)) for token in group]
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=_fuzz_argv())
+def test_cli_fuzz_exit_codes(argv):
+    # any argv ends in exit 0, 1 or 2 with no exception; the low budgets keep each run short
+    budgets = {"GPFQ_ENUM_BUDGET": "16", "GPFQ_VERTEX_BUDGET": "4", "GPFQ_RN_BUDGET": "10"}
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, budgets), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue()

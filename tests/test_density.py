@@ -17,8 +17,11 @@ from _oracles import (
 )
 from gpfq import (
     BudgetExceeded,
+    CrossCheckResult,
     Divergent,
     Interval,
+    RnTable,
+    ZetaIdentityCheck,
     a3_list,
     checkpoint_density,
     cross_check_density_forms,
@@ -38,6 +41,7 @@ from gpfq import (
     zeta_identity_check,
     zeta_q,
 )
+from gpfq import density
 from gpfq.density import _apfree_exists
 from gpfq.intarith import prime_power, prime_powers_upto
 
@@ -323,3 +327,38 @@ def test_certified_products_match_mpmath(q, digits):
     assert greedy_density(q, digits).rendered == greedy
     lower = _mp_rendered(q, digits, lambda x: 1 - x**-2, lambda x, a: 1 + x ** (-a))
     assert lower_bound_mq(q, digits).rendered == lower
+
+
+def test_rn_table_is_a_strictly_increasing_tuple():
+    table = rn_sequence(5)
+    assert isinstance(table, RnTable) and table == (1, 2, 4, 5, 9)
+    assert (len(table), table[-1], list(table)) == (5, 9, [1, 2, 4, 5, 9])
+    assert RnTable([3]) == (3,) and RnTable(x for x in (1, 4)) == (1, 4)
+    for values in ([1, 2, 2], [1, 3, 2], (5, 4)):
+        with pytest.raises(ValueError):
+            RnTable(values)
+
+
+def test_check_results_are_falsy_when_not_ok():
+    assert not ZetaIdentityCheck(False, 3, 7, 8)
+    assert ZetaIdentityCheck(True) and ZetaIdentityCheck(True).mismatch_degree is None
+    assert zeta_identity_check(3, 6) == ZetaIdentityCheck(True)
+    iv = Interval(0, 1)
+    assert not CrossCheckResult(False, iv, iv, iv)
+    assert CrossCheckResult(True, iv, iv, iv)
+
+
+def test_rn_work_budget(monkeypatch):
+    # the cap counts the DFS nodes of one call, so a fresh cache makes it search again;
+    # r_1..r_16 take 4,047 nodes and r_17 74,063 more
+    monkeypatch.setattr(density, "_rn_cache", [1, 2])
+    monkeypatch.setattr(density, "MAX_RN_WORK", 10000)
+    with pytest.raises(BudgetExceeded, match="10000 DFS nodes"):
+        rn_sequence(17)
+    assert density._rn_cache == R20[:16]  # the values found within the cap stay cached
+    assert list(rn_sequence(16)) == R20[:16]
+
+
+def test_rn_work_budget_admits_r20(monkeypatch):
+    monkeypatch.setattr(density, "_rn_cache", [1, 2])
+    assert list(rn_sequence(20)) == R20

@@ -188,3 +188,12 @@ def test_factorize_expand_identity(data, field, e):
     fac = factorize(f)
     assert fac.expand() == f
     assert all(p.is_monic() and p.degree >= 1 for p, _ in fac.parts)
+
+
+def test_factorization_record():
+    f = P(F3, "2") * P(F3, "x") ** 2 * P(F3, "x+1") ** 2 * P(F3, "x+2")
+    fac = factorize(f)
+    assert fac.expand() == f
+    assert (fac.unit.code, _parts(fac), fac.exponents()) == (2, [("x", 2), ("x+1", 2), ("x+2", 1)], (2, 2, 1))
+    unit, parts = fac
+    assert (unit, parts) == (fac.unit, fac.parts)

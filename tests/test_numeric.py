@@ -1,5 +1,6 @@
 """Interval arithmetic soundness and certified decimal rendering."""
 
+import pickle
 import random
 from fractions import Fraction
 
@@ -92,3 +93,24 @@ def test_exp_upper_domain():
         exp_upper(Fraction(3, 4))
     with pytest.raises(ValueError):
         exp_upper(Fraction(-1, 10))
+
+
+def test_interval_is_an_immutable_value():
+    iv = Interval("1/3", 1)
+    assert type(iv.lo) is Fraction and type(iv.hi) is Fraction
+    with pytest.raises(AttributeError):
+        iv.lo = Fraction(0)
+    with pytest.raises(AttributeError):
+        del iv.hi
+    assert (iv.lo, iv.hi) == (Fraction(1, 3), Fraction(1))
+    same = Interval(Fraction(1, 3), Fraction(1))
+    assert iv == same and hash(iv) == hash(same)
+    assert iv != Interval(Fraction(1, 3), Fraction(2)) and iv != (iv.lo, iv.hi)
+    assert len({iv, same, Interval.point(1)}) == 2
+    assert pickle.loads(pickle.dumps(iv)) == iv
+    with pytest.raises(ValueError, match="empty interval"):
+        Interval(2, 1)
+
+
+def test_interval_repr_names_its_endpoints():
+    assert repr(Interval("1/3", 1)) == "Interval(lo=Fraction(1, 3), hi=Fraction(1, 1))"

@@ -232,3 +232,10 @@ def test_enumeration_size_boundary():
                     assert not fits
     with pytest.raises(BudgetExceeded):  # q^(D+1) is never built far past the budget
         enumeration_size(3, 30_000_000_000, 1 << 21)
+
+
+def test_progression_witness_members():
+    w = has_progression({P(F3, "x+1"), P(F3, "x^2+x"), P(F3, "x^3+x^2")})
+    assert (format_poly(w.base), format_poly(w.ratio)) == ("x+1", "x")
+    assert w.members == (P(F3, "x+1"), P(F3, "x^2+x"), P(F3, "x^3+x^2"))
+    assert w.members[1] == w.base * w.ratio and w.members[2] == w.members[1] * w.ratio
