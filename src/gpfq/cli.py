@@ -4,9 +4,8 @@ Results go to stdout, diagnostics to stderr. Exit codes: 0 success, 1
 computation failure (budget or precision, or a failing table cell), 2 usage
 error. Identical invocations produce bit-identical output.
 
-Budget caps are overridable through environment variables, each a positive
-integer: GPFQ_ENUM_BUDGET (polynomial enumerations), GPFQ_VERTEX_BUDGET
-(extremal search vertices), GPFQ_RN_BUDGET (right endpoint of the r_n search).
+The environment variable GPFQ_ENUM_BUDGET, a positive integer, overrides the
+cap on polynomial enumerations.
 """
 
 from __future__ import annotations
@@ -36,12 +35,13 @@ def _int_in(lo: int, hi: float = float("inf")):
     return parse
 
 
-def _env_budget(parser, name: str, default: int) -> int:
-    raw = os.environ.get(name)
+def _enum_budget(parser) -> int:
+    """GPFQ_ENUM_BUDGET, or the default cap on polynomial enumerations."""
+    raw = os.environ.get("GPFQ_ENUM_BUDGET")
     try:
-        return _int_in(1)(raw) if raw else default
+        return _int_in(1)(raw) if raw else progfree.DEFAULT_ENUM_BUDGET
     except ValueError:
-        parser.error(f"{name}={raw!r} is not a positive integer")
+        parser.error(f"GPFQ_ENUM_BUDGET={raw!r} is not a positive integer")
 
 
 def _prime_power(parser, q):
@@ -58,7 +58,7 @@ def _prime_power(parser, q):
 def _field_for(parser, args):
     p, k = _prime_power(parser, args.q)
     modulus = None
-    if getattr(args, "modulus", None):
+    if args.modulus:
         try:
             modulus = tuple(int(c) for c in args.modulus.split(","))
         except ValueError:
@@ -92,10 +92,7 @@ _DENSITY_KINDS = {"greedy": "greedy", "lower": "lower_mq", "upper-simple": "uppe
 
 def _cmd_density(parser, args):
     _prime_power(parser, args.q)
-    report = density.certify(
-        _DENSITY_KINDS[args.kind], args.q, args.digits, depth=args.depth, terms=args.terms,
-        budget=_env_budget(parser, "GPFQ_RN_BUDGET", density.DEFAULT_RN_BUDGET),
-    )
+    report = density.certify(_DENSITY_KINDS[args.kind], args.q, args.digits, depth=args.depth, terms=args.terms)
     _emit(args, [report.rendered], lambda: {"command": "density", **report.to_json()})
     return 0
 
@@ -143,10 +140,8 @@ def _cmd_checkpoint(parser, args):
 
 
 def _cmd_empirical(parser, args):
-    spec = _field_for(parser, args)
-    value = density.empirical_greedy_density(
-        spec, args.max_degree, budget=_env_budget(parser, "GPFQ_ENUM_BUDGET", progfree.DEFAULT_ENUM_BUDGET)
-    )
+    _prime_power(parser, args.q)
+    value = density.empirical_greedy_density(args.q, args.max_degree)
     obj = {
         "command": "empirical",
         "q": args.q,
@@ -158,7 +153,7 @@ def _cmd_empirical(parser, args):
 
 
 def _cmd_rn(parser, args):
-    table = density.rn_sequence(args.n, budget=_env_budget(parser, "GPFQ_RN_BUDGET", density.DEFAULT_RN_BUDGET))
+    table = density.rn_sequence(args.n)
     values = list(table)
     _emit(args, [" ".join(str(v) for v in values)],
           {"command": "rn", "n": args.n, "values": values})
@@ -191,9 +186,8 @@ def _cmd_factor(parser, args):
 
 def _cmd_greedy(parser, args):
     spec = _field_for(parser, args)
-    budget = _env_budget(parser, "GPFQ_ENUM_BUDGET", progfree.DEFAULT_ENUM_BUDGET)
     if args.action == "check":
-        constructed = progfree.greedy_construct_bruteforce(spec, args.max_degree, budget)
+        constructed = progfree.greedy_construct_bruteforce(spec, args.max_degree, _enum_budget(parser))
         characterized = {f for f in enumerate_upto(spec, args.max_degree) if progfree.greedy_member(f)}
         extra = sorted(constructed - characterized)
         missing = sorted(characterized - constructed)
@@ -227,7 +221,8 @@ def _cmd_greedy(parser, args):
         return 0 if ok else 1
 
     # enumerate: counts from the Euler product; members only when listed
-    progfree.enumeration_size(spec.q, args.max_degree, budget)
+    if not args.counts_only:
+        progfree.enumeration_size(spec.q, args.max_degree, _enum_budget(parser))
     counts = density.greedy_counts(spec.q, args.max_degree)
     obj = {
         "command": "greedy-enumerate",
@@ -279,8 +274,7 @@ def _cmd_progcheck(parser, args):
 
 def _cmd_extremal(parser, args):
     spec = _field_for(parser, args)
-    budget = args.budget or _env_budget(parser, "GPFQ_VERTEX_BUDGET", progfree.DEFAULT_VERTEX_BUDGET)
-    size, witness = progfree.max_progression_free_subset(spec, args.max_degree, budget)
+    size, witness = progfree.max_progression_free_subset(spec, args.max_degree, args.budget)
     lines = [f"size={size}", "witness: " + ", ".join(format_poly(f) for f in witness)]
     obj = {
         "command": "extremal",
@@ -336,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_checkpoint)
 
     p = sub.add_parser("empirical", help="exact finite-stage greedy density")
-    _add_field_opts(p)
+    _add_q(p)
     p.add_argument("--max-degree", type=_int_in(0), required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_empirical)
@@ -377,7 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extremal", help="exact maximum progression-free subset")
     _add_field_opts(p)
     p.add_argument("--max-degree", type=_int_in(0), required=True)
-    p.add_argument("--budget", type=_int_in(1), help="vertex budget (default 40)")
+    p.add_argument("--budget", type=_int_in(1), default=progfree.DEFAULT_VERTEX_BUDGET,
+                   help="vertex budget (default %(default)s)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_extremal)
 

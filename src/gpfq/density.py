@@ -31,7 +31,6 @@ costs seconds at any q.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
 from math import comb, log2
 from typing import NamedTuple, Optional, Union
 
@@ -39,7 +38,7 @@ from .errors import BudgetExceeded, Divergent, NeedsMorePrecision
 from .factor import count_irreducibles
 from .intarith import prime_powers_upto
 from .numeric import Interval, exp_upper, render_decimal
-from .progfree import DEFAULT_ENUM_BUDGET, enumeration_size, nk
+from .progfree import nk
 
 DEFAULT_START_DEPTH = 3
 #: One x86-64 core builds q=2 depth 9 in about 1.6 s and depth 10 in 14 s.
@@ -47,11 +46,16 @@ MAX_DEPTH = 9
 MAX_TAIL_BITS = 3 ** (MAX_DEPTH + 1)  # the q=2 tail at MAX_DEPTH, as a cost bound for every q
 MAX_DIGITS = MAX_TAIL_BITS * 3 // 10  # about the most a product within MAX_TAIL_BITS resolves
 MAX_CHECKPOINT_BITS = 2**20  # denominators q^(N_k + 1) and q^(2+3T); q=2, k=13 prints in a few seconds
-DEFAULT_RN_BUDGET = 200
-MAX_RN_TERMS = 48
-#: DFS nodes one rn_sequence call may visit. r_1..r_20 take 0.57M nodes and r_1..r_22 10.0M;
-#: the r_23 search alone needs more, so `rn --n 23` exits 1 after about 25 s on one x86-64 core.
-MAX_RN_WORK = 2**24
+#: The last r_n searched. The search is deterministic, so its cost depends on n alone:
+#: r_1..r_22 take 9,997,192 DFS nodes (9 to 15 s on one x86-64 core), r_23 alone more than 2^24.
+MAX_RN_N = 22
+#: greedy_counts(q, D) makes about D^2 products of integers of up to bits(q^(D+1)) bits. Cold
+#: on one x86-64 core, the slowest admitted input (q = 2^31 - 1, D = 256) answers in about 2 s,
+#: q = 2 with D = 812 in 1.4 s.
+MAX_SERIES_WORK = 2**29
+MAX_SERIES_BITS = 2**13
+#: figure1_data certifies one density per prime power q <= q_max; 20000 takes about 3 s cold.
+MAX_FIGURE1_Q = 20000
 
 
 class DensityReport(NamedTuple):
@@ -318,7 +322,7 @@ class RnTable(tuple):
         return self
 
 
-def _apfree_exists(m: int, n: int, rs: list, work: Optional[list] = None) -> bool:
+def _apfree_exists(m: int, n: int, rs: list) -> bool:
     """Is there an AP-free subset of [1, m] of size n, given none fits in [1, m-1]?
 
     `rs` holds r_1..r_(n-1). Under the premise any witness must contain m,
@@ -341,10 +345,6 @@ def _apfree_exists(m: int, n: int, rs: list, work: Optional[list] = None) -> boo
     r_(need+1) <= m - x + 1. For x >= 2 the window is shorter than m; the
     premise r_n >= m then makes s exact from r_1..r_(n-1) alone, and
     need + 1 <= n - 1 keeps every r looked up inside `rs`.
-
-    `work` is a one-element list of the DFS nodes still allowed (default
-    MAX_RN_WORK); the search takes its nodes from it and raises BudgetExceeded
-    when none are left.
     """
     if n <= 1:
         return m >= n
@@ -358,17 +358,10 @@ def _apfree_exists(m: int, n: int, rs: list, work: Optional[list] = None) -> boo
     if (1 + m) % 2 == 0:
         avail &= ~(1 << ((1 + m) // 2))
     last = [m + 1 - r for r in rs]  # last[need]: the largest x the window bound admits
-    if work is None:
-        work = [MAX_RN_WORK]
-    left = work[0]
 
     def rec(avail: int, mirror: int, need: int) -> bool:
-        nonlocal left
         if need == 0:
             return True
-        left -= 1
-        if left < 0:
-            raise BudgetExceeded(f"r_{n} search at m={m} exceeds the budget of {MAX_RN_WORK} DFS nodes")
         a = avail
         while a:
             low = a & -a
@@ -385,52 +378,46 @@ def _apfree_exists(m: int, n: int, rs: list, work: Optional[list] = None) -> boo
                 return True
         return False
 
-    found = rec(avail, 1 << (m - 1), n - 2)
-    work[0] = left
-    return found
+    return rec(avail, 1 << (m - 1), n - 2)
 
 
 _rn_cache: list = [1, 2]
 
 
-def rn_sequence(n_max: int, budget: int = DEFAULT_RN_BUDGET) -> RnTable:
+def rn_sequence(n_max: int) -> RnTable:
     """The first n_max values of r_n, each minimal by exhaustive search.
 
     Results are cached in-process; the search is deterministic, so concurrent
-    recomputation is harmless. The values not yet cached may take at most
-    MAX_RN_WORK search nodes in all, and `budget` caps every r_n.
+    recomputation is harmless. n_max past MAX_RN_N raises BudgetExceeded
+    before anything is searched.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    work = [MAX_RN_WORK]
+    if n_max > MAX_RN_N:
+        raise BudgetExceeded(f"r_{n_max} is past the search budget: r_n is searched for n <= {MAX_RN_N}")
     while len(_rn_cache) < n_max:
         n = len(_rn_cache) + 1
         m = _rn_cache[-1] + 1
-        while m <= budget and not _apfree_exists(m, n, _rn_cache, work):
+        while not _apfree_exists(m, n, _rn_cache):
             m += 1
-        if m > budget:
-            raise BudgetExceeded(f"r_{n} exceeds search budget {budget}")
         _rn_cache.append(m)
-    if _rn_cache[n_max - 1] > budget:
-        # cached values may come from a larger earlier budget; the cap still applies
-        raise BudgetExceeded(f"r_{n_max} = {_rn_cache[n_max - 1]} exceeds search budget {budget}")
     return RnTable(tuple(_rn_cache[:n_max]))
 
 
-def upper_bound_no_interval(q: int, n_terms: int, budget: int = DEFAULT_RN_BUDGET) -> Interval:
+def upper_bound_no_interval(q: int, n_terms: int) -> Interval:
     """(q-1) * sum_{n<=N} q^(-r_n) plus the tail [0, q^(-r_N)].
 
     The tail bound holds because r_(N+j) >= r_N + j (strict monotonicity), so
     the omitted sum is at most (q-1) * q^(-r_N) * sum_{j>=1} q^(-j) = q^(-r_N).
     """
-    rns = rn_sequence(n_terms, budget)
+    rns = rn_sequence(n_terms)
     partial = (q - 1) * sum((Fraction(1, q**r) for r in rns), Fraction(0))
     return Interval(partial, partial + Fraction(1, q ** rns[-1]))
 
 
-def upper_bound_no(q: int, digits: int = 9, budget: int = DEFAULT_RN_BUDGET) -> DensityReport:
+def upper_bound_no(q: int, digits: int = 9) -> DensityReport:
     """Certified sharper upper bound, extending the r_n table as needed."""
-    return certify("upper_no", q, digits, budget=budget)
+    return certify("upper_no", q, digits)
 
 
 # ---------------------------------------------------------------------------
@@ -439,20 +426,20 @@ def upper_bound_no(q: int, digits: int = 9, budget: int = DEFAULT_RN_BUDGET) -> 
 
 def certify(
     kind: str, q: int, digits: int, depth: Optional[int] = None, terms: Optional[int] = None,
-    budget: int = DEFAULT_RN_BUDGET,
 ) -> DensityReport:
     """The first report, over truncations tried in order, whose value renders.
 
     greedy and lower_mq step the product depth 3, 4, 5, ... (or try only a
-    fixed `depth`); upper_no steps the r_n term count 8, 9, ...; upper_simple
-    is exact, with `terms` progression families (None: the closed form).
+    fixed `depth`); upper_no steps the r_n term count 8, 9, ..., MAX_RN_N;
+    upper_simple is exact, with `terms` progression families (None: the
+    closed form).
     """
     if q < 2 or digits < 1:
         raise ValueError("q must be >= 2 and digits >= 1")
     if kind == "upper_simple":
         key, params, build = "terms", [terms], upper_bound_simple
     elif kind == "upper_no":
-        key, params, build = "terms", range(8, MAX_RN_TERMS + 1), partial(upper_bound_no_interval, budget=budget)
+        key, params, build = "terms", range(8, MAX_RN_N + 1), upper_bound_no_interval
     else:
         key, build = "depth", {"greedy": greedy_density_interval, "lower_mq": mq_interval}[kind]
         depths = range(DEFAULT_START_DEPTH, MAX_DEPTH + 1) if depth is None else [depth]
@@ -479,9 +466,13 @@ def greedy_counts(q: int, max_degree: int) -> list:
     product prod_n (sum_{e in A} t^(ne))^m(n,q). As sum_{e in A} s^e =
     prod_i (1 + s^(3^i)), that is prod_{s>=1} (1 + t^s)^M(s) with M(s) the
     sum of m(s/3^i, q) over the 3^i dividing s; each unit gives q - 1 members.
+    The series is built only within MAX_SERIES_BITS and MAX_SERIES_WORK.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
+    bits = (max_degree + 1) * log2(q)
+    if bits > MAX_SERIES_BITS or max_degree**2 * bits > MAX_SERIES_WORK:
+        raise BudgetExceeded(f"the member series over GF({q}) to degree {max_degree} exceeds the series budget")
     series = [1] + [0] * max_degree
     for s in range(1, max_degree + 1):
         m, n = count_irreducibles(q, s), s
@@ -492,19 +483,17 @@ def greedy_counts(q: int, max_degree: int) -> list:
     return [(q - 1) * c for c in series]
 
 
-def empirical_greedy_density(spec, max_degree: int, budget: int = DEFAULT_ENUM_BUDGET) -> Fraction:
+def empirical_greedy_density(q: int, max_degree: int) -> Fraction:
     """|{f != 0 : deg f <= D, member}| / q^(D+1), the member count summed
-    from the Euler product of `greedy_counts`. The q^(D+1) polynomials must
-    fit in `budget`, as for an enumeration of them.
+    from the Euler product of `greedy_counts`.
     """
-    if max_degree < 0:
-        raise ValueError("max_degree must be >= 0")
-    total = enumeration_size(spec.q, max_degree, budget)
-    return Fraction(sum(greedy_counts(spec.q, max_degree)), total)
+    return Fraction(sum(greedy_counts(q, max_degree)), q ** (max_degree + 1))
 
 
 def figure1_data(q_max: int, digits: int = 6) -> list:
-    """(q, rendered greedy density) for every prime power q <= q_max."""
+    """(q, rendered greedy density) for every prime power q <= q_max <= MAX_FIGURE1_Q."""
     if q_max < 2:
         raise ValueError("q_max must be >= 2")
+    if q_max > MAX_FIGURE1_Q:
+        raise BudgetExceeded(f"figure1 q_max={q_max} exceeds the budget of {MAX_FIGURE1_Q}")
     return [(q, greedy_density(q, digits).rendered) for q in prime_powers_upto(q_max)]

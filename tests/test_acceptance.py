@@ -134,7 +134,7 @@ def test_criterion_8_cross_form_consistency():
 
 def test_criterion_9_empirical_convergence():
     start = time.monotonic()
-    value = empirical_greedy_density(F2, 14)
+    value = empirical_greedy_density(2, 14)
     assert value.denominator == 2**15
     assert abs(value - Fraction("0.648361")) < Fraction(1, 100)
     _report(9, f"empirical density at degree 14 is {value} (within 0.01)", start, 120)

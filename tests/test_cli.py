@@ -99,9 +99,9 @@ def test_empirical(capsys, schema):
     assert obj["exact"] == "5/8"
 
 
-def test_empirical_budget_env(capsys, monkeypatch):
+def test_greedy_check_budget_env(capsys, monkeypatch):
     monkeypatch.setenv("GPFQ_ENUM_BUDGET", "10")
-    code, _, err = invoke(capsys, "empirical", "--q", "2", "--max-degree", "6")
+    code, _, err = invoke(capsys, "greedy", "check", "--q", "2", "--max-degree", "6")
     assert code == 1
     assert "budget" in err.lower()
 
@@ -296,10 +296,10 @@ def test_checkpoint_budget(capsys, k):
         (["empirical", "--q", "2", "--max-degree", "-1"], None),
         (["extremal", "--q", "2", "--max-degree", "2", "--budget", "-3"], None),
         (["figure1", "--qmax", "1"], None),
-        (["rn", "--n", "3"], ("GPFQ_RN_BUDGET", "abc")),
-        (["rn", "--n", "3"], ("GPFQ_RN_BUDGET", "-5")),
-        (["empirical", "--q", "2", "--max-degree", "2"], ("GPFQ_ENUM_BUDGET", "1e3")),
-        (["extremal", "--q", "2", "--max-degree", "2"], ("GPFQ_VERTEX_BUDGET", "0")),
+        (["greedy", "check", "--q", "2", "--max-degree", "2"], ("GPFQ_ENUM_BUDGET", "abc")),
+        (["greedy", "check", "--q", "2", "--max-degree", "2"], ("GPFQ_ENUM_BUDGET", "-5")),
+        (["greedy", "check", "--q", "2", "--max-degree", "2"], ("GPFQ_ENUM_BUDGET", "1e3")),
+        (["greedy", "enumerate", "--q", "2", "--max-degree", "2"], ("GPFQ_ENUM_BUDGET", "0")),
     ],
 )
 def test_bad_argv_or_env_is_usage_error(capsys, monkeypatch, argv, env):
@@ -378,7 +378,7 @@ def _run_cli(*argv):
         (["extremal", "--q", "2", "--max-degree", "26"], 1),
         (["empirical", "--q", "3", "--max-degree", "30000000"], 1),
         (["greedy", "check", "--q", "3", "--max-degree", "30000000"], 1),
-        (["greedy", "enumerate", "--q", "2", "--max-degree", "40", "--counts-only"], 1),
+        (["greedy", "enumerate", "--q", "2", "--max-degree", "40", "--counts-only"], 0),
         (["density", "upper-simple", "--q", "2", "--terms", "1000000000"], 1),
         (["density", "upper-simple", "--q", "2", "--terms", "100000"], 0),
         (["factor", "--q", "2305843009213693951", "x+1"], 0),
@@ -388,23 +388,29 @@ def _run_cli(*argv):
         (["density", "upper-no", "--q", "2", "--digits", "15"], 0),
         (["extremal", "--q", "2", "--max-degree", "8", "--budget", "1000"], 1),
         (["factor", "--q", str(3**300), "x+1"], 1),
+        (["greedy", "enumerate", "--q", "2", "--max-degree", "1000000000", "--counts-only"], 1),
+        (["figure1", "--qmax", "100000"], 1),
+        (["rn", "--n", "23"], 1),
     ],
 )
 def test_large_arguments_end_at_once(argv, code):
     # each of these once enumerated, summed, trial-divided or searched (for a modulus,
-    # for r_n or for a largest progression-free set) for seconds to minutes
+    # for r_n, for a largest progression-free set or over prime powers) for seconds to minutes
     proc = _run_cli(*argv)
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
     if code == 1:
         assert proc.stderr.startswith("error:") and "budget" in proc.stderr
     if code == 0:
-        assert proc.stdout.strip() in (
+        *head, last = proc.stdout.splitlines()
+        assert len(head) == (40 if "--counts-only" in argv else 0)
+        assert last in (
             "0.857143",
             "1 * (x+1)",
             "1 * (x+[1])",
             "1 2 4 5 9 11 13 14 20 24 26 30 32 36 40 41 51 54",
             "0.846375541078942",
+            "40 712880545712",
         )
 
 
@@ -444,7 +450,7 @@ _FUZZ_COMMANDS = {  # subcommand: (the flags it requires, the flags it takes bes
     "tables": ("--which", "--json"),
     "figure1": ("", "--qmax"),
     "checkpoint": ("--q --k", "--json"),
-    "empirical": ("--q --max-degree", "--modulus --json"),
+    "empirical": ("--q --max-degree", "--json"),
     "rn": ("--n", "--json"),
     "factor": ("--q", "--modulus --seed --json"),
     "greedy": ("--q", "--max-degree"),
@@ -476,8 +482,8 @@ def _fuzz_argv(draw):
 @settings(max_examples=300, deadline=None)
 @given(argv=_fuzz_argv())
 def test_cli_fuzz_exit_codes(argv):
-    # any argv ends in exit 0, 1 or 2 with no exception; the low budgets keep each run short
-    budgets = {"GPFQ_ENUM_BUDGET": "16", "GPFQ_VERTEX_BUDGET": "4", "GPFQ_RN_BUDGET": "10"}
+    # any argv ends in exit 0, 1 or 2 with no exception; the low enumeration budget keeps each run short
+    budgets = {"GPFQ_ENUM_BUDGET": "16"}
     out, err = io.StringIO(), io.StringIO()
     with mock.patch.dict(os.environ, budgets), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run(argv)

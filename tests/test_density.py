@@ -20,6 +20,7 @@ from gpfq import (
     CrossCheckResult,
     Divergent,
     Interval,
+    NeedsMorePrecision,
     RnTable,
     ZetaIdentityCheck,
     a3_list,
@@ -44,8 +45,6 @@ from gpfq import (
 from gpfq import density
 from gpfq.density import _apfree_exists
 from gpfq.intarith import prime_power, prime_powers_upto
-
-F2 = make_field(2)
 
 
 def test_zeta_examples():
@@ -233,9 +232,14 @@ def test_window_bounded_search_against_oracles(n):
         assert _apfree_exists(m, n, R20[: n - 1]) == expected == (m == R20[n - 1])
 
 
-def test_rn_budget():
-    with pytest.raises(BudgetExceeded):
-        rn_sequence(4, budget=3)
+def test_rn_budget(monkeypatch):
+    # n past MAX_RN_N is refused before anything is searched
+    monkeypatch.setattr(density, "_rn_cache", [1, 2])
+    monkeypatch.setattr(density, "MAX_RN_N", 12)
+    assert list(rn_sequence(12)) == R20[:12]
+    with pytest.raises(BudgetExceeded, match="budget"):
+        rn_sequence(13)
+    assert len(density._rn_cache) == 12
 
 
 def test_upper_no_spots():
@@ -252,10 +256,12 @@ def test_upper_no_interval_tail():
 
 
 def test_empirical_small():
-    assert empirical_greedy_density(F2, 2) == Fraction(5, 8)
-    assert empirical_greedy_density(F2, 0) == Fraction(1, 2)
-    with pytest.raises(BudgetExceeded):
-        empirical_greedy_density(F2, 10, budget=100)
+    assert empirical_greedy_density(2, 2) == Fraction(5, 8)
+    assert empirical_greedy_density(2, 0) == Fraction(1, 2)
+    # the series is refused before it is built: too many terms, or too many bits in q^(D+1)
+    for q, max_degree in ((2, 813), (3, 10**9), (2**8193, 0), (3**300, 30)):
+        with pytest.raises(BudgetExceeded):
+            empirical_greedy_density(q, max_degree)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
@@ -280,7 +286,7 @@ def test_greedy_counts_match_enumeration(q):
     ],
 )
 def test_empirical_pinned(q, max_degree, value):
-    assert empirical_greedy_density(make_field(*prime_power(q)), max_degree) == value
+    assert empirical_greedy_density(q, max_degree) == value
 
 
 def test_figure1():
@@ -292,6 +298,8 @@ def test_figure1():
     assert data[9] == "0.899985"
     for bad in (6, 10, 12):
         assert bad not in data
+    with pytest.raises(BudgetExceeded):  # refused before any density is certified
+        figure1_data(density.MAX_FIGURE1_Q + 1)
 
 
 def test_figure1_full_range():
@@ -348,15 +356,13 @@ def test_check_results_are_falsy_when_not_ok():
     assert CrossCheckResult(True, iv, iv, iv)
 
 
-def test_rn_work_budget(monkeypatch):
-    # the cap counts the DFS nodes of one call, so a fresh cache makes it search again;
-    # r_1..r_16 take 4,047 nodes and r_17 74,063 more
+def test_upper_no_stops_at_rn_budget(monkeypatch):
+    # 30 digits need more terms than MAX_RN_N; certify tries r_8..r_12 and searches no further
     monkeypatch.setattr(density, "_rn_cache", [1, 2])
-    monkeypatch.setattr(density, "MAX_RN_WORK", 10000)
-    with pytest.raises(BudgetExceeded, match="10000 DFS nodes"):
-        rn_sequence(17)
-    assert density._rn_cache == R20[:16]  # the values found within the cap stay cached
-    assert list(rn_sequence(16)) == R20[:16]
+    monkeypatch.setattr(density, "MAX_RN_N", 12)
+    with pytest.raises(NeedsMorePrecision, match="terms budget"):
+        density.certify("upper_no", 2, 30)
+    assert density._rn_cache == R20[:12]
 
 
 def test_rn_work_budget_admits_r20(monkeypatch):

@@ -195,6 +195,14 @@ def test_format_parse_roundtrip_exhaustive():
     assert parse_poly(F2, format_poly(zero(F2))) == zero(F2)
 
 
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), spec=st.sampled_from((F2, F3, F4, make_field(2, 9), make_field(3, 6))))
+def test_format_parse_roundtrip_random(data, spec):
+    # degrees past the exhaustive test; GF(512) and GF(729) write untabled bracketed codes
+    f = Poly(spec, _poly_codes(data.draw, spec.q, data.draw(st.integers(0, 61))))
+    assert parse_poly(spec, format_poly(f)) == f
+
+
 def test_spec_mismatch():
     with pytest.raises(SpecMismatch):
         P(F2, "x") + P(F3, "x")
