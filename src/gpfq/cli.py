@@ -185,8 +185,8 @@ def _cmd_factor(parser, args):
 
 
 def _cmd_greedy(parser, args):
-    spec = _field_for(parser, args)
     if args.action == "check":
+        spec = _field_for(parser, args)
         constructed = progfree.greedy_construct_bruteforce(spec, args.max_degree, _enum_budget(parser))
         characterized = {f for f in enumerate_upto(spec, args.max_degree) if progfree.greedy_member(f)}
         extra = sorted(constructed - characterized)
@@ -220,10 +220,15 @@ def _cmd_greedy(parser, args):
         _emit(args, lines, obj)
         return 0 if ok else 1
 
-    # enumerate: counts from the Euler product; members only when listed
+    # enumerate: counts from the Euler product, which needs only q; a field is
+    # built to list members, or to check a given --modulus
+    if args.counts_only and not args.modulus:
+        _prime_power(parser, args.q)
+    else:
+        spec = _field_for(parser, args)
     if not args.counts_only:
-        progfree.enumeration_size(spec.q, args.max_degree, _enum_budget(parser))
-    counts = density.greedy_counts(spec.q, args.max_degree)
+        progfree.enumeration_size(args.q, args.max_degree, _enum_budget(parser))
+    counts = density.greedy_counts(args.q, args.max_degree)
     obj = {
         "command": "greedy-enumerate",
         "q": args.q,

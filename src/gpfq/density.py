@@ -49,6 +49,8 @@ MAX_CHECKPOINT_BITS = 2**20  # denominators q^(N_k + 1) and q^(2+3T); q=2, k=13 
 #: The last r_n searched. The search is deterministic, so its cost depends on n alone:
 #: r_1..r_22 take 9,997,192 DFS nodes (9 to 15 s on one x86-64 core), r_23 alone more than 2^24.
 MAX_RN_N = 22
+#: r_(MAX_RN_N), so no upper_no interval is narrower than q^-MAX_RN_R.
+MAX_RN_R = 74
 #: greedy_counts(q, D) makes about D^2 products of integers of up to bits(q^(D+1)) bits. Cold
 #: on one x86-64 core, the slowest admitted input (q = 2^31 - 1, D = 256) answers in about 2 s,
 #: q = 2 with D = 812 in 1.4 s.
@@ -439,6 +441,12 @@ def certify(
     if kind == "upper_simple":
         key, params, build = "terms", [terms], upper_bound_simple
     elif kind == "upper_no":
+        # an interval at least 10^-digits wide always straddles a rounding boundary
+        if q**MAX_RN_R <= 10**digits:
+            raise NeedsMorePrecision(
+                f"upper_no for q={q} cannot reach {digits} digits: "
+                f"at {MAX_RN_N} terms the interval is q^-{MAX_RN_R} wide"
+            )
         key, params, build = "terms", range(8, MAX_RN_N + 1), upper_bound_no_interval
     else:
         key, build = "depth", {"greedy": greedy_density_interval, "lower_mq": mq_interval}[kind]

@@ -24,6 +24,9 @@ CPython's bignum operations and reduce each lane mod p only when unpacking:
 The per-coefficient loop stays for extension fields, for a p so large that
 no 64-bit lane holds the bound, and below _PACK_MIN coefficients (the shorter
 factor, or the divisor), where packing costs more than it saves.
+
+Over an extension field with log tables (q <= 4096, see ff), _mul_log and
+_divmod_log run that loop in the log domain, with no mul_c call.
 """
 
 from __future__ import annotations
@@ -133,6 +136,8 @@ def _mul(spec, a, b):
             packed_b = packed_a if b is a else _pack(b, typecode)
             n = len(a) + len(b) - 1
             return tuple(_unpack(packed_a * packed_b, n, bits, typecode, p))
+    if spec.log is not None:
+        return _mul_log(spec, a, b)
     add = spec.add_c
     mul = spec.mul_c
     out = [0] * (len(a) + len(b) - 1)
@@ -141,6 +146,27 @@ def _mul(spec, a, b):
             for j, bj in enumerate(b):
                 if bj:
                     out[i + j] = add(out[i + j], mul(ai, bj))
+    return _trim(out)
+
+
+def _mul_log(spec, a, b):
+    """_mul over a log-tabled field: the logs of b once, each product one exp lookup."""
+    log, exp = spec.log, spec.exp
+    lb = [(j, log[c]) for j, c in enumerate(b) if c]
+    out = [0] * (len(a) + len(b) - 1)
+    if spec.p == 2:
+        for i, ai in enumerate(a):
+            if ai:
+                la = log[ai]
+                for j, l in lb:
+                    out[i + j] ^= exp[la + l]
+    else:
+        add = spec.add_c
+        for i, ai in enumerate(a):
+            if ai:
+                la = log[ai]
+                for j, l in lb:
+                    out[i + j] = add(out[i + j], exp[la + l])
     return _trim(out)
 
 
@@ -156,6 +182,8 @@ def _divmod(spec, a, b):
         lane = _lane((p - 1) + (len(a) - db) * (p - 1) ** 2)
         if lane:
             return _divmod_packed(p, spec.inv_c(b[-1]), a, b, *lane)
+    if spec.log is not None:
+        return _divmod_log(spec, a, b)
     add = spec.add_c
     mul = spec.mul_c
     neg = spec.neg_c
@@ -171,6 +199,38 @@ def _divmod(spec, a, b):
             for j in range(db + 1):
                 if b[j]:
                     rem[i - db + j] = add(rem[i - db + j], mul(nt, b[j]))
+    return _trim(quot), _trim(rem[:db])
+
+
+def _divmod_log(spec, a, b):
+    """_divmod over a log-tabled field: each step adds t * (-b) by exp lookups.
+
+    log t = log c + log(1/lead) is reduced mod q-1 first, since a sum of
+    three logs would run past the doubled exp table. The leading coefficient
+    of each step is not written back: it cancels and is never read again.
+    """
+    log, exp = spec.log, spec.exp
+    n = spec.q - 1
+    db = len(b) - 1
+    neg = spec.neg_c
+    lnb = [(j, log[neg(c)]) for j, c in enumerate(b[:db]) if c]
+    l_inv = n - log[b[-1]]
+    rem = list(a)
+    quot = [0] * (len(a) - db)
+    p2 = spec.p == 2
+    add = spec.add_c
+    for i in range(len(a) - 1, db - 1, -1):
+        c = rem[i]
+        if c:
+            lt = (log[c] + l_inv) % n
+            lo = i - db
+            quot[lo] = exp[lt]
+            if p2:
+                for j, l in lnb:
+                    rem[lo + j] ^= exp[lt + l]
+            else:
+                for j, l in lnb:
+                    rem[lo + j] = add(rem[lo + j], exp[lt + l])
     return _trim(quot), _trim(rem[:db])
 
 

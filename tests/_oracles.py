@@ -2,7 +2,8 @@
 
 Nothing here shares code with the package's own factorization, counting or
 search paths: schoolbook multiplication and long division of F_p coefficient
-lists, irreducibility and factorization by literal trial division over
+lists, the same over GF(p^k) with each element product taken through its
+digit polynomial, irreducibility and factorization by literal trial division over
 the monic enumeration, the default field modulus by a search over every
 candidate, greedy-set member counts by factoring every monic polynomial,
 integer factorization by trial division, the AP-free integer set by its
@@ -45,6 +46,71 @@ def fp_divmod(p, a, b):
         quot[i] = t
         for j, y in enumerate(b):
             rem[i + j] = (rem[i + j] - t * y) % p
+    return _trim_list(quot), _trim_list(rem[: len(b) - 1])
+
+
+class DigitField:
+    """GF(p^k) on integer codes, each product taken through digit polynomials.
+
+    A code's base-p digits, constant first, are the residue's coefficients.
+    A product is the schoolbook product of the two digit lists (fp_mul),
+    reduced by the modulus (fp_divmod); an inverse is a^(q-2).
+    """
+
+    def __init__(self, p, modulus):
+        self.p = p
+        self.modulus = list(modulus)
+        self.k = len(modulus) - 1
+        self.q = p**self.k
+
+    def digits(self, code):
+        return [code // self.p**i % self.p for i in range(self.k)]
+
+    def code(self, digits):
+        return sum(d * self.p**i for i, d in enumerate(digits))
+
+    def add(self, a, b):
+        return self.code([(x + y) % self.p for x, y in zip(self.digits(a), self.digits(b))])
+
+    def neg(self, a):
+        return self.code([-x % self.p for x in self.digits(a)])
+
+    def mul(self, a, b):
+        prod = fp_mul(self.p, self.digits(a), self.digits(b))
+        return self.code(fp_divmod(self.p, prod, self.modulus)[1])
+
+    def inv(self, a):
+        result, e = 1, self.q - 2
+        while e:
+            if e & 1:
+                result = self.mul(result, a)
+            a = self.mul(a, a)
+            e >>= 1
+        return result
+
+
+def gfq_mul(field, a, b):
+    """Product of two code lists over a DigitField, schoolbook."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = field.add(out[i + j], field.mul(x, y))
+    return _trim_list(out)
+
+
+def gfq_divmod(field, a, b):
+    """(quotient, remainder) of code lists over a DigitField by long division;
+    b must be trimmed and nonzero."""
+    inv = field.inv(b[-1])
+    rem = list(a)
+    quot = [0] * max(len(a) - len(b) + 1, 0)
+    for i in range(len(quot) - 1, -1, -1):
+        t = field.mul(rem[i + len(b) - 1], inv)
+        quot[i] = t
+        for j, y in enumerate(b):
+            rem[i + j] = field.add(rem[i + j], field.neg(field.mul(t, y)))
     return _trim_list(quot), _trim_list(rem[: len(b) - 1])
 
 

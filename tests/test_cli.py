@@ -349,10 +349,14 @@ def _factor_text(q, degree, spread, seed):
         (3, 99, 3, "34321f31807eb08b"),
         (7, 60, 1, "bd7706a2a254e47f"),
         (512, 12, 1, "cc24a090c60b783f"),
+        (243, 15, 3, "d3f7fb80863372ef"),
+        (256, 16, 2, "4795f6fae2f4a5fc"),
+        (4096, 8, 1, "7e6b1614b381e2bc"),
     ],
 )
 def test_factor_stdout_pinned(capsys, q, degree, spread, digest):
     # sha256 prefixes of the stdout of the per-coefficient polynomial arithmetic
+    # (q x q tables up to GF(256), digit products above), before log tables
     code, out, _ = invoke(capsys, "factor", "--q", str(q), _factor_text(q, degree, spread, degree))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
@@ -391,6 +395,7 @@ def _run_cli(*argv):
         (["greedy", "enumerate", "--q", "2", "--max-degree", "1000000000", "--counts-only"], 1),
         (["figure1", "--qmax", "100000"], 1),
         (["rn", "--n", "23"], 1),
+        (["greedy", "enumerate", "--q", str(3**300), "--max-degree", "1", "--counts-only"], 0),
     ],
 )
 def test_large_arguments_end_at_once(argv, code):
@@ -403,7 +408,7 @@ def test_large_arguments_end_at_once(argv, code):
         assert proc.stderr.startswith("error:") and "budget" in proc.stderr
     if code == 0:
         *head, last = proc.stdout.splitlines()
-        assert len(head) == (40 if "--counts-only" in argv else 0)
+        assert len(head) == (int(argv[argv.index("--max-degree") + 1]) if "--counts-only" in argv else 0)
         assert last in (
             "0.857143",
             "1 * (x+1)",
@@ -411,6 +416,7 @@ def test_large_arguments_end_at_once(argv, code):
             "1 2 4 5 9 11 13 14 20 24 26 30 32 36 40 41 51 54",
             "0.846375541078942",
             "40 712880545712",
+            f"1 {(3**300 - 1) * 3**300}",  # every polynomial of degree 1
         )
 
 

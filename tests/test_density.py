@@ -357,12 +357,26 @@ def test_check_results_are_falsy_when_not_ok():
 
 
 def test_upper_no_stops_at_rn_budget(monkeypatch):
-    # 30 digits need more terms than MAX_RN_N; certify tries r_8..r_12 and searches no further
+    # 15 digits need more terms than MAX_RN_N; certify tries r_8..r_12 and searches no further
     monkeypatch.setattr(density, "_rn_cache", [1, 2])
     monkeypatch.setattr(density, "MAX_RN_N", 12)
     with pytest.raises(NeedsMorePrecision, match="terms budget"):
-        density.certify("upper_no", 2, 30)
+        density.certify("upper_no", 2, 15)
     assert density._rn_cache == R20[:12]
+
+
+def test_upper_no_refuses_unreachable_digits_at_once(monkeypatch):
+    # the MAX_RN_N-term interval is q^-MAX_RN_R wide: 2^-74 > 10^-23, so no search runs
+    monkeypatch.setattr(density, "_rn_cache", [1, 2])
+    for q, digits in ((2, 23), (2, 30), (3, 36)):
+        with pytest.raises(NeedsMorePrecision, match="cannot reach"):
+            density.certify("upper_no", q, digits)
+    assert density._rn_cache == [1, 2]
+
+
+def test_max_rn_r_is_the_last_searched_rn(monkeypatch):
+    monkeypatch.setattr(density, "_rn_cache", [1, 2])
+    assert rn_sequence(density.MAX_RN_N)[-1] == density.MAX_RN_R
 
 
 def test_rn_work_budget_admits_r20(monkeypatch):

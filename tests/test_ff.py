@@ -1,5 +1,6 @@
 """Field arithmetic: construction, axioms, Frobenius, codes, errors."""
 
+import math
 import random
 
 import pytest
@@ -19,10 +20,22 @@ from gpfq.ff import _default_modulus
 
 FIELD_PARAMS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
                 (2, 4), (5, 2), (3, 3), (2, 5), (7, 2), (2, 6)]
+# log-tabled fields too large for the tests over all pairs of elements
+LARGE_FIELD_PARAMS = [(3, 5), (2, 9), (3, 6), (2, 12)]
 
 
-@pytest.fixture(scope="module", params=FIELD_PARAMS, ids=lambda pk: f"GF({pk[0]**pk[1]})")
+def _field_id(pk):
+    return f"GF({pk[0]**pk[1]})"
+
+
+@pytest.fixture(scope="module", params=FIELD_PARAMS, ids=_field_id)
 def field(request):
+    p, k = request.param
+    return make_field(p, k)
+
+
+@pytest.fixture(scope="module", params=FIELD_PARAMS + LARGE_FIELD_PARAMS, ids=_field_id)
+def any_field(request):
     p, k = request.param
     return make_field(p, k)
 
@@ -130,7 +143,8 @@ def test_axioms_pairs(field):
         assert a * a.inverse() == one
 
 
-def test_axioms_triples(field):
+def test_axioms_triples(any_field):
+    field = any_field
     els = list(field.elements())
     if field.q <= 9:
         triples = [(a, b, c) for a in els for b in els for c in els]
@@ -146,9 +160,10 @@ def test_axioms_triples(field):
         assert a * (b + c) == a * b + a * c
 
 
-@pytest.mark.parametrize("p, k", [(2, 2), (2, 9), (2, 10), (3, 6)])
+@pytest.mark.parametrize("p, k", [(2, 2), (2, 9), (2, 10), (3, 6), (3, 8)])
 def test_additive_ops_are_digitwise(p, k):
-    # tabled and untabled, XOR at p = 2: each digit adds, subtracts and negates mod p
+    # XOR at p = 2, Zech logarithms in GF(729), the digit loop in GF(6561) above
+    # the log-table cap: each digit adds, subtracts and negates mod p
     spec = make_field(p, k)
     rng = random.Random(p**k)
     for _ in range(500):
@@ -159,9 +174,29 @@ def test_additive_ops_are_digitwise(p, k):
         assert spec.digits_of(spec.neg_c(a)) == tuple(-x % p for x in da)
 
 
-def test_frobenius(field):
+def test_frobenius(any_field):
+    field = any_field
     for a in field.elements():
         assert a**field.q == a
+
+
+@pytest.mark.parametrize("p, k", [(2, 2), (3, 2), (2, 8), (3, 5), (61, 2), (2, 12)])
+def test_log_tables(p, k):
+    # exp lists every unit once from g, the least primitive element by code,
+    # and a product or inverse read from the tables is the digit product
+    spec = make_field(p, k)
+    n = spec.q - 1
+    assert sorted(spec.exp[:n]) == list(range(1, spec.q))
+    assert spec.exp[n:2 * n] == spec.exp[:n]
+    assert all(spec.exp[spec.log[a]] == a for a in range(1, spec.q))
+    least = min(c for c in range(1, spec.q) if math.gcd(spec.log[c], n) == 1)
+    assert spec.exp[1] == least
+    rng = random.Random(spec.q)
+    for _ in range(500):
+        a, b = rng.randrange(spec.q), rng.randrange(spec.q)
+        assert spec.mul_c(a, b) == spec._mul_codes(a, b)
+        if a:
+            assert spec._mul_codes(a, spec.inv_c(a)) == 1
 
 
 def test_inverse_of_zero(field):

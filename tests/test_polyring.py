@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import fp_divmod, fp_mul
+from _oracles import DigitField, fp_divmod, fp_mul, gfq_divmod, gfq_mul
 from gpfq import (
     CoefficientOutOfRange,
     DivisionByZero,
@@ -198,7 +198,7 @@ def test_format_parse_roundtrip_exhaustive():
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), spec=st.sampled_from((F2, F3, F4, make_field(2, 9), make_field(3, 6))))
 def test_format_parse_roundtrip_random(data, spec):
-    # degrees past the exhaustive test; GF(512) and GF(729) write untabled bracketed codes
+    # degrees past the exhaustive test; GF(512) and GF(729) write three-digit bracketed codes
     f = Poly(spec, _poly_codes(data.draw, spec.q, data.draw(st.integers(0, 61))))
     assert parse_poly(spec, format_poly(f)) == f
 
@@ -277,5 +277,48 @@ def test_kernel_makes_no_coefficient_calls(p):
     b = tuple(rng.randrange(p) for _ in range(_PACK_MIN)) + (p - 1,)
     expect = (_mul(spec, a, b), _divmod(spec, a, b))
     for name in ("add_c", "sub_c", "neg_c", "mul_c"):
+        setattr(spec, name, refuse)
+    assert (_mul(spec, a, b), _divmod(spec, a, b)) == expect
+
+
+# ---------------------------------------------------------------------------
+# the log-domain loops of _mul/_divmod against the digit-polynomial oracle
+# ---------------------------------------------------------------------------
+
+# XOR addition in GF(4), GF(16), GF(256), GF(512) and GF(4096); Zech
+# addition in GF(243) and GF(729)
+LOG_FIELDS = tuple(make_field(p, k) for p, k in ((2, 2), (2, 4), (3, 5), (2, 8), (2, 9), (3, 6), (2, 12)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), spec=st.sampled_from(LOG_FIELDS))
+def test_log_domain_mul_divmod_match_oracle(data, spec):
+    field = DigitField(spec.p, spec.modulus)
+    b = _poly_codes(data.draw, spec.q, data.draw(st.integers(1, 10)))
+    steps = data.draw(st.integers(0, 30))  # the quotient's length: up to 30 division steps
+    a = _poly_codes(data.draw, spec.q, len(b) - 1 + steps)
+    assert list(_mul(spec, a, b)) == gfq_mul(field, list(a), list(b))
+    quot, rem = _divmod(spec, a, b)
+    assert (list(quot), list(rem)) == gfq_divmod(field, list(a), list(b))
+    # a = quot * b + rem with deg rem < deg b
+    assert len(rem) < len(b)
+    qb = gfq_mul(field, list(quot), list(b))
+    qb += [0] * (len(a) - len(qb))
+    assert [field.add(x, y) for x, y in zip(qb, list(rem) + [0] * len(a))] == list(a)
+
+
+@pytest.mark.parametrize("p, k", [(2, 2), (3, 5)])
+def test_log_domain_makes_no_mul_calls(p, k):
+    # over a log-tabled field the loops read products from the tables
+    spec = make_field(p, k)
+
+    def refuse(*args):
+        raise AssertionError("mul_c or inv_c call")
+
+    rng = random.Random(spec.q)
+    a = tuple(rng.randrange(spec.q) for _ in range(40)) + (1,)
+    b = tuple(rng.randrange(spec.q) for _ in range(12)) + (spec.q - 1,)
+    expect = (_mul(spec, a, b), _divmod(spec, a, b))
+    for name in ("mul_c", "inv_c"):
         setattr(spec, name, refuse)
     assert (_mul(spec, a, b), _divmod(spec, a, b)) == expect
