@@ -43,7 +43,7 @@ from .errors import (
 from .intarith import is_prime, prime_divisors
 
 # Extension fields up to this order get log/Zech tables. Building them takes
-# at most about 20 ms on one x86-64 core (GF(5^5)); q x q tables took 0.6 s
+# at most about 27 ms on one x86-64 core (GF(2^12)); q x q tables took 0.6 s
 # at q = 256.
 _LOG_MAX = 4096
 
@@ -60,8 +60,9 @@ class FieldSpec:
 
     Two specs compare equal iff they have the same (p, k, modulus); mixing
     elements of unequal specs raises SpecMismatch rather than coercing.
-    `exp` and `log` are the antilog and log tables of an extension field with
-    q <= _LOG_MAX (None otherwise), which polyring's loops read directly.
+    `exp`, `log` and (at odd p) `zech` are the antilog, log and Zech tables
+    of an extension field with q <= _LOG_MAX (None otherwise), which
+    polyring's loops read directly.
     """
 
     def __init__(self, p: int, k: int, modulus: tuple):
@@ -75,7 +76,8 @@ class FieldSpec:
 
     def _init_ops(self):
         p, k, q = self.p, self.k, self.q
-        self.exp = self.log = None  # set for extension fields up to _LOG_MAX
+        # set for extension fields up to _LOG_MAX (zech at odd p only)
+        self.exp = self.log = self.zech = None
         if p == 2:
             # codes are bit vectors of GF(2) digits: addition is XOR at every k
             self.add_c = lambda a, b: a ^ b
@@ -120,7 +122,9 @@ class FieldSpec:
         exp[i] = g^i is stored twice over, so that a sum of two logs needs no
         reduction, and then followed by a zero tail that log(0) = 2(q-1)
         points into: exp[log[a] + log[b]] is a*b for every a, b. At odd p,
-        zech[d] = log(1 + g^d) gives a + b = g^la * (1 + g^(lb-la)).
+        zech[d] = log(1 + g^d) gives a + b = g^la * (1 + g^(lb-la)) for
+        nonzero a, b; it too is stored twice over, so that lb may be a sum of
+        two logs (as in polyring's loops) and lb - la needs no reduction.
         """
         p, q = self.p, self.q
         n = q - 1
@@ -142,7 +146,7 @@ class FieldSpec:
             return
         # -1 = g^(n/2); 1 + c changes only the constant digit of c
         neg = [exp[la + n // 2] for la in log]
-        zech = [log[c + 1 if c % p != p - 1 else c + 1 - p] for c in powers]
+        zech = [log[c + 1 if c % p != p - 1 else c + 1 - p] for c in powers] * 2
 
         def add_c(a, b):
             if a and b:
@@ -150,6 +154,7 @@ class FieldSpec:
                 return exp[la + zech[log[b] - la]]
             return a or b
 
+        self.zech = zech
         self.add_c = add_c
         self.sub_c = lambda a, b: add_c(a, neg[b])
         self.neg_c = neg.__getitem__
@@ -168,37 +173,12 @@ class FieldSpec:
             if all(self.pow_c(c, (q - 1) // l) != 1 for l in primes)
         )
         powers = []
-        if p == 2:
-            # codes are GF(2)[x] bit vectors: a carry-less product by g, then
-            # the bits from k up cleared by shifted copies of the modulus
-            # (GF(4096) in 8 ms, against 31 ms by digit products)
-            k, mod = self.k, self._code_of(self.modulus)
-            shifts = [j for j in range(k) if g >> j & 1]
-            c = 1
-            for _ in range(q - 1):
-                powers.append(c)
-                r = 0
-                for j in shifts:
-                    r ^= c << j
-                for i in range(r.bit_length() - 1, k - 1, -1):
-                    if r >> i & 1:
-                        r ^= mod << i - k
-                c = r
-            return powers
-        gd = self._digits_raw(g)
-        cur = self._digits_raw(1)
+        gd = self.digits_of(g)
+        cur = self.digits_of(1)
         for _ in range(q - 1):
             powers.append(self._code_of(cur))
             cur = self._mul_digits(gd, cur)
         return powers
-
-    def _digits_raw(self, code):
-        p = self.p
-        out = []
-        for _ in range(self.k):
-            code, r = divmod(code, p)
-            out.append(r)
-        return tuple(out)
 
     def _code_of(self, digits):
         code = 0
@@ -226,21 +206,21 @@ class FieldSpec:
     def _add_digitwise(self, a, b):
         p = self.p
         return self._code_of(
-            tuple((x + y) % p for x, y in zip(self._digits_raw(a), self._digits_raw(b)))
+            tuple((x + y) % p for x, y in zip(self.digits_of(a), self.digits_of(b)))
         )
 
     def _sub_digitwise(self, a, b):
         p = self.p
         return self._code_of(
-            tuple((x - y) % p for x, y in zip(self._digits_raw(a), self._digits_raw(b)))
+            tuple((x - y) % p for x, y in zip(self.digits_of(a), self.digits_of(b)))
         )
 
     def _neg_digitwise(self, a):
         p = self.p
-        return self._code_of(tuple((-x) % p for x in self._digits_raw(a)))
+        return self._code_of(tuple((-x) % p for x in self.digits_of(a)))
 
     def _mul_codes(self, a, b):
-        return self._code_of(self._mul_digits(self._digits_raw(a), self._digits_raw(b)))
+        return self._code_of(self._mul_digits(self.digits_of(a), self.digits_of(b)))
 
     def _inv_prime(self, a):
         if a == 0:
@@ -272,7 +252,12 @@ class FieldSpec:
         return self.pow_c(a, self.q // self.p)
 
     def digits_of(self, code: int) -> tuple:
-        return self._digits_raw(code)
+        p = self.p
+        out = []
+        for _ in range(self.k):
+            code, r = divmod(code, p)
+            out.append(r)
+        return tuple(out)
 
     # -- element access -------------------------------------------------------
 

@@ -26,7 +26,9 @@ no 64-bit lane holds the bound, and below _PACK_MIN coefficients (the shorter
 factor, or the divisor), where packing costs more than it saves.
 
 Over an extension field with log tables (q <= 4096, see ff), _mul_log and
-_divmod_log run that loop in the log domain, with no mul_c call.
+_divmod_log run that loop in the log domain and call no ff function: each
+product is one exp lookup, added by XOR at p = 2 and through the Zech table
+at odd p.
 """
 
 from __future__ import annotations
@@ -150,23 +152,31 @@ def _mul(spec, a, b):
 
 
 def _mul_log(spec, a, b):
-    """_mul over a log-tabled field: the logs of b once, each product one exp lookup."""
-    log, exp = spec.log, spec.exp
+    """_mul over a log-tabled field: the logs of b once, each product one exp lookup.
+
+    At odd p a product of log t < 2(q-1) is added to a nonzero coefficient c
+    as g^lc * (1 + g^(t - lc)), which the doubled Zech table reads unreduced.
+    """
+    log, exp, zech = spec.log, spec.exp, spec.zech
     lb = [(j, log[c]) for j, c in enumerate(b) if c]
     out = [0] * (len(a) + len(b) - 1)
-    if spec.p == 2:
+    if zech is None:
         for i, ai in enumerate(a):
             if ai:
                 la = log[ai]
                 for j, l in lb:
                     out[i + j] ^= exp[la + l]
     else:
-        add = spec.add_c
         for i, ai in enumerate(a):
             if ai:
                 la = log[ai]
                 for j, l in lb:
-                    out[i + j] = add(out[i + j], exp[la + l])
+                    c = out[i + j]
+                    if c:
+                        lc = log[c]
+                        out[i + j] = exp[lc + zech[la + l - lc]]
+                    else:
+                        out[i + j] = exp[la + l]
     return _trim(out)
 
 
@@ -217,20 +227,24 @@ def _divmod_log(spec, a, b):
     l_inv = n - log[b[-1]]
     rem = list(a)
     quot = [0] * (len(a) - db)
-    p2 = spec.p == 2
-    add = spec.add_c
+    zech = spec.zech
     for i in range(len(a) - 1, db - 1, -1):
         c = rem[i]
         if c:
             lt = (log[c] + l_inv) % n
             lo = i - db
             quot[lo] = exp[lt]
-            if p2:
+            if zech is None:
                 for j, l in lnb:
                     rem[lo + j] ^= exp[lt + l]
             else:
                 for j, l in lnb:
-                    rem[lo + j] = add(rem[lo + j], exp[lt + l])
+                    r = rem[lo + j]
+                    if r:
+                        lr = log[r]
+                        rem[lo + j] = exp[lr + zech[lt + l - lr]]
+                    else:
+                        rem[lo + j] = exp[lt + l]
     return _trim(quot), _trim(rem[:db])
 
 
