@@ -191,8 +191,9 @@ def _cmd_greedy(parser, args):
         characterized = {f for f in enumerate_upto(spec, args.max_degree) if progfree.greedy_member(f)}
         extra = sorted(constructed - characterized)
         missing = sorted(characterized - constructed)
-        witness = progfree.has_progression(constructed)
+        # a strict progression is also a unit-tolerant one
         witness_tol = progfree.has_progression(constructed, unit_tolerant=True)
+        witness = witness_tol and progfree.has_progression(constructed)
         ok = not extra and not missing and witness is None and witness_tol is None
         lines = []
         if ok:

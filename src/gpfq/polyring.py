@@ -558,7 +558,7 @@ def parse_poly(spec, text: str) -> Poly:
     `[code]` used by format_poly is accepted as well. Repeating an exponent
     is an error rather than an implicit sum.
     """
-    stripped = re.sub(r"\s+", "", text)
+    stripped = "".join(text.split())
     if not stripped:
         raise PolySyntaxError("empty polynomial text")
     coeffs = {}
@@ -578,7 +578,7 @@ def parse_poly(spec, text: str) -> Poly:
     out = [0] * (max(coeffs) + 1)
     for e, code in coeffs.items():
         out[e] = code
-    return Poly(spec, out)
+    return Poly._raw(spec, _trim(out))
 
 
 def format_poly(f: Poly) -> str:

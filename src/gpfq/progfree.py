@@ -8,8 +8,9 @@ non-unit geometric progressions, and an exact extremal search.
 A geometric progression here is the strict triple (b, r*b, r^2*b) with
 deg r >= 1; the unit-tolerant variant relaxes membership of the second and
 third terms to unit multiples. One enumerator, `_progressions`, lists these
-triples for both `has_progression` and the extremal search, which is a
-single include-first branch and bound over the triples as hyperedges.
+triples as (base, ratio, middle) code tuples for both `has_progression` and
+the extremal search, which is a single include-first branch and bound over
+the triples as hyperedges.
 """
 
 from __future__ import annotations
@@ -18,13 +19,7 @@ from typing import Iterable, NamedTuple, Optional, Tuple
 
 from .errors import BudgetExceeded, SpecMismatch, ZeroPolynomial
 from .factor import factorization_exponents
-from .polyring import (
-    Poly,
-    canonical_key,
-    enumerate_polys,
-    enumerate_upto,
-    make_monic,
-)
+from .polyring import Poly, _monic, _mul, enumerate_polys, enumerate_upto
 
 #: Degrees (equivalently norm exponents) as a sorted duplicate-free tuple.
 DegreeSet = Tuple[int, ...]
@@ -116,31 +111,31 @@ def greedy_member(f: Poly) -> bool:
 def greedy_construct_bruteforce(spec, max_degree: int, budget: int = DEFAULT_ENUM_BUDGET):
     """Literal greedy construction: the set of Poly admitted by increasing degree.
 
-    Starts from the nonzero constants; a polynomial f of degree d is rejected
-    exactly when some ratio r with deg r >= 1 and admitted a = f / r^2 exist
-    such that a and r*a are both already admitted (f is forced to be the
-    largest term of any progression it completes, since degrees strictly
-    increase along a progression).
+    Starts from the nonzero constants; f of degree d is rejected exactly
+    when f = r^2 * a with deg r >= 1 and a, r*a already admitted (f is the
+    largest term of any progression it completes, as degrees increase along
+    one). No division: before degree d, each r*(r*a) of degree d with a and
+    r*a admitted is marked blocked.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
     enumeration_size(spec.q, max_degree, budget)
-    admitted = set(enumerate_polys(spec, 0))
-    # all non-unit candidate ratios of degree <= max_degree // 2, each with its square
-    ratios = [(r, r * r) for d in range(1, max_degree // 2 + 1) for r in enumerate_polys(spec, d)]
+    # code tuples: ratios[e] all of degree e (e = 0: the constants, all
+    # admitted), levels[d] the admitted ones of degree d
+    ratios = [[r.coeffs for r in enumerate_polys(spec, e)] for e in range(max_degree // 2 + 1)]
+    levels = [ratios[0]]
+    admitted = set(ratios[0])
     for d in range(1, max_degree + 1):
-        for f in enumerate_polys(spec, d):
-            ok = True
-            for r, square in ratios:
-                if 2 * r.degree > d:
-                    break  # ratios are in canonical (degree-major) order
-                a, rem = divmod(f, square)
-                if rem.is_zero() and a in admitted and r * a in admitted:
-                    ok = False
-                    break
-            if ok:
-                admitted.add(f)
-    return admitted
+        blocked = set()
+        for e in range(1, d // 2 + 1):
+            for r in ratios[e]:
+                for a in levels[d - 2 * e]:
+                    mid = _mul(spec, r, a)
+                    if mid in admitted:
+                        blocked.add(_mul(spec, r, mid))
+        levels.append([f.coeffs for f in enumerate_polys(spec, d) if f.coeffs not in blocked])
+        admitted.update(levels[d])
+    return {Poly._raw(spec, f) for f in admitted}
 
 
 class ProgressionWitness(NamedTuple):
@@ -170,33 +165,33 @@ def has_progression(polys, unit_tolerant: bool = False) -> Optional[ProgressionW
             raise SpecMismatch(f"{f.spec!r} vs {spec!r}")
         if f.is_zero():
             raise ZeroPolynomial("progression search over a set containing 0")
+    codes = {f.coeffs for f in members}
     if unit_tolerant:
-        member_set = {make_monic(f)[1] for f in members}
+        monics = {_monic(spec, f)[1] for f in codes}
 
-        def present(g: Poly) -> bool:
-            return make_monic(g)[1] in member_set
+        def present(g) -> bool:
+            return _monic(spec, g)[1] in monics
     else:
-        present = set(members).__contains__
+        present = codes.__contains__
 
-    max_deg = max(len(f.coeffs) - 1 for f in members)
-    bases = sorted(members, key=canonical_key)
-    for a, r, mid, top in _progressions(spec, bases, max_deg):
-        if present(mid) and present(top):
-            return ProgressionWitness(a, r)
+    bases = sorted(codes, key=lambda f: (len(f), f))
+    for a, r, mid in _progressions(spec, bases, len(bases[-1]) - 1):
+        if present(mid) and present(_mul(spec, mid, r)):
+            return ProgressionWitness(Poly._raw(spec, a), Poly._raw(spec, r))
     return None
 
 
 def _progressions(spec, bases, max_degree: int):
-    """(base, ratio, middle, top) for each base in the order given and each
-    non-unit ratio in canonical order with deg base + 2 deg ratio <= max_degree."""
-    ratios = [r for d in range(1, max_degree // 2 + 1) for r in enumerate_polys(spec, d)]
+    """(base, ratio, middle) code tuples for each base in the order given and
+    each non-unit ratio in canonical order with deg base + 2 deg ratio <=
+    max_degree; the top term is middle * ratio."""
+    ratios = [r.coeffs for d in range(1, max_degree // 2 + 1) for r in enumerate_polys(spec, d)]
     for a in bases:
-        room = max_degree - (len(a.coeffs) - 1)
+        room = max_degree - (len(a) - 1)
         for r in ratios:
-            if 2 * (len(r.coeffs) - 1) > room:
+            if 2 * (len(r) - 1) > room:
                 break  # ratios are in canonical (degree-major) order
-            mid = r * a
-            yield a, r, mid, mid * r
+            yield a, r, _mul(spec, r, a)
 
 
 # ---------------------------------------------------------------------------
@@ -214,14 +209,14 @@ def max_progression_free_subset(spec, max_degree: int, budget: int = DEFAULT_VER
     search by MAX_SEARCH_WORK edge scans; past either, BudgetExceeded.
     """
     enumeration_size(spec.q, max_degree, budget, nonzero=True)
-    universe = list(enumerate_upto(spec, max_degree))
+    universe = [f.coeffs for f in enumerate_upto(spec, max_degree)]
     index = {f: i for i, f in enumerate(universe)}
     edges = [
-        (index[a], index[mid], index[top])
-        for a, _, mid, top in _progressions(spec, universe, max_degree)
+        (index[a], index[mid], index[_mul(spec, mid, r)])
+        for a, r, mid in _progressions(spec, universe, max_degree)
     ]
     chosen = _largest_free_set(len(universe), edges)
-    return len(chosen), tuple(universe[v] for v in chosen)
+    return len(chosen), tuple(Poly._raw(spec, universe[v]) for v in chosen)
 
 
 def _largest_free_set(n, edges):

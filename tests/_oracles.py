@@ -8,14 +8,24 @@ the monic enumeration, the default field modulus by a search over every
 candidate, greedy-set member counts by factoring every monic polynomial,
 integer factorization by trial division, the AP-free integer set by its
 greedy definition, AP-free subset existence by exhaustive combinations and
-by plain backtracking over sets, and the largest progression-free set by
-exhaustive combinations.
+by plain backtracking over sets, the largest progression-free set by
+exhaustive combinations, the greedy polynomial set by dividing every
+polynomial by the square of every ratio, and progressions by trying every
+divisor pair with DigitField arithmetic.
 """
 
+from functools import lru_cache
 from itertools import combinations, product
 
 from gpfq.ff import make_field
-from gpfq.polyring import Poly, canonical_key, enumerate_monic, enumerate_upto, make_monic
+from gpfq.polyring import (
+    Poly,
+    canonical_key,
+    enumerate_monic,
+    enumerate_polys,
+    enumerate_upto,
+    make_monic,
+)
 
 
 def _trim_list(cs):
@@ -304,3 +314,55 @@ def max_progression_free_brute(spec, max_degree):
                 edges.append((i, pos[b], pos[r * b]))
     chosen = largest_free_set_brute(len(universe), edges)
     return len(chosen), tuple(universe[i] for i in chosen)
+
+
+def greedy_construct_divisions(spec, max_degree):
+    """The greedy polynomial set up to max_degree by division: f of degree d
+    is rejected when f = r^2 * a with deg r >= 1 and a, r*a already admitted,
+    tried for every ratio r with 2 deg r <= d."""
+    admitted = set(enumerate_polys(spec, 0))
+    ratios = [(r, r * r) for d in range(1, max_degree // 2 + 1) for r in enumerate_polys(spec, d)]
+    for d in range(1, max_degree + 1):
+        for f in enumerate_polys(spec, d):
+            ok = True
+            for r, square in ratios:
+                if 2 * r.degree > d:
+                    break  # ratios are in canonical (degree-major) order
+                a, rem = divmod(f, square)
+                if rem.is_zero() and a in admitted and r * a in admitted:
+                    ok = False
+                    break
+            if ok:
+                admitted.add(f)
+    return admitted
+
+
+def has_progression_brute(polys, unit_tolerant=False):
+    """(base, ratio) of the canonically least progression in `polys`, or None.
+
+    From the divisibility definition: a member a divides a present m with
+    deg m > deg a, and r * m is present for r = m / a. Unit-tolerant, m and
+    r * m need only be present up to a unit multiple, so m runs over every
+    unit multiple of every member. Products and quotients are DigitField's.
+    """
+    polys = list(polys)
+    if not polys:
+        return None
+    spec = polys[0].spec
+    field = DigitField(spec.p, spec.modulus)
+    for name in ("add", "neg", "mul", "inv"):  # memoized: at most q^2 distinct calls each
+        setattr(field, name, lru_cache(maxsize=None)(getattr(field, name)))
+    members = {f.coeffs for f in polys}
+    units = range(1, spec.q) if unit_tolerant else (1,)
+    present = {tuple(field.mul(u, c) for c in m) for m in members for u in units}
+    found = []
+    for a in members:
+        for m in present:
+            if len(m) > len(a):
+                r, rem = gfq_divmod(field, list(m), list(a))
+                if not rem and tuple(gfq_mul(field, r, list(m))) in present:
+                    found.append((len(a), a, len(r), tuple(r)))
+    if not found:
+        return None
+    _, a, _, r = min(found)
+    return Poly(spec, a), Poly(spec, r)

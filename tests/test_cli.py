@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpfq import factor, progfree
+from gpfq import factor, make_field, parse_poly, progfree
 from gpfq.cli import run
 
 
@@ -358,6 +358,83 @@ def test_factor_stdout_pinned(capsys, q, degree, spread, digest):
     # sha256 prefixes of the stdout of the per-coefficient polynomial arithmetic
     # (q x q tables up to GF(256), digit products above), before log tables
     code, out, _ = invoke(capsys, "factor", "--q", str(q), _factor_text(q, degree, spread, degree))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize(
+    "q, max_degree, digest, json_digest",
+    [
+        (2, 10, "686d6fa8cced8b9c", "e9a31d7a86581d55"),
+        (3, 6, "2b6240db144f94d7", "d59024761f5aa63f"),
+        (4, 5, "f34ce0ae141b39ea", "462688928fe03eb5"),
+        (5, 4, "3ff937d366203361", "e3537a570641ff61"),
+    ],
+)
+def test_greedy_check_stdout_pinned(capsys, q, max_degree, digest, json_digest):
+    # sha256 prefixes of the stdout of the division-based greedy construction
+    # and two progression searches per check
+    argv = ["greedy", "check", "--q", str(q), "--max-degree", str(max_degree)]
+    for flags, want in (((), digest), (("--json",), json_digest)):
+        code, out, _ = invoke(capsys, *argv, *flags)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == want
+
+
+@pytest.mark.parametrize(
+    "texts, witness",
+    [
+        # only up to units (1, x, 2*x^2): the unit-tolerant witness is reported
+        (["1", "x", "2*x^2"], "base=1 ratio=x"),
+        # a strict progression is reported before a canonically earlier tolerant one
+        (["1", "x", "2*x^2", "x+2", "x^2+2", "x^3+x^2+2*x+2"], "base=x+2 ratio=x+1"),
+    ],
+)
+def test_greedy_check_reports_progression(capsys, schema, monkeypatch, texts, witness):
+    spec = make_field(3)
+    planted = {parse_poly(spec, t) for t in texts}
+    monkeypatch.setattr(progfree, "greedy_construct_bruteforce", lambda *_: planted)
+    code, out, _ = invoke(capsys, "greedy", "check", "--q", "3", "--max-degree", "3")
+    assert code == 1
+    assert out.splitlines()[-1] == f"progression found: {witness}"
+    code, obj = invoke_json(capsys, schema, "greedy", "check", "--q", "3", "--max-degree", "3", "--json")
+    assert code == 1 and obj["ok"] is False and obj["members"] == len(texts)
+
+
+def _planted_lines():
+    """30 seeded GF(3) polynomials of degree <= 5 with a strict progression
+    (x+2, x^2+2, x^3+x^2+2*x+2) and one complete only up to units (1, x,
+    2*x^2) planted among them, shuffled."""
+    rng = random.Random(2015)
+    codes = [rng.randrange(1, 3**6) for _ in range(30)]
+    lines = ["+".join(f"{c}*x^{i}" for i, c in enumerate(_ternary(n)) if c) for n in codes]
+    lines += ["x+2", "x^2+2", "x^3+x^2+2*x+2", "1", "x", "2*x^2"]
+    rng.shuffle(lines)
+    return lines
+
+
+def _ternary(n):
+    digits = []
+    while n:
+        n, d = divmod(n, 3)
+        digits.append(d)
+    return digits
+
+
+@pytest.mark.parametrize(
+    "flags, digest",
+    [
+        ((), "9a7c1a814b3bc982"),
+        (("--json",), "aef918a054fcb839"),
+        (("--unit-tolerant",), "4b6d9d750b3cc780"),
+        (("--unit-tolerant", "--json"), "26981692121632df"),
+    ],
+)
+def test_progcheck_stdout_pinned(capsys, tmp_path, flags, digest):
+    # sha256 prefixes of the stdout of the progression search on Poly values
+    path = tmp_path / "planted.txt"
+    path.write_text("\n".join(_planted_lines()) + "\n")
+    code, out, _ = invoke(capsys, "progcheck", "--q", "3", "--file", str(path), *flags)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
 

@@ -188,6 +188,17 @@ def test_parse_errors():
         P(F4, "[4]*x")
 
 
+def test_parse_ignores_unicode_whitespace():
+    for space in ("\t", "\n", "\u00a0", "\u3000", " \r\x0b\x0c"):
+        assert P(F3, f"{space}2{space}*x^2{space}+{space}1{space}") == P(F3, "2*x^2+1")
+        assert P(F4, f"[3]{space}*x{space}+[1]") == P(F4, "[3]*x+[1]")
+        with pytest.raises(CoefficientOutOfRange):
+            P(F3, f"3{space}*x")
+        with pytest.raises(CoefficientOutOfRange):
+            P(F4, f"[4]{space}*x")
+    assert P(F2, "0*x^3+x").coeffs == (0, 1)  # zero leading terms are trimmed
+
+
 def test_format_parse_roundtrip_exhaustive():
     for spec, dmax in ((F2, 4), (F3, 3), (F4, 2)):
         for f in enumerate_upto(spec, dmax):

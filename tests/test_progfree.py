@@ -3,9 +3,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _oracles import (
     greedy_apfree_integers,
+    greedy_construct_divisions,
+    has_progression_brute,
     largest_free_set_brute,
     max_progression_free_brute,
 )
@@ -33,6 +37,7 @@ from gpfq.progfree import _largest_free_set, enumeration_size
 
 F2 = make_field(2)
 F3 = make_field(3)
+F4 = make_field(2, 2)
 
 
 def P(spec, text):
@@ -85,6 +90,34 @@ def test_equivalence_small():
         constructed = greedy_construct_bruteforce(spec, dmax)
         characterized = {f for f in enumerate_upto(spec, dmax) if greedy_member(f)}
         assert constructed == characterized
+
+
+@pytest.mark.parametrize("p, k", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)])
+def test_greedy_construct_matches_division_oracle(p, k):
+    # every D with q^(D+1) <= 4096; the greedy set up to D is the oracle's set
+    # at the largest such D cut to degree <= D, as each degree is decided by
+    # the lower ones alone
+    spec = make_field(p, k)
+    top = max(d for d in range(12) if spec.q ** (d + 1) <= 4096)
+    divided = greedy_construct_divisions(spec, top)
+    characterized = {f for f in enumerate_upto(spec, top) if greedy_member(f)}
+    for d in range(top + 1):
+        got = greedy_construct_bruteforce(spec, d)
+        assert got == {f for f in divided if f.degree <= d}
+        assert got == {f for f in characterized if f.degree <= d}
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_has_progression_matches_divisibility_oracle(data):
+    spec, max_degree = data.draw(st.sampled_from([(F2, 5), (F3, 3), (F4, 2)]))
+    universe = list(enumerate_upto(spec, max_degree))
+    polys = data.draw(st.permutations(universe))[: data.draw(st.integers(0, len(universe)))]
+    strict = has_progression(polys)
+    tolerant = has_progression(polys, unit_tolerant=True)
+    assert strict == has_progression_brute(polys)
+    assert tolerant == has_progression_brute(polys, unit_tolerant=True)
+    assert tolerant is not None or strict is None
 
 
 def test_has_progression_examples():
