@@ -80,6 +80,7 @@ from .progfree import (
     a3_list,
     greedy_construct_bruteforce,
     greedy_member,
+    greedy_members,
     has_progression,
     is_ap_free,
     max_progression_free_subset,

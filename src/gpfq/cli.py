@@ -20,7 +20,7 @@ from .errors import BudgetExceeded, Error
 from .factor import factorize
 from .ff import make_field
 from .intarith import prime_power
-from .polyring import enumerate_upto, format_poly, parse_poly
+from .polyring import canonical_key, format_poly, parse_poly
 
 
 def _int_in(lo: int, hi: float = float("inf")):
@@ -188,7 +188,7 @@ def _cmd_greedy(parser, args):
     if args.action == "check":
         spec = _field_for(parser, args)
         constructed = progfree.greedy_construct_bruteforce(spec, args.max_degree, _enum_budget(parser))
-        characterized = {f for f in enumerate_upto(spec, args.max_degree) if progfree.greedy_member(f)}
+        characterized = progfree.greedy_members(spec, args.max_degree, _enum_budget(parser))
         extra = sorted(constructed - characterized)
         missing = sorted(characterized - constructed)
         # a strict progression is also a unit-tolerant one
@@ -228,7 +228,7 @@ def _cmd_greedy(parser, args):
     else:
         spec = _field_for(parser, args)
     if not args.counts_only:
-        progfree.enumeration_size(args.q, args.max_degree, _enum_budget(parser))
+        members = progfree.greedy_members(spec, args.max_degree, _enum_budget(parser))
     counts = density.greedy_counts(args.q, args.max_degree)
     obj = {
         "command": "greedy-enumerate",
@@ -239,9 +239,7 @@ def _cmd_greedy(parser, args):
     if args.counts_only:
         lines = [f"{d} {c}" for d, c in enumerate(counts)]
     else:
-        lines = obj["members"] = [
-            format_poly(f) for f in enumerate_upto(spec, args.max_degree) if progfree.greedy_member(f)
-        ]
+        lines = obj["members"] = [format_poly(f) for f in sorted(members, key=canonical_key)]
     _emit(args, lines, obj)
     return 0
 

@@ -10,10 +10,11 @@ factorization machinery runs on; the Poly class wraps them for the public
 API and operator syntax.
 
 Over a prime field (k = 1), _mul and _divmod do not call the field once per
-coefficient pair when their operands are long. They pack the codes into the
-16-, 32- or 64-bit lanes of one int (Kronecker substitution; von zur Gathen
-and Gerhard, Modern Computer Algebra, section 8.4), do the arithmetic with
-CPython's bignum operations and reduce each lane mod p only when unpacking:
+coefficient pair. They pack the codes into the 8-, 16-, 32- or 64-bit lanes
+of one int (Kronecker substitution; von zur Gathen and Gerhard, Modern
+Computer Algebra, section 8.4), do the arithmetic with CPython's bignum
+operations and reduce each lane mod p only when unpacking (8-bit lanes by
+one bytes.translate through the table of i mod p):
 
   * multiply: one bignum product. A product coefficient is below
     min(len) * (p-1)^2, and the narrowest lane that holds that bound is used.
@@ -21,9 +22,10 @@ CPython's bignum operations and reduce each lane mod p only when unpacking:
     and adds (p - t) * b at that lane's offset, so lanes only grow and never
     borrow; the lane must hold (p-1) + steps * (p-1)^2.
 
-The per-coefficient loop stays for extension fields, for a p so large that
-no 64-bit lane holds the bound, and below _PACK_MIN coefficients (the shorter
-factor, or the divisor), where packing costs more than it saves.
+An 8-bit lane packs at every length. The per-coefficient loop stays for
+extension fields, for a p so large that no 64-bit lane holds the bound, and
+where only a 16-bit or wider lane holds it, below _PACK_MIN coefficients
+(the shorter factor, or the divisor), where packing costs more than it saves.
 
 Over an extension field with log tables (q <= 4096, see ff), _mul_log and
 _divmod_log run that loop in the log domain and call no ff function: each
@@ -37,8 +39,10 @@ import itertools
 import re
 import sys
 from array import array
+from functools import lru_cache
 
 from .errors import (
+    BudgetExceeded,
     CoefficientOutOfRange,
     DivisionByZero,
     PolySyntaxError,
@@ -48,15 +52,16 @@ from .errors import (
 from .ff import FieldElem, FieldSpec
 
 NEG_INFINITY = float("-inf")  # degree of the zero polynomial
+#: The largest exponent parse_poly accepts; past it, BudgetExceeded before any allocation.
+MAX_TEXT_DEGREE = 2**20
 
-# Over a prime field, _mul and _divmod pack the codes into one int when the
-# shorter factor (the divisor, for _divmod) has at least this many
-# coefficients. Measured: packing makes a 16-coefficient product 2-7x faster
-# and a 1-2 step division by 16 coefficients about as fast; below 16 the
-# loop wins on the short divisions that greedy-set membership makes.
+# Over a prime field, _mul and _divmod pack into 16-, 32- or 64-bit lanes only
+# when the shorter factor (the divisor, for _divmod) has at least this many
+# coefficients; below 16 the loop wins on short divisions. 8-bit lanes pack
+# at every length.
 _PACK_MIN = 16
-# (bits, array typecode) of the unsigned 16-, 32- and 64-bit lanes
-_LANES = tuple((array(t).itemsize * 8, t) for t in "HIQ")
+# (bits, array typecode) of the unsigned 8-, 16-, 32- and 64-bit lanes
+_LANES = tuple((array(t).itemsize * 8, t) for t in "BHIQ")
 _BIG_ENDIAN = sys.byteorder == "big"  # packed ints are little-endian lanes
 
 
@@ -107,8 +112,16 @@ def _lane(bound):
     return None
 
 
+@lru_cache(maxsize=None)
+def _byte_mod(p):
+    """The 256-byte table of i mod p, which reduces 8-bit lanes by bytes.translate."""
+    return bytes(i % p for i in range(256))
+
+
 def _pack(cs, typecode):
     """The int whose lanes, lowest first, are the codes `cs`."""
+    if typecode == "B":
+        return int.from_bytes(bytes(cs), "little")
     lanes = array(typecode, cs)
     if _BIG_ENDIAN:
         lanes.byteswap()
@@ -117,8 +130,11 @@ def _pack(cs, typecode):
 
 def _unpack(n, count, bits, typecode, p):
     """The lowest `count` lanes of `n`, each reduced mod p."""
+    raw = (n & ((1 << count * bits) - 1)).to_bytes(count * bits // 8, "little")
+    if typecode == "B":
+        return raw.translate(_byte_mod(p))
     lanes = array(typecode)
-    lanes.frombytes((n & ((1 << count * bits) - 1)).to_bytes(count * bits // 8, "little"))
+    lanes.frombytes(raw)
     if _BIG_ENDIAN:
         lanes.byteswap()
     return [c % p for c in lanes]
@@ -127,12 +143,12 @@ def _unpack(n, count, bits, typecode, p):
 def _mul(spec, a, b):
     if not a or not b:
         return ()
-    short = min(len(a), len(b))
-    if spec.k == 1 and short >= _PACK_MIN:
+    if spec.k == 1:
         p = spec.p
+        short = min(len(a), len(b))
         # a product coefficient is a sum of at most `short` products of codes < p
         lane = _lane(short * (p - 1) ** 2)
-        if lane:
+        if lane and (lane[0] == 8 or short >= _PACK_MIN):
             bits, typecode = lane
             packed_a = _pack(a, typecode)
             packed_b = packed_a if b is a else _pack(b, typecode)
@@ -186,11 +202,11 @@ def _divmod(spec, a, b):
     db = len(b) - 1
     if len(a) - 1 < db:
         return (), a
-    if spec.k == 1 and len(b) >= _PACK_MIN:
+    if spec.k == 1:
         p = spec.p
         # every step adds at most (p-1)^2 to a lane that starts below p
         lane = _lane((p - 1) + (len(a) - db) * (p - 1) ** 2)
-        if lane:
+        if lane and (lane[0] == 8 or len(b) >= _PACK_MIN):
             return _divmod_packed(p, spec.inv_c(b[-1]), a, b, *lane)
     if spec.log is not None:
         return _divmod_log(spec, a, b)
@@ -551,27 +567,36 @@ def _parse_code(token: str, q: int) -> int:
     return code
 
 
+@lru_cache(maxsize=4096)
+def _parse_term(term: str, q: int):
+    """(exponent, code) of one term. Cached, as text from format_poly repeats at
+    most q * (degree + 1) distinct terms; an error is raised, never cached."""
+    m = _TERM_RE.match(term)
+    if not m:
+        raise PolySyntaxError(f"bad term {term!r}")
+    coeff_tok, exp_tok, const_tok = m.groups()
+    if const_tok is not None:
+        return 0, _parse_code(const_tok, q)
+    e = int(exp_tok) if exp_tok is not None else 1
+    if e > MAX_TEXT_DEGREE:
+        raise BudgetExceeded(f"exponent {e} exceeds the degree budget {MAX_TEXT_DEGREE}")
+    return e, (_parse_code(coeff_tok, q) if coeff_tok is not None else 1)
+
+
 def parse_poly(spec, text: str) -> Poly:
     """Parse `c`, `x`, `c*x`, `x^e`, `c*x^e` terms joined by `+`.
 
     Coefficients are decimal codes; for extension fields the bracketed form
     `[code]` used by format_poly is accepted as well. Repeating an exponent
-    is an error rather than an implicit sum.
+    is an error rather than an implicit sum; an exponent above
+    MAX_TEXT_DEGREE raises BudgetExceeded.
     """
     stripped = "".join(text.split())
     if not stripped:
         raise PolySyntaxError("empty polynomial text")
     coeffs = {}
     for term in stripped.split("+"):
-        m = _TERM_RE.match(term)
-        if not m:
-            raise PolySyntaxError(f"bad term {term!r}")
-        coeff_tok, exp_tok, const_tok = m.groups()
-        if const_tok is not None:
-            e, code = 0, _parse_code(const_tok, spec.q)
-        else:
-            e = int(exp_tok) if exp_tok is not None else 1
-            code = _parse_code(coeff_tok, spec.q) if coeff_tok is not None else 1
+        e, code = _parse_term(term, spec.q)
         if e in coeffs:
             raise PolySyntaxError(f"exponent {e} appears twice")
         coeffs[e] = code

@@ -15,11 +15,12 @@ the triples as hyperedges.
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterable, NamedTuple, Optional, Tuple
 
 from .errors import BudgetExceeded, SpecMismatch, ZeroPolynomial
 from .factor import factorization_exponents
-from .polyring import Poly, _monic, _mul, enumerate_polys, enumerate_upto
+from .polyring import Poly, _monic, _mul, _scale, enumerate_polys, enumerate_upto
 
 #: Degrees (equivalently norm exponents) as a sorted duplicate-free tuple.
 DegreeSet = Tuple[int, ...]
@@ -108,6 +109,48 @@ def greedy_member(f: Poly) -> bool:
     return all(a3_contains(e) for e in factorization_exponents(f))
 
 
+def greedy_members(spec, max_degree: int, budget: int = DEFAULT_ENUM_BUDGET):
+    """The set of Poly of degree <= max_degree that `greedy_member` admits,
+    built from the irreducibles instead of by factoring each polynomial.
+
+    The monic irreducibles of degree d are the monic polynomials that no P*m
+    reaches, for P an irreducible with 2 deg P <= d and m monic of degree
+    d - deg P. A depth-first pass over the irreducibles in order takes every
+    product of powers P^e with e in the AP-free set and total degree <=
+    max_degree, and each is multiplied by the q - 1 units.
+    """
+    if max_degree < 0:
+        raise ValueError("max_degree must be >= 0")
+    enumeration_size(spec.q, max_degree, budget)
+    monics = [[low + (1,) for low in itertools.product(range(spec.q), repeat=d)] for d in range(max_degree + 1)]
+    irreducibles = []  # (degree, code tuple), by degree
+    for d in range(1, max_degree + 1):
+        composite = {_mul(spec, f, m) for e, f in irreducibles if 2 * e <= d for m in monics[d - e]}
+        irreducibles += [(d, f) for f in monics[d] if f not in composite]
+    powers = []  # per irreducible: (degree, P^e) for e in the AP-free set, by e
+    for d, f in irreducibles:
+        power, row = f, []
+        for e in range(1, max_degree // d + 1):
+            if a3_contains(e):
+                row.append((e * d, power))
+            power = _mul(spec, power, f)
+        powers.append(row)
+    found = []
+
+    def extend(start, g, room):
+        found.append(g)
+        for i in range(start, len(powers)):
+            if irreducibles[i][0] > room:
+                break
+            for d, h in powers[i]:
+                if d > room:
+                    break
+                extend(i + 1, _mul(spec, g, h), room - d)
+
+    extend(0, (1,), max_degree)
+    return {Poly._raw(spec, _scale(spec, g, u)) for g in found for u in range(1, spec.q)}
+
+
 def greedy_construct_bruteforce(spec, max_degree: int, budget: int = DEFAULT_ENUM_BUDGET):
     """Literal greedy construction: the set of Poly admitted by increasing degree.
 
@@ -174,7 +217,7 @@ def has_progression(polys, unit_tolerant: bool = False) -> Optional[ProgressionW
     else:
         present = codes.__contains__
 
-    bases = sorted(codes, key=lambda f: (len(f), f))
+    bases = sorted(sorted(codes), key=len)  # canonical order, with no key tuple per member
     for a, r, mid in _progressions(spec, bases, len(bases[-1]) - 1):
         if present(mid) and present(_mul(spec, mid, r)):
             return ProgressionWitness(Poly._raw(spec, a), Poly._raw(spec, r))

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from gpfq import factor, make_field, parse_poly, progfree
 from gpfq.cli import run
+from gpfq.polyring import MAX_TEXT_DEGREE
 
 
 @pytest.fixture(scope="module")
@@ -178,8 +179,11 @@ def test_greedy_counts_factor_nothing(capsys, monkeypatch):
     assert (code, out.strip()) == (0, "10639/16384")
     code, out, _ = invoke(capsys, "greedy", "enumerate", "--q", "2", "--max-degree", "11", "--counts-only")
     assert code == 0 and out.splitlines()[-1] == "11 1324"
-    with pytest.raises(AssertionError, match="factorization called"):  # listing members does factor
-        run(["greedy", "enumerate", "--q", "2", "--max-degree", "2"])
+    # listing members and checking the construction build the set from the irreducibles
+    code, out, _ = invoke(capsys, "greedy", "enumerate", "--q", "2", "--max-degree", "2")
+    assert code == 0 and out.strip().splitlines() == ["1", "x", "x+1", "x^2+x", "x^2+x+1"]
+    code, out, _ = invoke(capsys, "greedy", "check", "--q", "3", "--max-degree", "4")
+    assert code == 0 and out.startswith("ok: ")
 
 
 def test_progcheck(capsys, schema, tmp_path):
@@ -205,6 +209,15 @@ def test_progcheck_unit_tolerant(capsys, tmp_path):
     assert code == 0 and out.strip() == "progression-free"
     code, out, _ = invoke(capsys, "progcheck", "--q", "3", "--file", str(path), "--unit-tolerant")
     assert code == 0 and out.startswith("progression: base=1 ratio=x")
+
+
+def test_progcheck_huge_exponent_hits_degree_budget(capsys, tmp_path):
+    # the exponent is refused before a coefficient list of that length is allocated
+    path = tmp_path / "huge.txt"
+    path.write_text(f"1\nx^{MAX_TEXT_DEGREE + 1}+x\n")
+    code, out, err = invoke(capsys, "progcheck", "--q", "2", "--file", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "degree budget" in err
 
 
 def test_extremal(capsys, schema):
@@ -382,6 +395,23 @@ def test_greedy_check_stdout_pinned(capsys, q, max_degree, digest, json_digest):
 
 
 @pytest.mark.parametrize(
+    "q, max_degree, digest, json_digest",
+    [
+        (2, 8, "53fe48e879f8aedc", "2368cd7144cd778f"),
+        (3, 5, "df314186ee99693f", "b86ef8d222ee2ced"),
+        (4, 4, "61504bfe834e12c7", "5ef210f4890656b3"),
+    ],
+)
+def test_greedy_enumerate_stdout_pinned(capsys, q, max_degree, digest, json_digest):
+    # sha256 prefixes of the member listing that factored every polynomial
+    argv = ["greedy", "enumerate", "--q", str(q), "--max-degree", str(max_degree)]
+    for flags, want in (((), digest), (("--json",), json_digest)):
+        code, out, _ = invoke(capsys, *argv, *flags)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == want
+
+
+@pytest.mark.parametrize(
     "texts, witness",
     [
         # only up to units (1, x, 2*x^2): the unit-tolerant witness is reported
@@ -473,6 +503,7 @@ def _run_cli(*argv):
         (["figure1", "--qmax", "100000"], 1),
         (["rn", "--n", "23"], 1),
         (["greedy", "enumerate", "--q", str(3**300), "--max-degree", "1", "--counts-only"], 0),
+        (["factor", "--q", "2", f"x^{MAX_TEXT_DEGREE + 1}"], 2),
     ],
 )
 def test_large_arguments_end_at_once(argv, code):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from _oracles import DigitField, fp_divmod, fp_mul, gfq_divmod, gfq_mul
 from gpfq import (
+    BudgetExceeded,
     CoefficientOutOfRange,
     DivisionByZero,
     NEG_INFINITY,
@@ -30,7 +31,7 @@ from gpfq import (
     x,
     zero,
 )
-from gpfq.polyring import _PACK_MIN, _divmod, _lane, _mul
+from gpfq.polyring import MAX_TEXT_DEGREE, _PACK_MIN, _divmod, _lane, _mul, _parse_term
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -199,6 +200,23 @@ def test_parse_ignores_unicode_whitespace():
     assert P(F2, "0*x^3+x").coeffs == (0, 1)  # zero leading terms are trimmed
 
 
+def test_parse_errors_are_not_cached():
+    # each term's parse is cached per q; a failing term raises every time
+    for _ in range(2):
+        with pytest.raises(CoefficientOutOfRange):
+            P(F3, "3*x")
+        with pytest.raises(BudgetExceeded):
+            P(F2, f"x^{MAX_TEXT_DEGREE + 1}")
+    _parse_term.cache_clear()
+    assert P(F3, "2*x").coeffs == (0, 2)
+    with pytest.raises(CoefficientOutOfRange):
+        P(F2, "2*x")
+    _parse_term.cache_clear()
+    with pytest.raises(CoefficientOutOfRange):
+        P(F2, "2*x")
+    assert P(F3, "2*x").coeffs == (0, 2)
+
+
 def test_format_parse_roundtrip_exhaustive():
     for spec, dmax in ((F2, 4), (F3, 3), (F4, 2)):
         for f in enumerate_upto(spec, dmax):
@@ -241,8 +259,9 @@ def test_canonical_order_constant_first():
 # the packed GF(p) kernel of _mul/_divmod against the list-based oracle
 # ---------------------------------------------------------------------------
 
-# 2, 3, 5, 7: 16-bit lanes; 251: 32-bit lanes; 65521: 64-bit lanes;
-# 2^31 - 1 and 2^61 - 1: no lane fits, the per-coefficient loop runs
+# 2, 3, 5, 7: 8-bit lanes on short operands, then 16-bit ones; 251: 32-bit
+# lanes; 65521: 64-bit lanes; 2^31 - 1 and 2^61 - 1: no lane fits, the
+# per-coefficient loop runs
 KERNEL_PRIMES = (2, 3, 5, 7, 251, 65521, 2**31 - 1, 2**61 - 1)
 
 
@@ -269,6 +288,8 @@ def test_kernel_mul_divmod_match_oracle(data, p):
 
 
 def test_lane_widths():
+    assert _lane(255)[0] == 8
+    assert _lane(256)[0] == 16
     assert _lane(2**16 - 1)[0] == 16
     assert _lane(2**16)[0] == 32
     assert _lane(2**64 - 1)[0] == 64
@@ -290,6 +311,43 @@ def test_kernel_makes_no_coefficient_calls(p):
     for name in ("add_c", "sub_c", "neg_c", "mul_c"):
         setattr(spec, name, refuse)
     assert (_mul(spec, a, b), _divmod(spec, a, b)) == expect
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_byte_lanes_make_no_coefficient_calls_below_cutoff(p):
+    # an 8-bit lane packs operands of any length
+    spec = make_field(p)
+
+    def refuse(*args):
+        raise AssertionError("per-coefficient call")
+
+    rng = random.Random(p)
+    a = tuple(rng.randrange(p) for _ in range(6)) + (1,)
+    b = tuple(rng.randrange(p) for _ in range(2)) + (p - 1,)
+    assert len(b) < len(a) < _PACK_MIN
+    expect = (_mul(spec, a, b), _divmod(spec, a, b))
+    quot, rem = expect[1]
+    assert list(expect[0]) == fp_mul(p, list(a), list(b))
+    assert (list(quot), list(rem)) == fp_divmod(p, list(a), list(b))
+    for name in ("add_c", "sub_c", "neg_c", "mul_c"):
+        setattr(spec, name, refuse)
+    assert (_mul(spec, a, b), _divmod(spec, a, b)) == expect
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_byte_lanes_at_their_bound(p):
+    # the longest operands an 8-bit lane takes, so lanes reach values near 255
+    spec = make_field(p)
+    short = 255 // (p - 1) ** 2
+    steps = (255 - (p - 1)) // (p - 1) ** 2
+    assert _lane(short * (p - 1) ** 2)[0] == _lane((p - 1) + steps * (p - 1) ** 2)[0] == 8
+    top = (p - 1,) * short
+    assert list(_mul(spec, top, top)) == fp_mul(p, list(top), list(top))
+    rng = random.Random(p)
+    b = tuple(rng.randrange(p) for _ in range(steps)) + (1,)
+    a = tuple(rng.randrange(p) for _ in range(2 * steps - 1)) + (p - 1,)
+    quot, rem = _divmod(spec, a, b)
+    assert (list(quot), list(rem)) == fp_divmod(p, list(a), list(b))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,9 @@ from gpfq import (
     enumerate_upto,
     format_poly,
     greedy_construct_bruteforce,
+    greedy_counts,
     greedy_member,
+    greedy_members,
     has_progression,
     is_ap_free,
     make_field,
@@ -105,6 +107,30 @@ def test_greedy_construct_matches_division_oracle(p, k):
         got = greedy_construct_bruteforce(spec, d)
         assert got == {f for f in divided if f.degree <= d}
         assert got == {f for f in characterized if f.degree <= d}
+
+
+@pytest.mark.parametrize("p, k", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)])
+def test_greedy_members_match_factoring_oracle(p, k):
+    # three routes to one set at every D with q^(D+1) <= 4096: the sieve of
+    # irreducibles, factoring each polynomial, and the Euler-product counts
+    spec = make_field(p, k)
+    top = max(d for d in range(12) if spec.q ** (d + 1) <= 4096)
+    characterized = {f for f in enumerate_upto(spec, top) if greedy_member(f)}
+    for d in range(top + 1):
+        got = greedy_members(spec, d)
+        assert got == {f for f in characterized if f.degree <= d}
+        counts = [0] * (d + 1)
+        for f in got:
+            counts[f.degree] += 1
+        assert counts == greedy_counts(spec.q, d)
+
+
+def test_greedy_members_budget():
+    assert greedy_members(F2, 0) == {P(F2, "1")}
+    with pytest.raises(BudgetExceeded):
+        greedy_members(F2, 5, budget=10)
+    with pytest.raises(ValueError):
+        greedy_members(F2, -1)
 
 
 @settings(max_examples=100, deadline=None)
