@@ -7,12 +7,9 @@ rational arithmetic.
 """
 
 from .density import (
-    CrossCheckResult,
     DensityReport,
     RnTable,
-    ZetaIdentityCheck,
     checkpoint_density,
-    cross_check_density_forms,
     empirical_greedy_density,
     figure1_data,
     greedy_counts,
@@ -24,14 +21,11 @@ from .density import (
     upper_bound_no,
     upper_bound_no_interval,
     upper_bound_simple,
-    zeta_identity_check,
-    zeta_q,
 )
 from .errors import (
     BudgetExceeded,
     CodeOutOfRange,
     CoefficientOutOfRange,
-    Divergent,
     DivisionByZero,
     Error,
     NeedsMorePrecision,
@@ -45,19 +39,18 @@ from .errors import (
 )
 from .factor import (
     Factorization,
-    count_irreducibles,
     enumerate_irreducibles,
     factorization_exponents,
     factorize,
     is_irreducible,
 )
 from .ff import FieldElem, FieldSpec, make_field
-from .numeric import Interval, Rat, exp_upper, render_decimal, round_half_away
+from .intarith import count_irreducibles, nk
+from .numeric import Interval, exp_upper, render_decimal, round_half_away
 from .polyring import (
     NEG_INFINITY,
     Poly,
     canonical_key,
-    constant,
     count_norm_exact,
     count_norm_le,
     derivative,
@@ -67,14 +60,12 @@ from .polyring import (
     format_poly,
     gcd,
     make_monic,
-    monomial,
     one,
     parse_poly,
     x,
     zero,
 )
 from .progfree import (
-    DegreeSet,
     ProgressionWitness,
     a3_contains,
     a3_list,
@@ -82,11 +73,8 @@ from .progfree import (
     greedy_member,
     greedy_members,
     has_progression,
-    is_ap_free,
     max_progression_free_subset,
-    nk,
     reflected_degrees,
-    t3q_degrees,
 )
 
 __version__ = "0.1.0"

@@ -20,7 +20,7 @@ from .errors import BudgetExceeded, Error
 from .factor import factorize
 from .ff import make_field
 from .intarith import prime_power
-from .polyring import canonical_key, format_poly, parse_poly
+from .polyring import _excerpt, canonical_key, format_poly, parse_poly
 
 
 def _int_in(lo: int, hi: float = float("inf")):
@@ -124,8 +124,11 @@ def _cmd_figure1(parser, args):
     out_lines = ["q,density"] + [f"{q},{val}" for q, val in rows]
     text = "\n".join(out_lines) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            parser.error(f"cannot write {args.out}: {exc}")
         print(f"wrote {len(rows)} rows to {args.out}", file=sys.stderr)
     else:
         sys.stdout.write(text)
@@ -165,7 +168,7 @@ def _cmd_factor(parser, args):
     try:
         f = parse_poly(spec, args.poly)
     except Error as exc:
-        parser.error(f"bad polynomial {args.poly!r}: {exc}")
+        parser.error(f"bad polynomial {_excerpt(args.poly)}: {exc}")
     fac = factorize(f, seed=args.seed)
     pieces = [str(fac.unit.code)]
     pieces += [
@@ -247,9 +250,9 @@ def _cmd_greedy(parser, args):
 def _cmd_progcheck(parser, args):
     spec = _field_for(parser, args)
     try:
-        with open(args.file) as fh:
+        with open(args.file, encoding="utf-8") as fh:
             texts = [line.strip() for line in fh if line.strip()]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         parser.error(f"cannot read {args.file}: {exc}")
     polys = [parse_poly(spec, t) for t in texts]
     witness = progfree.has_progression(polys, unit_tolerant=args.unit_tolerant)

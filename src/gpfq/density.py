@@ -4,7 +4,8 @@ Five families of numbers, all exact or certified:
 
   * the greedy-set density  (1 - 1/q) * prod_{i>=1} (1 - q^(1-2*3^i)) / (1 - q^(1-3^i)),
     also computable through the zeta quotient and the irreducible-count
-    double product (all three forms cross-checked on intervals);
+    double product (tests/_identities.py evaluates those two forms and
+    checks that all three intervals overlap);
   * the norm-set lower bound  m_q = (1 - q^-2) * prod_{i>=1} (1 + q^(-3^i))
     and its exact finite checkpoints at degrees N_k = (3^k - 1)/2;
   * the simple upper bound  1 - (q-1)/(q^3-1)  and its finite-family variants;
@@ -34,11 +35,9 @@ from fractions import Fraction
 from math import comb, log2
 from typing import NamedTuple, Optional, Union
 
-from .errors import BudgetExceeded, Divergent, NeedsMorePrecision
-from .factor import count_irreducibles
-from .intarith import prime_powers_upto
+from .errors import BudgetExceeded, NeedsMorePrecision
+from .intarith import count_irreducibles, nk, prime_powers_upto
 from .numeric import Interval, exp_upper, render_decimal
-from .progfree import nk
 
 DEFAULT_START_DEPTH = 3
 #: One x86-64 core builds q=2 depth 9 in about 1.6 s and depth 10 in 14 s.
@@ -90,59 +89,6 @@ class DensityReport(NamedTuple):
             if v is not None:
                 out[key] = v
         return out
-
-
-# ---------------------------------------------------------------------------
-# zeta of F_q[x]
-# ---------------------------------------------------------------------------
-
-def zeta_q(q: int, s: int) -> Fraction:
-    """1 / (1 - q^(1-s)), exactly; defined for s >= 2."""
-    if s <= 1:
-        raise Divergent(f"zeta_q diverges for s <= 1, got s={s}")
-    return 1 / (1 - Fraction(1, q ** (s - 1)))
-
-
-class ZetaIdentityCheck(NamedTuple):
-    """Result of the exact power-series comparison, with first mismatch if any."""
-
-    ok: bool
-    mismatch_degree: Optional[int] = None
-    got: Optional[int] = None
-    expected: Optional[int] = None
-
-    def __bool__(self):
-        return self.ok
-
-
-def _times_sparse(series: list, step: int, coeffs: list) -> list:
-    """series * sum_j coeffs[j] t^(step*j), truncated to the length of series."""
-    out = [0] * len(series)
-    for i, a in enumerate(series):
-        if a:
-            for j, b in enumerate(coeffs[: (len(series) - 1 - i) // step + 1]):
-                out[i + step * j] += a * b
-    return out
-
-
-def zeta_identity_check(q: int, series_degree: int) -> ZetaIdentityCheck:
-    """Verify prod_{n<=D} (1 - t^n)^(-m(n,q)) = sum_{d<=D} q^d t^d (mod t^(D+1)).
-
-    Pure integer power-series arithmetic through `_times_sparse`, as in
-    `greedy_counts`; the right side counts monic polynomials by degree, the
-    left collects them by factorization shape.
-    """
-    if series_degree < 1:
-        raise ValueError("series degree must be >= 1")
-    series = [1] + [0] * series_degree
-    for n in range(1, series_degree + 1):
-        m = count_irreducibles(q, n)
-        # multiply by (1 - t^n)^(-m) = sum_j C(m-1+j, j) t^(nj)
-        series = _times_sparse(series, n, [comb(m - 1 + j, j) for j in range(series_degree // n + 1)])
-    for d in range(series_degree + 1):
-        if series[d] != q**d:
-            return ZetaIdentityCheck(False, d, series[d], q**d)
-    return ZetaIdentityCheck(True)
 
 
 # ---------------------------------------------------------------------------
@@ -198,75 +144,6 @@ def greedy_density(q: int, digits: int = 6) -> DensityReport:
 def lower_bound_mq(q: int, digits: int = 6) -> DensityReport:
     """Certified m_q, rendered to `digits` decimals."""
     return certify("lower_mq", q, digits)
-
-
-class CrossCheckResult(NamedTuple):
-    ok: bool
-    zeta_form: Interval       # through zeta_q quotients
-    count_form: Interval      # through the m(n,q) double product
-    closed_form: Interval     # direct factor arithmetic
-
-    def __bool__(self):
-        return self.ok
-
-
-def _binomial_power_enclosure(u: Fraction, m: int, eps: Fraction) -> Interval:
-    """Enclosure of (1 + u)^m for integer m >= 1 and small rational u > 0.
-
-    Truncates the binomial sum once the term ratio u*(m-j)/(j+1) has dropped
-    below 1/2, at which point the omitted tail is under twice the next term.
-    m(n, q) is far too large for exact expansion, but m*u <= q^(-2) here, so
-    a couple of dozen terms always reach `eps`.
-    """
-    total = Fraction(1)
-    term = Fraction(1)
-    j = 0
-    while j < m:
-        nxt = term * u * (m - j) / (j + 1)
-        if 2 * nxt <= eps and u * (m - j) <= Fraction(j + 1, 2):
-            return Interval(total, total + 2 * nxt)
-        j += 1
-        term = nxt
-        total += term
-    return Interval.point(total)
-
-
-def cross_check_density_forms(q: int, depth: int, series_degree: int) -> CrossCheckResult:
-    """Evaluate the three computable density forms and intersect the intervals.
-
-    The zeta form and the closed form share the same tail enclosure (their
-    omitted factors are identical); the double-product form additionally
-    truncates the inner product at `series_degree` and carries a tail using
-    m(n, q) <= q^n.
-    """
-    tail = _greedy_tail(q, depth)
-
-    p_zeta = 1 / zeta_q(q, 2)
-    for i in range(1, depth + 1):
-        p_zeta *= zeta_q(q, 3**i) / zeta_q(q, 2 * 3**i)
-    zeta_form = Interval.point(p_zeta) * tail
-
-    closed_form = greedy_density_interval(q, depth)
-
-    eps = Fraction(1, 10**15)
-    count_form = Interval.point(1 - Fraction(1, q))
-    for i in range(1, depth + 1):
-        a = 3**i
-        for n in range(1, series_degree + 1):
-            u = Fraction(1, q ** (a * n))
-            count_form = count_form * _binomial_power_enclosure(u, count_irreducibles(q, n), eps)
-    inner_tail_arg = 4 * Fraction(1, q ** (3 ** (depth + 1) - 1))
-    for i in range(1, depth + 1):
-        # sum_{n > N} m(n,q) q^(-3^i n) <= sum_{n > N} q^((1-3^i) n) <= 2 q^((1-3^i)(N+1))
-        inner_tail_arg += 2 * Fraction(1, q ** ((3**i - 1) * (series_degree + 1)))
-    count_form = count_form * Interval(1, exp_upper(inner_tail_arg))
-
-    ok = (
-        zeta_form.intersects(count_form)
-        and zeta_form.intersects(closed_form)
-        and count_form.intersects(closed_form)
-    )
-    return CrossCheckResult(ok, zeta_form, count_form, closed_form)
 
 
 # ---------------------------------------------------------------------------
@@ -465,6 +342,16 @@ def certify(
 # ---------------------------------------------------------------------------
 # finite-stage empirical density and the density-vs-q table
 # ---------------------------------------------------------------------------
+
+def _times_sparse(series: list, step: int, coeffs: list) -> list:
+    """series * sum_j coeffs[j] t^(step*j), truncated to the length of series."""
+    out = [0] * len(series)
+    for i, a in enumerate(series):
+        if a:
+            for j, b in enumerate(coeffs[: (len(series) - 1 - i) // step + 1]):
+                out[i + step * j] += a * b
+    return out
+
 
 def greedy_counts(q: int, max_degree: int) -> list:
     """Nonzero members of the greedy set of each exact degree 0..max_degree.

@@ -53,9 +53,5 @@ class NeedsMorePrecision(Error):
     """Interval endpoints round differently at the requested digit count."""
 
 
-class Divergent(Error):
-    """Zeta evaluated outside its region of convergence (s <= 1)."""
-
-
 class NegativeOperand(Error):
     """Interval multiplication shortcut requires non-negative operands."""

@@ -16,12 +16,11 @@ factorizations are bit-reproducible unless a caller overrides the seed.
 from __future__ import annotations
 
 import random
-from functools import lru_cache
 from typing import NamedTuple, Tuple
 
 from .errors import ZeroPolynomial
 from .ff import FieldElem, FieldSpec
-from .intarith import divisors, prime_divisors
+from .intarith import prime_divisors
 from .polyring import (
     Poly,
     _add,
@@ -220,21 +219,8 @@ def factorization_exponents(f: Poly) -> Tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# counting and enumerating irreducibles
+# enumerating irreducibles
 # ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def count_irreducibles(q: int, n: int) -> int:
-    """m(n, q), by inverting the divisor sum  sum_{d | n} d*m(d, q) = q^n."""
-    if n < 1:
-        raise ValueError("degree must be >= 1")
-    total = q**n
-    for d in divisors(n):
-        if d < n:
-            total -= d * count_irreducibles(q, d)
-    assert total % n == 0
-    return total // n
-
 
 def enumerate_irreducibles(spec: FieldSpec, degree: int):
     """The m(n, q) monic irreducibles of the given degree, canonical order."""

@@ -1,10 +1,12 @@
-"""Integer helpers: primality, prime powers, divisors.
+"""Integer helpers: primality, prime powers, divisors, and the paper's
+integer sequences m(n, q) and N_k.
 
 `is_prime` and `prime_power` answer at once for integers of any size: a
 deterministic Miller-Rabin test and integer k-th roots. The divisor helpers
 scan, which suits their arguments, polynomial degrees.
 """
 
+from functools import lru_cache
 from math import log2
 
 
@@ -79,3 +81,23 @@ def prime_divisors(n: int) -> list:
 def prime_powers_upto(n: int) -> list:
     """All prime powers p^k <= n, ascending."""
     return [m for m in range(2, n + 1) if prime_power(m) is not None]
+
+
+@lru_cache(maxsize=None)
+def count_irreducibles(q: int, n: int) -> int:
+    """m(n, q), by inverting the divisor sum  sum_{d | n} d*m(d, q) = q^n."""
+    if n < 1:
+        raise ValueError("degree must be >= 1")
+    total = q**n
+    for d in divisors(n):
+        if d < n:
+            total -= d * count_irreducibles(q, d)
+    assert total % n == 0
+    return total // n
+
+
+def nk(k: int) -> int:
+    """(3^k - 1) / 2: the reflection points 1, 4, 13, 40, ... (all-ones in ternary)."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    return (3**k - 1) // 2

@@ -18,9 +18,6 @@ from typing import Union
 
 from .errors import NeedsMorePrecision, NegativeOperand
 
-#: Exact rational carrier for every formula in the package.
-Rat = Fraction
-
 _RatLike = Union[Fraction, int, str]
 
 
@@ -88,9 +85,6 @@ class Interval:
             return Interval(self.lo * r, self.hi * r)
         return Interval(self.hi * r, self.lo * r)
 
-    def intersects(self, other: "Interval") -> bool:
-        return self.lo <= other.hi and other.lo <= self.hi
-
 
 def round_half_away(x: Fraction, digits: int) -> Fraction:
     """x rounded to `digits` fractional digits, ties away from zero."""
@@ -104,7 +98,7 @@ def round_half_away(x: Fraction, digits: int) -> Fraction:
 
 
 def render_decimal(v, digits: int) -> str:
-    """Render an Interval (or exact Rat) with `digits` fractional digits.
+    """Render an Interval (or exact Fraction) with `digits` fractional digits.
 
     Valid only when both endpoints round identically; otherwise raises
     NeedsMorePrecision so the caller can deepen its truncation.

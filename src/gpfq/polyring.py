@@ -471,16 +471,6 @@ def x(spec) -> Poly:
     return Poly._raw(spec, (0, 1))
 
 
-def constant(spec, code: int) -> Poly:
-    return Poly(spec, (code,))
-
-
-def monomial(spec, degree: int, code: int = 1) -> Poly:
-    if degree < 0:
-        raise ValueError("monomial degree must be >= 0")
-    return Poly(spec, (0,) * degree + (code,))
-
-
 def make_monic(f: Poly):
     """Split f != 0 as (unit, monic) with unit * monic = f."""
     if f.is_zero():
@@ -560,8 +550,22 @@ def count_norm_exact(q: int, n: int) -> int:
 _TERM_RE = re.compile(r"^(?:(\d+|\[\d+\])\*)?x(?:\^(\d+))?$|^(\d+|\[\d+\])$")
 
 
+def _excerpt(text: str) -> str:
+    """repr of text for an error message, cut to its first 20 characters."""
+    return repr(text) if len(text) <= 20 else f"{text[:20]!r}... ({len(text)} characters)"
+
+
+def _significant(token: str) -> str:
+    """A decimal token without its leading zeros. Its length is compared with that
+    of a bound before int(), so a long token is neither converted nor echoed."""
+    return token.lstrip("0") or "0"
+
+
 def _parse_code(token: str, q: int) -> int:
-    code = int(token[1:-1]) if token.startswith("[") else int(token)
+    digits = _significant(token[1:-1] if token.startswith("[") else token)
+    if len(digits) > len(str(q - 1)):
+        raise CoefficientOutOfRange(f"coefficient of {len(digits)} digits outside [0, {q})")
+    code = int(digits)
     if not 0 <= code < q:
         raise CoefficientOutOfRange(f"coefficient {token} outside [0, {q})")
     return code
@@ -573,11 +577,14 @@ def _parse_term(term: str, q: int):
     most q * (degree + 1) distinct terms; an error is raised, never cached."""
     m = _TERM_RE.match(term)
     if not m:
-        raise PolySyntaxError(f"bad term {term!r}")
+        raise PolySyntaxError(f"bad term {_excerpt(term)}")
     coeff_tok, exp_tok, const_tok = m.groups()
     if const_tok is not None:
         return 0, _parse_code(const_tok, q)
-    e = int(exp_tok) if exp_tok is not None else 1
+    digits = _significant(exp_tok or "1")
+    if len(digits) > len(str(MAX_TEXT_DEGREE)):
+        raise BudgetExceeded(f"exponent of {len(digits)} digits exceeds the degree budget {MAX_TEXT_DEGREE}")
+    e = int(digits)
     if e > MAX_TEXT_DEGREE:
         raise BudgetExceeded(f"exponent {e} exceeds the degree budget {MAX_TEXT_DEGREE}")
     return e, (_parse_code(coeff_tok, q) if coeff_tok is not None else 1)

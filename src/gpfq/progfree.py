@@ -16,14 +16,11 @@ the triples as hyperedges.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from .errors import BudgetExceeded, SpecMismatch, ZeroPolynomial
 from .factor import factorization_exponents
 from .polyring import Poly, _monic, _mul, _scale, enumerate_polys, enumerate_upto
-
-#: Degrees (equivalently norm exponents) as a sorted duplicate-free tuple.
-DegreeSet = Tuple[int, ...]
 
 DEFAULT_ENUM_BUDGET = 1 << 21
 DEFAULT_VERTEX_BUDGET = 40
@@ -66,33 +63,11 @@ def a3_list(limit: int) -> list:
     return [n for n in range(limit + 1) if a3_contains(n)]
 
 
-def nk(k: int) -> int:
-    """(3^k - 1) / 2: the reflection points 1, 4, 13, 40, ... (all-ones in ternary)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return (3**k - 1) // 2
-
-
-def t3q_degrees(limit: int) -> DegreeSet:
-    """Degrees of the norm set {q^n : n in the greedy AP-free set}, up to limit."""
-    return tuple(a3_list(limit))
-
-
-def reflected_degrees(m: int) -> DegreeSet:
+def reflected_degrees(m: int) -> tuple:
     """{m - a} over members a <= m of the greedy AP-free set, sorted."""
     if m < 0:
         raise ValueError("m must be >= 0")
     return tuple(sorted(m - a for a in a3_list(m)))
-
-
-def is_ap_free(degrees: Iterable[int]) -> bool:
-    """True iff no a, a+d, a+2d with d >= 1 all lie in the set."""
-    s = set(degrees)
-    for a in s:
-        for b in s:
-            if b > a and 2 * b - a in s:
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +202,9 @@ def has_progression(polys, unit_tolerant: bool = False) -> Optional[ProgressionW
 def _progressions(spec, bases, max_degree: int):
     """(base, ratio, middle) code tuples for each base in the order given and
     each non-unit ratio in canonical order with deg base + 2 deg ratio <=
-    max_degree; the top term is middle * ratio."""
+    max_degree; the top term is middle * ratio. The ratios, of degree up to
+    max_degree / 2, are listed once, within DEFAULT_ENUM_BUDGET."""
+    enumeration_size(spec.q, max_degree // 2, DEFAULT_ENUM_BUDGET)
     ratios = [r.coeffs for d in range(1, max_degree // 2 + 1) for r in enumerate_polys(spec, d)]
     for a in bases:
         room = max_degree - (len(a) - 1)

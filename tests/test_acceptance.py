@@ -7,10 +7,10 @@ lines as they complete. Each test also enforces its runtime budget.
 import time
 from fractions import Fraction
 
+from _identities import cross_check_density_forms, zeta_identity_check
 from _oracles import greedy_apfree_integers
 from gpfq import (
     checkpoint_density,
-    cross_check_density_forms,
     empirical_greedy_density,
     enumerate_polys,
     enumerate_upto,
@@ -27,7 +27,6 @@ from gpfq import (
     rn_sequence,
     upper_bound_no_interval,
     upper_bound_simple,
-    zeta_identity_check,
 )
 from gpfq.intarith import prime_powers_upto
 from gpfq.tables import verify_table

@@ -220,6 +220,40 @@ def test_progcheck_huge_exponent_hits_degree_budget(capsys, tmp_path):
     assert err.startswith("error:") and "degree budget" in err
 
 
+def test_long_digit_strings_end_with_short_messages(capsys, tmp_path):
+    # digits are counted before int(): neither the number nor the whole text reaches stderr
+    ones = "1" * 100_000
+    code, out, err = invoke(capsys, "factor", "--q", "2", f"x^{ones}")
+    assert (code, out) == (2, "") and "of 100000 digits" in err and len(err) < 300
+    code, out, err = invoke(capsys, "factor", "--q", "2", ones)
+    assert (code, out) == (2, "") and "of 100000 digits" in err and len(err) < 300
+    path = tmp_path / "long.txt"
+    path.write_text(f"1\nx^{ones}\n")
+    code, out, err = invoke(capsys, "progcheck", "--q", "2", "--file", str(path))
+    assert (code, out) == (1, "") and err.startswith("error:") and len(err) < 300
+    path.write_text(f"1\nx^0005\n")
+    code, out, _ = invoke(capsys, "progcheck", "--q", "2", "--file", str(path))
+    assert (code, out) == (0, "progression-free\n")
+
+
+def test_progcheck_high_degree_hits_ratio_budget(capsys, tmp_path):
+    # the ratios up to degree 40 would number 2^41; they are counted before any is listed
+    path = tmp_path / "far.txt"
+    path.write_text("1\nx^80\n")
+    code, out, err = invoke(capsys, "progcheck", "--q", "2", "--file", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "budget" in err
+
+
+def test_progcheck_unreadable_file_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "utf16.txt"
+    path.write_bytes(b"\xff\xfe1\x00\n\x00")
+    code, out, err = invoke(capsys, "progcheck", "--q", "2", "--file", str(path))
+    assert (code, out) == (2, "") and "cannot read" in err
+    code, out, err = invoke(capsys, "progcheck", "--q", "2", "--file", str(tmp_path / "missing.txt"))
+    assert (code, out) == (2, "") and "cannot read" in err
+
+
 def test_extremal(capsys, schema):
     code, out, _ = invoke(capsys, "extremal", "--q", "2", "--max-degree", "2")
     assert code == 0
@@ -240,6 +274,13 @@ def test_figure1(capsys, tmp_path):
 
     code, out, _ = invoke(capsys, "figure1", "--qmax", "4")
     assert out.splitlines()[:2] == ["q,density", "2,0.648361"]
+
+
+def test_figure1_unwritable_out_is_usage_error(capsys, tmp_path):
+    out_path = tmp_path / "missing" / "fig1.csv"
+    code, out, err = invoke(capsys, "figure1", "--qmax", "2", "--out", str(out_path))
+    assert (code, out) == (2, "") and "cannot write" in err
+    assert "Traceback" not in err and not out_path.parent.exists()
 
 
 def test_deterministic_output(capsys):
@@ -504,14 +545,15 @@ def _run_cli(*argv):
         (["rn", "--n", "23"], 1),
         (["greedy", "enumerate", "--q", str(3**300), "--max-degree", "1", "--counts-only"], 0),
         (["factor", "--q", "2", f"x^{MAX_TEXT_DEGREE + 1}"], 2),
+        (["factor", "--q", "2", "x^" + "1" * 100_000], 2),
     ],
 )
 def test_large_arguments_end_at_once(argv, code):
     # each of these once enumerated, summed, trial-divided or searched (for a modulus,
     # for r_n, for a largest progression-free set or over prime powers) for seconds to minutes
     proc = _run_cli(*argv)
-    assert proc.returncode == code, proc.stderr
-    assert "Traceback" not in proc.stderr
+    assert proc.returncode == code, proc.stderr[-300:]
+    assert "Traceback" not in proc.stderr and len(proc.stderr) < 300
     if code == 1:
         assert proc.stderr.startswith("error:") and "budget" in proc.stderr
     if code == 0:

@@ -217,6 +217,38 @@ def test_parse_errors_are_not_cached():
     assert P(F3, "2*x").coeffs == (0, 2)
 
 
+def test_parse_long_digit_strings():
+    # a token with more digits than its bound is refused before int(), whose digit
+    # limit would raise a plain ValueError, and the message names the count, not the number
+    ones = "1" * 5000
+    for spec, text, error in (
+        (F2, "x^" + ones, BudgetExceeded),
+        (F2, ones + "*x", CoefficientOutOfRange),
+        (F2, ones, CoefficientOutOfRange),
+        (F2, "[" + ones + "]", CoefficientOutOfRange),
+        (F9, "[" + ones + "]*x^2", CoefficientOutOfRange),
+    ):
+        with pytest.raises(error, match="of 5000 digits") as info:
+            P(spec, text)
+        assert len(str(info.value)) < 100
+    with pytest.raises(BudgetExceeded, match="of 8 digits"):
+        P(F2, "x^10000000")
+    with pytest.raises(CoefficientOutOfRange, match="of 2 digits"):
+        P(F9, "[10]")
+    # leading zeros are not digits of the value
+    assert P(F2, "x^0005") == P(F2, "x^5")
+    assert P(F2, "x^" + "0" * 5000 + "5") == P(F2, "x^5")
+    assert P(F9, "[" + "0" * 5000 + "8]*x^2+001").coeffs == (1, 0, 8)
+    assert P(F2, "x^00") == P(F2, "1") and P(F2, "000").is_zero()
+    assert P(F2, f"x^{MAX_TEXT_DEGREE:09d}").degree == MAX_TEXT_DEGREE
+
+
+def test_parse_bad_term_message_is_short():
+    with pytest.raises(PolySyntaxError, match=r"\.\.\. \(5002 characters\)") as info:
+        P(F2, "x^" + "1" * 4999 + "y")
+    assert len(str(info.value)) < 100
+
+
 def test_format_parse_roundtrip_exhaustive():
     for spec, dmax in ((F2, 4), (F3, 3), (F4, 2)):
         for f in enumerate_upto(spec, dmax):

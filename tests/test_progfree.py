@@ -10,6 +10,7 @@ from _oracles import (
     greedy_apfree_integers,
     greedy_construct_divisions,
     has_progression_brute,
+    ints_ap_free,
     largest_free_set_brute,
     max_progression_free_brute,
 )
@@ -26,13 +27,11 @@ from gpfq import (
     greedy_member,
     greedy_members,
     has_progression,
-    is_ap_free,
     make_field,
     max_progression_free_subset,
     nk,
     parse_poly,
     reflected_degrees,
-    t3q_degrees,
     zero,
 )
 from gpfq.progfree import _largest_free_set, enumeration_size
@@ -194,7 +193,7 @@ def test_nk():
 
 
 def test_degree_sets():
-    assert t3q_degrees(4) == (0, 1, 3, 4)
+    assert tuple(a3_list(4)) == (0, 1, 3, 4)
     assert reflected_degrees(4) == (0, 1, 3, 4)
     assert reflected_degrees(5) == (1, 2, 4, 5)
 
@@ -202,15 +201,15 @@ def test_degree_sets():
 def test_reflection_symmetry():
     for k in range(1, 7):
         m = nk(k)
-        assert reflected_degrees(m) == t3q_degrees(m)
+        assert reflected_degrees(m) == tuple(a3_list(m))
 
 
 def test_is_ap_free():
-    assert is_ap_free((0, 1, 3, 4))
-    assert not is_ap_free((0, 1, 2))
-    assert is_ap_free(())
-    assert is_ap_free((5,))
-    assert not is_ap_free((1, 5, 9))
+    assert ints_ap_free((0, 1, 3, 4))
+    assert not ints_ap_free((0, 1, 2))
+    assert ints_ap_free(())
+    assert ints_ap_free((5,))
+    assert not ints_ap_free((1, 5, 9))
 
 
 def test_degree_set_progression_equivalence():
@@ -224,7 +223,7 @@ def test_degree_set_progression_equivalence():
         for xset in combinations(degrees, r):
             polys = [f for d in xset for f in by_degree[d]]
             witness = has_progression(polys)
-            assert (witness is None) == is_ap_free(xset), xset
+            assert (witness is None) == ints_ap_free(xset), xset
 
 
 def test_extremal_small():
