@@ -193,7 +193,7 @@ def _cmd_greedy(parser, args):
         constructed = progfree.greedy_construct_bruteforce(spec, args.max_degree, _enum_budget(parser))
         characterized = progfree.greedy_members(spec, args.max_degree, _enum_budget(parser))
         extra = sorted(constructed - characterized)
-        missing = sorted(characterized - constructed)
+        missing = sorted(characterized - constructed) if extra or len(characterized) != len(constructed) else []
         # a strict progression is also a unit-tolerant one
         witness_tol = progfree.has_progression(constructed, unit_tolerant=True)
         witness = witness_tol and progfree.has_progression(constructed)
@@ -251,10 +251,10 @@ def _cmd_progcheck(parser, args):
     spec = _field_for(parser, args)
     try:
         with open(args.file, encoding="utf-8") as fh:
-            texts = [line.strip() for line in fh if line.strip()]
+            polys = [line.strip() for line in fh if line.strip()]
     except (OSError, UnicodeDecodeError) as exc:
         parser.error(f"cannot read {args.file}: {exc}")
-    polys = [parse_poly(spec, t) for t in texts]
+    polys = [parse_poly(spec, t) for t in polys]  # and the lines' text is freed
     witness = progfree.has_progression(polys, unit_tolerant=args.unit_tolerant)
     if witness is None:
         lines = ["progression-free"]

@@ -8,9 +8,9 @@ non-unit geometric progressions, and an exact extremal search.
 A geometric progression here is the strict triple (b, r*b, r^2*b) with
 deg r >= 1; the unit-tolerant variant relaxes membership of the second and
 third terms to unit multiples. One enumerator, `_progressions`, lists these
-triples as (base, ratio, middle) code tuples for both `has_progression` and
-the extremal search, which is a single include-first branch and bound over
-the triples as hyperedges.
+triples for `has_progression` and the extremal search (one include-first
+branch and bound over them as hyperedges). The searches and greedy builds
+multiply and compare polynomials as ints in polyring's 2-D packed form.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import NamedTuple, Optional, Tuple
 
 from .errors import BudgetExceeded, SpecMismatch, ZeroPolynomial
 from .factor import factorization_exponents
-from .polyring import Poly, _monic, _mul, _scale, enumerate_polys, enumerate_upto
+from .polyring import Poly, _packer, enumerate_polys, enumerate_upto
 
 DEFAULT_ENUM_BUDGET = 1 << 21
 DEFAULT_VERTEX_BUDGET = 40
@@ -97,19 +97,14 @@ def greedy_members(spec, max_degree: int, budget: int = DEFAULT_ENUM_BUDGET):
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
     enumeration_size(spec.q, max_degree, budget)
-    monics = [[low + (1,) for low in itertools.product(range(spec.q), repeat=d)] for d in range(max_degree + 1)]
-    irreducibles = []  # (degree, code tuple), by degree
+    pack, mul, multiples = _packer(spec, max_degree + 1, 1024)
+    monics = [[pack(low + (1,)) for low in itertools.product(range(spec.q), repeat=d)] for d in range(max_degree + 1)]
+    irreducibles = []  # (degree, packed), by degree
     for d in range(1, max_degree + 1):
-        composite = {_mul(spec, f, m) for e, f in irreducibles if 2 * e <= d for m in monics[d - e]}
+        composite = {mul(f, m) for e, f in irreducibles if 2 * e <= d for m in monics[d - e]}
         irreducibles += [(d, f) for f in monics[d] if f not in composite]
-    powers = []  # per irreducible: (degree, P^e) for e in the AP-free set, by e
-    for d, f in irreducibles:
-        power, row = f, []
-        for e in range(1, max_degree // d + 1):
-            if a3_contains(e):
-                row.append((e * d, power))
-            power = _mul(spec, power, f)
-        powers.append(row)
+    powers = [[(e * d, power) for e, power in enumerate(itertools.accumulate([f] * (max_degree // d), mul), 1)
+               if a3_contains(e)] for d, f in irreducibles]  # per irreducible: (degree, P^e), e AP-free
     found = []
 
     def extend(start, g, room):
@@ -120,10 +115,10 @@ def greedy_members(spec, max_degree: int, budget: int = DEFAULT_ENUM_BUDGET):
             for d, h in powers[i]:
                 if d > room:
                     break
-                extend(i + 1, _mul(spec, g, h), room - d)
+                extend(i + 1, mul(g, h), room - d)
 
-    extend(0, (1,), max_degree)
-    return {Poly._raw(spec, _scale(spec, g, u)) for g in found for u in range(1, spec.q)}
+    extend(0, 1, max_degree)
+    return {Poly._raw(spec, f) for f in multiples(found)}
 
 
 def greedy_construct_bruteforce(spec, max_degree: int, budget: int = DEFAULT_ENUM_BUDGET):
@@ -138,22 +133,23 @@ def greedy_construct_bruteforce(spec, max_degree: int, budget: int = DEFAULT_ENU
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
     enumeration_size(spec.q, max_degree, budget)
-    # code tuples: ratios[e] all of degree e (e = 0: the constants, all
-    # admitted), levels[d] the admitted ones of degree d
-    ratios = [[r.coeffs for r in enumerate_polys(spec, e)] for e in range(max_degree // 2 + 1)]
-    levels = [ratios[0]]
-    admitted = set(ratios[0])
+    pack, mul, _ = _packer(spec, max_degree + 1)
+    # packed, by degree: ratios[e] all (e = 0: the constants), levels[d] the admitted below max_degree
+    ratios = [[pack(r.coeffs) for r in enumerate_polys(spec, e)] for e in range(max_degree // 2 + 1)]
+    levels, admitted, found = [ratios[0]], set(), set(enumerate_polys(spec, 0))
     for d in range(1, max_degree + 1):
         blocked = set()
         for e in range(1, d // 2 + 1):
             for r in ratios[e]:
                 for a in levels[d - 2 * e]:
-                    mid = _mul(spec, r, a)
+                    mid = mul(r, a)
                     if mid in admitted:
-                        blocked.add(_mul(spec, r, mid))
-        levels.append([f.coeffs for f in enumerate_polys(spec, d) if f.coeffs not in blocked])
+                        blocked.add(mul(r, mid))
+        level = [f for f in enumerate_polys(spec, d) if not blocked or pack(f.coeffs) not in blocked]
+        found.update(level)
+        levels.append([pack(f.coeffs) for f in level] if d < max_degree else [])
         admitted.update(levels[d])
-    return {Poly._raw(spec, f) for f in admitted}
+    return found
 
 
 class ProgressionWitness(NamedTuple):
@@ -179,39 +175,46 @@ def has_progression(polys, unit_tolerant: bool = False) -> Optional[ProgressionW
         return None
     spec = members[0].spec
     for f in members:
-        if f.spec != spec:
+        if f.spec is not spec and f.spec != spec:
             raise SpecMismatch(f"{f.spec!r} vs {spec!r}")
-        if f.is_zero():
+        if not f.coeffs:
             raise ZeroPolynomial("progression search over a set containing 0")
-    codes = {f.coeffs for f in members}
-    if unit_tolerant:
-        monics = {_monic(spec, f)[1] for f in codes}
-
-        def present(g) -> bool:
-            return _monic(spec, g)[1] in monics
-    else:
-        present = codes.__contains__
-
-    bases = sorted(sorted(codes), key=len)  # canonical order, with no key tuple per member
-    for a, r, mid in _progressions(spec, bases, len(bases[-1]) - 1):
-        if present(mid) and present(_mul(spec, mid, r)):
+    lengths = {len(f.coeffs) for f in members}
+    top = max(lengths) - 1
+    if min(lengths) >= top:  # a base has degree <= top - 2
+        return None
+    bases = sorted(sorted({f.coeffs for f in members if len(f.coeffs) < top}), key=len)  # canonical order
+    pack, mul, triples = _progressions(spec, bases, top, unit_tolerant)
+    present = {pack(f.coeffs) for f in members}
+    if unit_tolerant:  # every unit multiple of a member
+        units = [pack((u,)) for u in range(1, spec.q)]
+        present = {mul(f, u) for f in present for u in units}
+    for a, r, mid, ratio in triples:
+        if mid in present and mul(mid, ratio) in present:
             return ProgressionWitness(Poly._raw(spec, a), Poly._raw(spec, r))
     return None
 
 
-def _progressions(spec, bases, max_degree: int):
-    """(base, ratio, middle) code tuples for each base in the order given and
-    each non-unit ratio in canonical order with deg base + 2 deg ratio <=
-    max_degree; the top term is middle * ratio. The ratios, of degree up to
-    max_degree / 2, are listed once, within DEFAULT_ENUM_BUDGET."""
+def _progressions(spec, bases, max_degree: int, unit_tolerant: bool = False):
+    """(pack, mul) of the packed form up to max_degree, and an iterator of (base,
+    ratio, packed middle ratio * base, packed ratio) for each base code tuple in
+    the order given and each non-unit ratio in canonical order with deg base + 2
+    deg ratio <= max_degree. The ratios are listed once, within DEFAULT_ENUM_BUDGET;
+    `unit_tolerant` keeps each that is the canonical first of its unit multiples."""
     enumeration_size(spec.q, max_degree // 2, DEFAULT_ENUM_BUDGET)
-    ratios = [r.coeffs for d in range(1, max_degree // 2 + 1) for r in enumerate_polys(spec, d)]
-    for a in bases:
-        room = max_degree - (len(a) - 1)
-        for r in ratios:
-            if 2 * (len(r) - 1) > room:
-                break  # ratios are in canonical (degree-major) order
-            yield a, r, _mul(spec, r, a)
+    pack, mul, _ = _packer(spec, max_degree + 1)
+    ratios = [(len(r.coeffs), r.coeffs, pack(r.coeffs)) for d in range(1, max_degree // 2 + 1)
+              for r in enumerate_polys(spec, d) if not unit_tolerant or next(filter(None, r.coeffs)) == 1]
+
+    def triples():
+        for a in bases:
+            packed, room = pack(a), (max_degree + 3 - len(a)) // 2
+            for n, r, ratio in ratios:
+                if n > room:
+                    break  # ratios are in canonical (degree-major) order
+                yield a, r, mul(ratio, packed), ratio
+
+    return pack, mul, triples()
 
 
 # ---------------------------------------------------------------------------
@@ -230,11 +233,9 @@ def max_progression_free_subset(spec, max_degree: int, budget: int = DEFAULT_VER
     """
     enumeration_size(spec.q, max_degree, budget, nonzero=True)
     universe = [f.coeffs for f in enumerate_upto(spec, max_degree)]
-    index = {f: i for i, f in enumerate(universe)}
-    edges = [
-        (index[a], index[mid], index[_mul(spec, mid, r)])
-        for a, r, mid in _progressions(spec, universe, max_degree)
-    ]
+    pack, mul, triples = _progressions(spec, universe, max_degree)
+    index = {key: i for i, f in enumerate(universe) for key in (f, pack(f))}
+    edges = [(index[a], index[mid], index[mul(mid, ratio)]) for a, r, mid, ratio in triples]
     chosen = _largest_free_set(len(universe), edges)
     return len(chosen), tuple(Poly._raw(spec, universe[v]) for v in chosen)
 

@@ -31,7 +31,7 @@ from gpfq import (
     x,
     zero,
 )
-from gpfq.polyring import MAX_TEXT_DEGREE, _PACK_MIN, _divmod, _lane, _mul, _parse_term
+from gpfq.polyring import MAX_TEXT_DEGREE, _PACK_MIN, _divmod, _lane, _mul, _packer, _parse_term
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -423,3 +423,36 @@ def test_log_domain_makes_no_field_calls(p, k):
     for name in ("add_c", "mul_c", "inv_c"):
         setattr(spec, name, refuse)
     assert (_mul(spec, a, b), _divmod(spec, a, b)) == expect
+
+
+# (field, the longest product its searches form): has_progression keeps the
+# ratios within q^(D/2 + 1) <= 2^21, so D <= 41 at q = 2, 25 at q = 3, ...;
+# GF(2^10) is scaled by its units at degree <= 1 (greedy check at D = 1)
+PACKED_FIELDS = (
+    (F2, 42), (F3, 26), (F4, 20), (make_field(3, 2, (1, 0, 1)), 12),
+    (make_field(5, 2), 8), (make_field(11), 12), (make_field(2, 10), 2),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), case=st.sampled_from(PACKED_FIELDS))
+def test_packed_product_matches_oracle(data, case):
+    # every packer length up to the longest, so 8-bit and wider lanes both run
+    spec, longest = case
+    field = DigitField(spec.p, spec.modulus)
+    length = data.draw(st.integers(1, longest))
+    pack, mul, multiples = _packer(spec, length, data.draw(st.integers(1, 3)))
+    a = _poly_codes(data.draw, spec.q, data.draw(st.integers(1, length)))  # degree 0 included
+    b = _poly_codes(data.draw, spec.q, data.draw(st.integers(1, length + 1 - len(a))))
+    assert mul(pack(a), pack(b)) == pack(tuple(gfq_mul(field, list(a), list(b))))
+    assert mul(pack(b), pack(a)) == mul(pack(a), pack(b))
+    gs = [a, b] + [_poly_codes(data.draw, spec.q, data.draw(st.integers(1, length))) for _ in range(data.draw(st.integers(0, 2)))]
+    got = sorted(multiples([pack(g) for g in gs]))
+    assert got == sorted(tuple(field.mul(u, c) for c in g) for g in gs for u in range(1, spec.q))
+
+
+def test_packer_refuses_products_past_64_bit_lanes():
+    # a product coefficient of GF(2^61 - 1) can reach 2^122: no lane holds it
+    with pytest.raises(BudgetExceeded):
+        _packer(make_field(2**61 - 1), 1)
+    assert _packer(make_field(2**31 - 1), 1)[1](5, 7) == 35  # (p-1)^2 < 2^62 fits

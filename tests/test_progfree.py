@@ -34,11 +34,14 @@ from gpfq import (
     reflected_degrees,
     zero,
 )
+from gpfq import progfree
 from gpfq.progfree import _largest_free_set, enumeration_size
 
 F2 = make_field(2)
 F3 = make_field(3)
 F4 = make_field(2, 2)
+F9_101 = make_field(3, 2, (1, 0, 1))
+F11 = make_field(11)
 
 
 def P(spec, text):
@@ -93,11 +96,12 @@ def test_equivalence_small():
         assert constructed == characterized
 
 
-@pytest.mark.parametrize("p, k", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)])
+@pytest.mark.parametrize("p, k", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (5, 2)])
 def test_greedy_construct_matches_division_oracle(p, k):
-    # every D with q^(D+1) <= 4096; the greedy set up to D is the oracle's set
-    # at the largest such D cut to degree <= D, as each degree is decided by
-    # the lower ones alone
+    # every D with q^(D+1) <= 4096 (for GF(11) and GF(25) also the largest D
+    # whose division oracle runs in under 2 s); the greedy set up to D is the
+    # oracle's set at the largest such D cut to degree <= D, as each degree is
+    # decided by the lower ones alone
     spec = make_field(p, k)
     top = max(d for d in range(12) if spec.q ** (d + 1) <= 4096)
     divided = greedy_construct_divisions(spec, top)
@@ -108,12 +112,14 @@ def test_greedy_construct_matches_division_oracle(p, k):
         assert got == {f for f in characterized if f.degree <= d}
 
 
-@pytest.mark.parametrize("p, k", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)])
+@pytest.mark.parametrize("p, k", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (5, 2)])
 def test_greedy_members_match_factoring_oracle(p, k):
-    # three routes to one set at every D with q^(D+1) <= 4096: the sieve of
-    # irreducibles, factoring each polynomial, and the Euler-product counts
+    # three routes to one set at every D with q^(D+1) <= 4096, and for GF(11)
+    # and GF(25) up to the largest D whose factoring oracle runs in under 2 s:
+    # the sieve of irreducibles, factoring each polynomial, and the
+    # Euler-product counts
     spec = make_field(p, k)
-    top = max(d for d in range(12) if spec.q ** (d + 1) <= 4096)
+    top = {(11, 1): 3, (5, 2): 2}.get((p, k)) or max(d for d in range(12) if spec.q ** (d + 1) <= 4096)
     characterized = {f for f in enumerate_upto(spec, top) if greedy_member(f)}
     for d in range(top + 1):
         got = greedy_members(spec, d)
@@ -135,9 +141,12 @@ def test_greedy_members_budget():
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_has_progression_matches_divisibility_oracle(data):
-    spec, max_degree = data.draw(st.sampled_from([(F2, 5), (F3, 3), (F4, 2)]))
+    # GF(9) under a modulus other than the default, and GF(11), whose products
+    # take 16-bit lanes; at most 150 members there, so the oracle stays fast
+    spec, max_degree, most = data.draw(st.sampled_from(
+        [(F2, 5, None), (F3, 3, None), (F4, 2, None), (F9_101, 2, 150), (F11, 2, 150)]))
     universe = list(enumerate_upto(spec, max_degree))
-    polys = data.draw(st.permutations(universe))[: data.draw(st.integers(0, len(universe)))]
+    polys = data.draw(st.permutations(universe))[: data.draw(st.integers(0, most or len(universe)))]
     strict = has_progression(polys)
     tolerant = has_progression(polys, unit_tolerant=True)
     assert strict == has_progression_brute(polys)
@@ -297,3 +306,28 @@ def test_progression_witness_members():
     assert (format_poly(w.base), format_poly(w.ratio)) == ("x+1", "x")
     assert w.members == (P(F3, "x+1"), P(F3, "x^2+x"), P(F3, "x^3+x^2"))
     assert w.members[1] == w.base * w.ratio and w.members[2] == w.members[1] * w.ratio
+
+
+@pytest.mark.parametrize("p, k, modulus", [(2, 1, None), (3, 1, None), (2, 2, None), (3, 2, (1, 0, 1))])
+def test_searches_make_no_field_calls(monkeypatch, p, k, modulus):
+    # the searches and greedy builds multiply packed ints; a fall back to the
+    # tuple-level products or to the field fails here
+    spec = make_field(p, k, modulus)
+    top = 4 if spec.q < 9 else 2
+    greedy = greedy_construct_bruteforce(spec, top)
+    members = greedy_members(spec, top)
+    full = list(enumerate_upto(spec, 2))  # 1, x, x^2 is a progression
+    expect = [has_progression(s, unit_tolerant=t) for s in (greedy, full) for t in (False, True)]
+    extremal = max_progression_free_subset(spec, 2, budget=1000)
+
+    def refuse(*args):
+        raise AssertionError("field call from a search")
+
+    for name in ("add_c", "mul_c", "inv_c", "neg_c"):
+        setattr(spec, name, refuse)
+    for name in ("_mul", "_scale", "_monic"):
+        monkeypatch.setattr(progfree, name, refuse, raising=False)
+    assert greedy_construct_bruteforce(spec, top) == greedy == members == greedy_members(spec, top)
+    assert [has_progression(s, unit_tolerant=t) for s in (greedy, full) for t in (False, True)] == expect
+    assert expect[0] is None and expect[2] is not None
+    assert max_progression_free_subset(spec, 2, budget=1000) == extremal
