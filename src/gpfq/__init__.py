@@ -51,8 +51,6 @@ from .polyring import (
     NEG_INFINITY,
     Poly,
     canonical_key,
-    count_norm_exact,
-    count_norm_le,
     derivative,
     enumerate_monic,
     enumerate_polys,

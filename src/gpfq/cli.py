@@ -298,8 +298,8 @@ def _cmd_extremal(parser, args):
 # parser wiring
 # ---------------------------------------------------------------------------
 
-def _add_q(p, required=True):
-    p.add_argument("--q", type=int, required=required, help="field order, a prime power")
+def _add_q(p):
+    p.add_argument("--q", type=int, required=True, help="field order, a prime power")
 
 
 def _add_field_opts(p):

@@ -229,8 +229,6 @@ def _apfree_exists(m: int, n: int, rs: list) -> bool:
         return m >= n
     if n == 2:
         return m >= 2
-    if m < n:
-        return False
     avail = 0
     for i in range(2, m):
         avail |= 1 << i

@@ -2,9 +2,9 @@
 
 The pipeline is the standard one, complete in every characteristic:
 
-  1. squarefree decomposition via gcd(f, f'), with explicit handling of the
-     p-th-power collapse (f' = 0 means f = g^p; recurse on g, whose
-     coefficients are recovered through the inverse Frobenius a -> a^(q/p));
+  1. squarefree decomposition via gcd(f, f'); what the gcd keeps of f after
+     the squarefree parts (all of f when f' = 0) is some g^p, so recurse on g,
+     whose coefficients are recovered through the inverse Frobenius a -> a^(q/p);
   2. distinct-degree splitting of each squarefree part via x^(q^d) mod f;
   3. equal-degree splitting (Cantor-Zassenhaus) by randomized powering, with
      the trace construction in characteristic 2.
@@ -101,12 +101,7 @@ def _squarefree_decomposition(spec, f):
     out = {}
     if len(f) - 1 == 0:
         return out
-    fp = _deriv(spec, f)
-    if not fp:
-        for e, g in _squarefree_decomposition(spec, _pth_root(spec, f)).items():
-            out[e * spec.p] = g
-        return out
-    c = _gcd(spec, f, fp)
+    c = _gcd(spec, f, _deriv(spec, f))  # f itself when f' = 0
     w = _divmod(spec, f, c)[0]
     i = 1
     while len(w) > 1:

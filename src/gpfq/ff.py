@@ -81,14 +81,12 @@ class FieldSpec:
         if p == 2:
             # codes are bit vectors of GF(2) digits: addition is XOR at every k
             self.add_c = lambda a, b: a ^ b
-            self.sub_c = lambda a, b: a ^ b
             self.neg_c = lambda a: a
         if k == 1:
             if p == 2:
                 self.mul_c = lambda a, b: a & b
             else:
                 self.add_c = lambda a, b: (a + b) % p
-                self.sub_c = lambda a, b: (a - b) % p
                 self.neg_c = lambda a: (-a) % p
                 self.mul_c = lambda a, b: (a * b) % p
             self.inv_c = self._inv_prime
@@ -111,7 +109,6 @@ class FieldSpec:
         else:
             if p != 2:
                 self.add_c = self._add_digitwise
-                self.sub_c = self._sub_digitwise
                 self.neg_c = self._neg_digitwise
             self.mul_c = self._mul_codes
             self.inv_c = self._inv_pow
@@ -156,7 +153,6 @@ class FieldSpec:
 
         self.zech = zech
         self.add_c = add_c
-        self.sub_c = lambda a, b: add_c(a, neg[b])
         self.neg_c = neg.__getitem__
 
     def _primitive_powers(self):
@@ -209,12 +205,6 @@ class FieldSpec:
             tuple((x + y) % p for x, y in zip(self.digits_of(a), self.digits_of(b)))
         )
 
-    def _sub_digitwise(self, a, b):
-        p = self.p
-        return self._code_of(
-            tuple((x - y) % p for x, y in zip(self.digits_of(a), self.digits_of(b)))
-        )
-
     def _neg_digitwise(self, a):
         p = self.p
         return self._code_of(tuple((-x) % p for x in self.digits_of(a)))
@@ -236,8 +226,6 @@ class FieldSpec:
 
     def pow_c(self, a: int, e: int) -> int:
         """a^e by square-and-multiply, e >= 0."""
-        if e == 0:
-            return 1
         result = 1
         mul = self.mul_c
         while e:
@@ -279,11 +267,6 @@ class FieldSpec:
         for c in range(self.q):
             yield FieldElem(self, c)
 
-    def units(self):
-        """The q-1 nonzero elements in code order."""
-        for c in range(1, self.q):
-            yield FieldElem(self, c)
-
     # -- identity ---------------------------------------------------------------
 
     def __eq__(self, other):
@@ -314,9 +297,6 @@ class FieldElem:
         """Base-p digits of the code: residue coefficients, constant first."""
         return self.spec.digits_of(self.code)
 
-    def is_zero(self) -> bool:
-        return self.code == 0
-
     def _check(self, other):
         if not isinstance(other, FieldElem):
             raise TypeError(f"expected FieldElem, got {type(other).__name__}")
@@ -329,7 +309,7 @@ class FieldElem:
 
     def __sub__(self, other):
         self._check(other)
-        return FieldElem(self.spec, self.spec.sub_c(self.code, other.code))
+        return FieldElem(self.spec, self.spec.add_c(self.code, self.spec.neg_c(other.code)))
 
     def __neg__(self):
         return FieldElem(self.spec, self.spec.neg_c(self.code))

@@ -123,18 +123,18 @@ def render_decimal(v, digits: int) -> str:
     return f"{sign}{ip}.{fp:0{digits}d}"
 
 
-def exp_upper(x: Fraction, terms: int = 8) -> Fraction:
+def exp_upper(x: Fraction) -> Fraction:
     """Rational upper bound on e^x for 0 <= x <= 1/2.
 
-    Truncated series plus geometric remainder: the tail after `terms` is at
-    most x^(terms+1)/(terms+1)! * 1/(1-x), and 1/(1-x) <= 2 on the domain.
+    The series through x^8 plus geometric remainder: the tail after it is at
+    most x^9/9! * 1/(1-x), and 1/(1-x) <= 2 on the domain.
     """
     x = _rat(x)
     if x < 0 or x > Fraction(1, 2):
         raise ValueError(f"exp_upper domain is [0, 1/2], got {x}")
     total = Fraction(0)
     power = Fraction(1)
-    for j in range(terms + 1):
+    for j in range(9):
         total += power / factorial(j)
         power *= x
-    return total + 2 * power / factorial(terms + 1)
+    return total + 2 * power / factorial(9)

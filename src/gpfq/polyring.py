@@ -1,4 +1,4 @@
-"""The ring F_q[x]: canonical values, arithmetic, norm counts, enumeration, text format.
+"""The ring F_q[x]: canonical values, arithmetic, enumeration, text format.
 
 A polynomial is stored as a tuple of coefficient codes, constant term first,
 with no trailing zero (the empty tuple is the zero polynomial). The canonical
@@ -45,7 +45,7 @@ from .errors import (
     SpecMismatch,
     ZeroPolynomial,
 )
-from .ff import FieldElem, FieldSpec
+from .ff import FieldSpec
 
 NEG_INFINITY = float("-inf")  # degree of the zero polynomial
 #: The largest exponent parse_poly accepts; past it, BudgetExceeded before any allocation.
@@ -92,10 +92,6 @@ def _sub(spec, a, b):
 
 
 def _scale(spec, a, c):
-    if c == 0:
-        return ()
-    if c == 1:
-        return a
     mul = spec.mul_c
     return tuple(mul(x, c) for x in a)
 
@@ -322,6 +318,15 @@ def _packer(spec, length, batch=1):
     return pack, mul, multiples
 
 
+def _monic_key(spec, pack, mul):
+    """pack(monic form of cs) for nonzero code tuples cs, with `pack` and `mul` from _packer: one
+    product by the packed inverse of the lead, none when the lead is 1. The inverse is read with no
+    field call, by Fermat over GF(p) and from the log tables over GF(p^k), which must exist."""
+    p, q, exp, log = spec.p, spec.q, spec.exp, spec.log
+    inverse = (lambda c: pow(c, p - 2, p)) if spec.k == 1 else (lambda c: exp[q - 1 - log[c]])
+    return lambda cs: pack(cs) if cs[-1] == 1 else mul(pack(cs), pack((inverse(cs[-1]),)))
+
+
 def _mod(spec, a, b):
     return _divmod(spec, a, b)[1]
 
@@ -401,21 +406,8 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def is_unit(self) -> bool:
-        return len(self.coeffs) == 1
-
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    @property
-    def leading_code(self) -> int:
-        if not self.coeffs:
-            raise ZeroPolynomial("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def coefficient(self, i: int) -> FieldElem:
-        code = self.coeffs[i] if i < len(self.coeffs) else 0
-        return self.spec.element(code)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -463,9 +455,6 @@ class Poly:
             if e:
                 base = base * base
         return result
-
-    def scale(self, code: int) -> "Poly":
-        return Poly._raw(self.spec, _scale(self.spec, self.coeffs, code))
 
     # -- identity and order ---------------------------------------------------
 
@@ -531,7 +520,7 @@ def derivative(f: Poly) -> Poly:
 
 
 # ---------------------------------------------------------------------------
-# enumeration and counting
+# enumeration
 # ---------------------------------------------------------------------------
 
 def enumerate_polys(spec, degree: int):
@@ -539,10 +528,6 @@ def enumerate_polys(spec, degree: int):
     if degree < 0:
         raise ValueError("degree must be >= 0")
     q = spec.q
-    if degree == 0:
-        for c in range(1, q):
-            yield Poly._raw(spec, (c,))
-        return
     for low in itertools.product(range(q), repeat=degree):
         for lead in range(1, q):
             yield Poly._raw(spec, low + (lead,))
@@ -552,9 +537,6 @@ def enumerate_monic(spec, degree: int):
     """All q^degree monic polynomials of exact degree, in canonical order."""
     if degree < 0:
         raise ValueError("degree must be >= 0")
-    if degree == 0:
-        yield Poly._raw(spec, (1,))
-        return
     for low in itertools.product(range(spec.q), repeat=degree):
         yield Poly._raw(spec, low + (1,))
 
@@ -563,22 +545,6 @@ def enumerate_upto(spec, max_degree: int):
     """All nonzero polynomials of degree <= max_degree, in canonical order."""
     for d in range(max_degree + 1):
         yield from enumerate_polys(spec, d)
-
-
-def count_norm_le(q: int, n: int) -> int:
-    """Polynomials of degree <= n, zero included: q^(n+1)."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return q ** (n + 1)
-
-
-def count_norm_exact(q: int, n: int) -> int:
-    """Polynomials of exact degree n: q^(n+1) - q^n, and q - 1 at n = 0."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n == 0:
-        return q - 1
-    return q ** (n + 1) - q**n
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from typing import NamedTuple, Optional, Tuple
 
 from .errors import BudgetExceeded, SpecMismatch, ZeroPolynomial
 from .factor import factorization_exponents
-from .polyring import Poly, _packer, enumerate_polys, enumerate_upto
+from .polyring import Poly, _monic_key, _packer, enumerate_polys, enumerate_upto
 
 DEFAULT_ENUM_BUDGET = 1 << 21
 DEFAULT_VERTEX_BUDGET = 40
@@ -184,11 +184,8 @@ def has_progression(polys, unit_tolerant: bool = False) -> Optional[ProgressionW
     if min(lengths) >= top:  # a base has degree <= top - 2
         return None
     bases = sorted(sorted({f.coeffs for f in members if len(f.coeffs) < top}), key=len)  # canonical order
-    pack, mul, triples = _progressions(spec, bases, top, unit_tolerant)
-    present = {pack(f.coeffs) for f in members}
-    if unit_tolerant:  # every unit multiple of a member
-        units = [pack((u,)) for u in range(1, spec.q)]
-        present = {mul(f, u) for f in present for u in units}
+    key, mul, triples = _progressions(spec, bases, top, unit_tolerant)
+    present = {key(f.coeffs) for f in members}
     for a, r, mid, ratio in triples:
         if mid in present and mul(mid, ratio) in present:
             return ProgressionWitness(Poly._raw(spec, a), Poly._raw(spec, r))
@@ -196,25 +193,28 @@ def has_progression(polys, unit_tolerant: bool = False) -> Optional[ProgressionW
 
 
 def _progressions(spec, bases, max_degree: int, unit_tolerant: bool = False):
-    """(pack, mul) of the packed form up to max_degree, and an iterator of (base,
-    ratio, packed middle ratio * base, packed ratio) for each base code tuple in
+    """(key, mul) of the packed form up to max_degree, and an iterator of (base,
+    ratio, keyed middle ratio * base, keyed ratio) for each base code tuple in
     the order given and each non-unit ratio in canonical order with deg base + 2
-    deg ratio <= max_degree. The ratios are listed once, within DEFAULT_ENUM_BUDGET;
-    `unit_tolerant` keeps each that is the canonical first of its unit multiples."""
+    deg ratio <= max_degree. The ratios are listed once, within DEFAULT_ENUM_BUDGET
+    (so q <= 1448 whenever a base has room for one). `key` packs a code tuple;
+    `unit_tolerant` packs its monic form instead, as monic(r*a) = monic(r) *
+    monic(a), and keeps each ratio that is the canonical first of its unit multiples."""
     enumeration_size(spec.q, max_degree // 2, DEFAULT_ENUM_BUDGET)
     pack, mul, _ = _packer(spec, max_degree + 1)
-    ratios = [(len(r.coeffs), r.coeffs, pack(r.coeffs)) for d in range(1, max_degree // 2 + 1)
+    key = _monic_key(spec, pack, mul) if unit_tolerant else pack
+    ratios = [(len(r.coeffs), r.coeffs, key(r.coeffs)) for d in range(1, max_degree // 2 + 1)
               for r in enumerate_polys(spec, d) if not unit_tolerant or next(filter(None, r.coeffs)) == 1]
 
     def triples():
         for a in bases:
-            packed, room = pack(a), (max_degree + 3 - len(a)) // 2
+            packed, room = key(a), (max_degree + 3 - len(a)) // 2
             for n, r, ratio in ratios:
                 if n > room:
                     break  # ratios are in canonical (degree-major) order
                 yield a, r, mul(ratio, packed), ratio
 
-    return pack, mul, triples()
+    return key, mul, triples()
 
 
 # ---------------------------------------------------------------------------

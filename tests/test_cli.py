@@ -156,6 +156,14 @@ def test_greedy_check(capsys, schema):
     assert obj["ok"] is True
 
 
+def test_greedy_check_many_units(capsys):
+    # the unit-tolerant search keys members by their monic forms, so GF(32)'s
+    # 31 units cost at most one product per member
+    code, out, _ = invoke(capsys, "greedy", "check", "--q", "32", "--max-degree", "2")
+    assert code == 0
+    assert out == "ok: 31775 members up to degree 2 match the exponent characterization; no progression found\n"
+
+
 def test_greedy_enumerate(capsys, schema):
     code, out, _ = invoke(capsys, "greedy", "enumerate", "--q", "2", "--max-degree", "2")
     assert code == 0

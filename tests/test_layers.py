@@ -1,12 +1,16 @@
 """The package's layers import only downward: each module's module-level
 `from .x import` set is pinned, so a layer that grows an upward import fails here.
+The package's public names are pinned too, so adding or removing one shows in a diff.
 
 Imports made inside a function (`ff` reaches `factor` and `polyring` that way
 to search a default modulus) are not module-level and are not pinned.
 """
 
 import ast
+import types
 from pathlib import Path
+
+import gpfq
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "gpfq"
 
@@ -42,3 +46,27 @@ def test_every_layer_is_pinned():
 
 def test_layer_imports_are_pinned():
     assert {name: _package_imports(name) for name in LAYERS} == LAYERS
+
+
+PUBLIC = {
+    "BudgetExceeded", "CodeOutOfRange", "CoefficientOutOfRange", "DensityReport", "DivisionByZero",
+    "Error", "Factorization", "FieldElem", "FieldSpec", "Interval", "NEG_INFINITY",
+    "NeedsMorePrecision", "NegativeOperand", "NotPrime", "Poly", "PolySyntaxError",
+    "ProgressionWitness", "ReducibleModulus", "RnTable", "SpecMismatch", "WrongDegreeModulus",
+    "ZeroPolynomial", "a3_contains", "a3_list", "canonical_key", "checkpoint_density",
+    "count_irreducibles", "derivative", "empirical_greedy_density", "enumerate_irreducibles",
+    "enumerate_monic", "enumerate_polys", "enumerate_upto", "exp_upper", "factorization_exponents",
+    "factorize", "figure1_data", "format_poly", "gcd", "greedy_construct_bruteforce",
+    "greedy_counts", "greedy_density", "greedy_density_interval", "greedy_member",
+    "greedy_members", "has_progression", "is_irreducible", "lower_bound_mq", "make_field",
+    "make_monic", "max_progression_free_subset", "mq_interval", "nk", "one", "parse_poly",
+    "reflected_degrees", "render_decimal", "rn_sequence", "round_half_away", "upper_bound_no",
+    "upper_bound_no_interval", "upper_bound_simple", "x", "zero",
+}
+
+
+def test_public_names_are_pinned():
+    # submodules are left out: which of them are attributes depends on what has been imported
+    names = {name for name, value in vars(gpfq).items()
+             if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert names == PUBLIC

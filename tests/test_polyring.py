@@ -1,6 +1,7 @@
 """Polynomial ring: arithmetic contracts, norms, enumeration, text format."""
 
 import random
+from itertools import zip_longest
 
 import pytest
 from hypothesis import given, settings
@@ -17,8 +18,6 @@ from gpfq import (
     SpecMismatch,
     ZeroPolynomial,
     canonical_key,
-    count_norm_exact,
-    count_norm_le,
     derivative,
     enumerate_polys,
     enumerate_upto,
@@ -152,16 +151,6 @@ def test_enumeration_canonical_order():
     for spec in (F2, F3):
         seq = list(enumerate_upto(spec, 3))
         assert seq == sorted(seq, key=canonical_key)
-
-
-def test_count_norm():
-    assert count_norm_le(2, 4) == 32
-    assert count_norm_exact(2, 4) == 16
-    assert count_norm_exact(3, 0) == 2
-    for q in (2, 3, 5):
-        for n in range(1, 6):
-            # zero polynomial accounts for the missing 1 in the telescoped sum
-            assert 1 + sum(count_norm_exact(q, d) for d in range(n + 1)) == count_norm_le(q, n)
 
 
 def test_parse_examples():
@@ -340,7 +329,7 @@ def test_kernel_makes_no_coefficient_calls(p):
     a = tuple(rng.randrange(p) for _ in range(3 * _PACK_MIN)) + (1,)
     b = tuple(rng.randrange(p) for _ in range(_PACK_MIN)) + (p - 1,)
     expect = (_mul(spec, a, b), _divmod(spec, a, b))
-    for name in ("add_c", "sub_c", "neg_c", "mul_c"):
+    for name in ("add_c", "neg_c", "mul_c"):
         setattr(spec, name, refuse)
     assert (_mul(spec, a, b), _divmod(spec, a, b)) == expect
 
@@ -361,7 +350,7 @@ def test_byte_lanes_make_no_coefficient_calls_below_cutoff(p):
     quot, rem = expect[1]
     assert list(expect[0]) == fp_mul(p, list(a), list(b))
     assert (list(quot), list(rem)) == fp_divmod(p, list(a), list(b))
-    for name in ("add_c", "sub_c", "neg_c", "mul_c"):
+    for name in ("add_c", "neg_c", "mul_c"):
         setattr(spec, name, refuse)
     assert (_mul(spec, a, b), _divmod(spec, a, b)) == expect
 
@@ -456,3 +445,61 @@ def test_packer_refuses_products_past_64_bit_lanes():
     with pytest.raises(BudgetExceeded):
         _packer(make_field(2**61 - 1), 1)
     assert _packer(make_field(2**31 - 1), 1)[1](5, 7) == 35  # (p-1)^2 < 2^62 fits
+
+
+# ---------------------------------------------------------------------------
+# the operators and the untabled fields that no command reaches in process
+# ---------------------------------------------------------------------------
+
+# GF(2); GF(9) with Zech addition; GF(6561) above the log-table cap
+PROTOCOL_FIELDS = (F2, make_field(3, 2, (1, 0, 1)), make_field(3, 8))
+
+
+@pytest.mark.parametrize("spec", PROTOCOL_FIELDS, ids=lambda s: f"GF({s.q})")
+def test_operator_protocol_matches_oracle(spec):
+    field = DigitField(spec.p, spec.modulus)
+    rng = random.Random(spec.q)
+    for _ in range(20):
+        a, b = rng.randrange(spec.q), rng.randrange(spec.q)
+        ea, eb = spec.element(a), spec.element(b)
+        assert (ea - eb).code == field.add(a, field.neg(b))
+        assert hash(ea) == hash(spec.element(a)) and len({ea, spec.element(a), eb}) == 1 + (a != b)
+        assert repr(ea) == f"FieldElem({spec!r}, {a})"
+        assert str(ea) == (str(a) if spec.k == 1 else f"[{a}]")
+        f, g = _random_poly(rng, spec, 6), _random_poly(rng, spec, 3)
+        neg_g = [field.neg(c) for c in g.coeffs]
+        assert list((-g).coeffs) == neg_g
+        diff = [field.add(x, y) for x, y in zip_longest(f.coeffs, neg_g, fillvalue=0)]
+        assert f - g == Poly(spec, diff)  # the constructor trims
+        assert list((f // g).coeffs) == gfq_divmod(field, list(f.coeffs), list(g.coeffs))[0]
+        assert str(f) == format_poly(f) and parse_poly(spec, str(f)) == f
+        assert repr(f) == f"Poly({spec!r}, {str(f)!r})"
+
+
+def test_operator_text_pinned():
+    gf9, gf6561 = PROTOCOL_FIELDS[1:]
+    assert repr(P(F2, "x^3+x+1")) == "Poly(GF(2), 'x^3+x+1')"
+    assert repr(gf9.element(8)) == "FieldElem(GF(9; modulus=[1, 0, 1]), 8)" and str(gf9.element(8)) == "[8]"
+    assert str(-P(gf9, "[5]*x^2+x+[2]")) == "[7]*x^2+[2]*x+[1]"
+    assert repr(-P(gf6561, "[6560]*x^2+[3]")) == (
+        "Poly(GF(6561; modulus=[1, 0, 0, 0, 0, 1, 1, 0, 1]), '[3280]*x^2+[6]')"
+    )
+
+
+@pytest.mark.parametrize("p, k", [(3, 8), (2, 13)])
+def test_inverse_and_division_above_the_table_cap(p, k):
+    # no log tables: an inverse is a^(q-2), a division runs the generic loop
+    spec = make_field(p, k)
+    assert spec.log is None
+    field = DigitField(p, spec.modulus)
+    rng = random.Random(spec.q)
+    for _ in range(20):
+        a = spec.element(rng.randrange(1, spec.q))
+        assert a * a.inverse() == spec.one and a.inverse().code == field.inv(a.code)
+    with pytest.raises(DivisionByZero):
+        spec.zero.inverse()
+    for _ in range(10):
+        b = tuple(rng.randrange(spec.q) for _ in range(rng.randrange(5))) + (rng.randrange(2, spec.q),)
+        a = tuple(rng.randrange(spec.q) for _ in range(len(b) - 1 + rng.randrange(8))) + (rng.randrange(2, spec.q),)
+        quot, rem = _divmod(spec, a, b)
+        assert (list(quot), list(rem)) == gfq_divmod(field, list(a), list(b))
