@@ -23,8 +23,8 @@ from .factor import factorization_exponents
 from .polyring import Poly, _monic_key, _packer, enumerate_polys, enumerate_upto
 
 DEFAULT_ENUM_BUDGET = 1 << 21
-DEFAULT_VERTEX_BUDGET = 40
-#: Edge scans (nodes times edges) `_largest_free_set` may make; q=2, D=7 needs about 2.1e7.
+DEFAULT_VERTEX_BUDGET = 1023
+#: Edge scans (nodes times edges) `_largest_free_set` may make; q=2, D=9 needs about 3.3e6.
 MAX_SEARCH_WORK = 2**25
 
 
@@ -236,11 +236,13 @@ def max_progression_free_subset(spec, max_degree: int, budget: int = DEFAULT_VER
     pack, mul, triples = _progressions(spec, universe, max_degree)
     index = {key: i for i, f in enumerate(universe) for key in (f, pack(f))}
     edges = [(index[a], index[mid], index[mul(mid, ratio)]) for a, r, mid, ratio in triples]
-    chosen = _largest_free_set(len(universe), edges)
+    reflected = set(reflected_degrees(max_degree))
+    seed = sum(1 << v for v, f in enumerate(universe) if len(f) - 1 in reflected)
+    chosen = _largest_free_set(len(universe), edges, seed)
     return len(chosen), tuple(Poly._raw(spec, universe[v]) for v in chosen)
 
 
-def _largest_free_set(n, edges):
+def _largest_free_set(n, edges, seed=0):
     """The largest subset of range(n) containing no edge, as a sorted list;
     among several, the lexicographically least.
 
@@ -253,6 +255,11 @@ def _largest_free_set(n, edges):
     Pending "exclude" branches wait on an explicit stack, not the call stack.
     Every node scans every edge, so the work is the nodes visited times the
     edges; past MAX_SEARCH_WORK it raises BudgetExceeded.
+
+    `seed` is the vertex mask of a known free set: unless an edge lies inside
+    it, best starts at |seed| - 1, not -1. The witness does not change: best <
+    opt until the least maximum is reached, so no node on the path to it is
+    cut, and the seeded search visits a subset of the same nodes in order.
     """
     masks = [(1 << a) | (1 << b) | (1 << c) for a, b, c in edges]
     others = [[] for _ in range(n)]  # per vertex: the other two vertices of each edge
@@ -260,6 +267,8 @@ def _largest_free_set(n, edges):
         for v in edge:
             others[v].append(m ^ (1 << v))
     best, best_set = -1, 0
+    if all(m & seed != m for m in masks):
+        best = bin(seed).count("1") - 1
     nodes_left = MAX_SEARCH_WORK // max(len(masks), 1)
     stack = [(0, 0, 0, 0)]  # (next vertex, included mask, excluded mask, included count)
     while stack:

@@ -9,7 +9,8 @@ candidate, greedy-set member counts by factoring every monic polynomial,
 integer factorization by trial division, the AP-free integer set by its
 greedy definition, AP-free subset existence by exhaustive combinations and
 by plain backtracking over sets, the largest progression-free set by
-exhaustive combinations, the greedy polynomial set by dividing every
+exhaustive combinations, the size of the reflected-degree free set by its
+closed form, the greedy polynomial set by dividing every
 polynomial by the square of every ratio, and progressions by trying every
 divisor pair with DigitField arithmetic.
 """
@@ -314,6 +315,16 @@ def max_progression_free_brute(spec, max_degree):
                 edges.append((i, pos[b], pos[r * b]))
     chosen = largest_free_set_brute(len(universe), edges)
     return len(chosen), tuple(universe[i] for i in chosen)
+
+
+def reflected_free_size(q, max_degree):
+    """Size of the reflected-degree free set: the (q - 1) * q^d nonzero
+    polynomials of each degree d = max_degree - a, for every a <= max_degree
+    with no ternary digit 2."""
+    def ternary_digits(a):
+        return {a // 3**i % 3 for i in range(a.bit_length())}
+
+    return sum((q - 1) * q ** (max_degree - a) for a in range(max_degree + 1) if 2 not in ternary_digits(a))
 
 
 def greedy_construct_divisions(spec, max_degree):

@@ -161,7 +161,7 @@ def test_criterion_11_extremal_probe():
     for d in range(5):
         size, witness = max_progression_free_subset(F2, d)
         constructive = sum(2**deg for deg in reflected_degrees(d))
-        assert size >= constructive, d
+        assert size == constructive, d
         assert len(witness) == size
         assert has_progression(witness) is None
-    _report(11, "extremal search beats the reflected construction, q=2 d<=4", start, 300)
+    _report(11, "extremal search equals the reflected construction, q=2 d<=4", start, 300)

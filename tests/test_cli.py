@@ -546,7 +546,7 @@ def _run_cli(*argv):
         (["factor", "--q", "18446744073709551616", "x+1"], 0),
         (["rn", "--n", "18"], 0),
         (["density", "upper-no", "--q", "2", "--digits", "15"], 0),
-        (["extremal", "--q", "2", "--max-degree", "8", "--budget", "1000"], 1),
+        (["extremal", "--q", "2", "--max-degree", "10", "--budget", "1000"], 1),
         (["factor", "--q", str(3**300), "x+1"], 1),
         (["greedy", "enumerate", "--q", "2", "--max-degree", "1000000000", "--counts-only"], 1),
         (["figure1", "--qmax", "100000"], 1),

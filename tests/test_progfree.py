@@ -13,6 +13,7 @@ from _oracles import (
     ints_ap_free,
     largest_free_set_brute,
     max_progression_free_brute,
+    reflected_free_size,
 )
 from gpfq import (
     BudgetExceeded,
@@ -269,13 +270,50 @@ def test_extremal_against_bruteforce(q, max_degree):
 
 
 def test_largest_free_set_random_hypergraphs():
-    # include-first order plus strict improvement must give the least maximum
-    rng = random.Random(20151201)
+    # include-first order plus strict improvement must give the least maximum,
+    # from no seed, a free seed, or a seed that holds an edge (and is ignored)
+    rng, seed_rng = random.Random(20151201), random.Random(20151202)
     for _ in range(400):
         n = rng.randrange(3, 13)
         edges = sorted({tuple(rng.sample(range(n), 3)) for _ in range(rng.randrange(3 * n + 1))})
         rng.shuffle(edges)
-        assert tuple(_largest_free_set(n, edges)) == largest_free_set_brute(n, edges)
+        want = largest_free_set_brute(n, edges)
+        assert tuple(_largest_free_set(n, edges)) == want
+        free = 0
+        for v in seed_rng.sample(range(n), n):
+            if not any(v in e and all(free >> u & 1 for u in e if u != v) for e in edges):
+                free |= 1 << v
+        seeds = [free]
+        if edges:
+            seeds.append(sum(1 << v for v in {*seed_rng.choice(edges), *seed_rng.sample(range(n), n // 2)}))
+        for seed in seeds:
+            assert tuple(_largest_free_set(n, edges, seed)) == want, (n, edges, seed)
+
+
+@pytest.mark.parametrize("q, max_degree", [(2, d) for d in range(7)] + [(3, d) for d in range(1, 5)]
+                         + [(4, d) for d in range(1, 4)] + [(5, 1), (5, 2), (7, 2)])
+def test_extremal_seed_keeps_witness(monkeypatch, q, max_degree):
+    # the reflected-degree seed changes no answer, and the optimum is that set's size
+    spec = make_field(*{2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1)}[q])
+    seeded = max_progression_free_subset(spec, max_degree)
+    search = progfree._largest_free_set
+    monkeypatch.setattr(progfree, "_largest_free_set", lambda n, edges, seed: search(n, edges))
+    assert max_progression_free_subset(spec, max_degree) == seeded
+    assert seeded[0] == reflected_free_size(q, max_degree)
+
+
+@pytest.mark.parametrize("q, max_degree", [(2, 7), (2, 8), (2, 9), (3, 5), (4, 4), (5, 3)])
+def test_extremal_optimum_is_reflected_size(q, max_degree):
+    spec = make_field(*{2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1)}[q])
+    size, witness = max_progression_free_subset(spec, max_degree)
+    assert size == reflected_free_size(q, max_degree) == len(witness)
+    assert has_progression(witness) is None
+
+
+def test_extremal_work_budget(monkeypatch):
+    monkeypatch.setattr(progfree, "MAX_SEARCH_WORK", 10_000)
+    with pytest.raises(BudgetExceeded):
+        max_progression_free_subset(F2, 7)
 
 
 def test_enumeration_size_boundary():
