@@ -190,34 +190,23 @@ def _cmd_factor(parser, args):
 def _cmd_greedy(parser, args):
     if args.action == "check":
         spec = _field_for(parser, args)
-        constructed = progfree.greedy_construct_bruteforce(spec, args.max_degree, _enum_budget(parser))
-        characterized = progfree.greedy_members(spec, args.max_degree, _enum_budget(parser))
-        extra = sorted(constructed - characterized)
-        missing = sorted(characterized - constructed) if extra or len(characterized) != len(constructed) else []
-        # a strict progression is also a unit-tolerant one
-        witness_tol = progfree.has_progression(constructed, unit_tolerant=True)
-        witness = witness_tol and progfree.has_progression(constructed)
-        ok = not extra and not missing and witness is None and witness_tol is None
-        lines = []
+        members, extra, missing, witness = progfree.greedy_check(spec, args.max_degree, _enum_budget(parser))
+        lines = [f"constructed but not characterized: {format_poly(f)}" for f in extra]
+        lines += [f"characterized but not constructed: {format_poly(f)}" for f in missing]
+        if witness:
+            lines.append(f"progression found: base={format_poly(witness.base)} ratio={format_poly(witness.ratio)}")
+        ok = not lines
         if ok:
             lines.append(
-                f"ok: {len(constructed)} members up to degree {args.max_degree} "
+                f"ok: {members} members up to degree {args.max_degree} "
                 "match the exponent characterization; no progression found"
             )
-        else:
-            for f in extra:
-                lines.append(f"constructed but not characterized: {format_poly(f)}")
-            for f in missing:
-                lines.append(f"characterized but not constructed: {format_poly(f)}")
-            if witness or witness_tol:
-                w = witness or witness_tol
-                lines.append(f"progression found: base={format_poly(w.base)} ratio={format_poly(w.ratio)}")
         obj = {
             "command": "greedy-check",
             "q": args.q,
             "max_degree": args.max_degree,
             "ok": ok,
-            "members": len(constructed),
+            "members": members,
             "extra": [format_poly(f) for f in extra],
             "missing": [format_poly(f) for f in missing],
         }

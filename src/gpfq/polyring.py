@@ -24,9 +24,11 @@ The progression searches and greedy builds in progfree keep every operand in
 a 2-D packed form over every field (_packer): digit j of code i sits in lane
 i*(2k-1) + j, so one int product is the product in GF(p)[x, y]. Slots k..2k-2
 fold back through y^(k+j) = ff's _red[j], one shift, mask and multiply each,
-and each lane is reduced mod p, so equal polynomials pack to equal ints. _mul
-keeps its loops: a GF(4) product that packs and unpacks took 6.2 us against
-3.7 us for _mul_log, while a search packs each operand once.
+and each lane is reduced mod p, so equal polynomials pack to equal ints. A
+lane is sized for a digit of a product, not for a code: unpacking reads each
+coefficient's k digits back into its code. _mul keeps its loops: a GF(4)
+product that packs and unpacks took 6.2 us against 3.7 us for _mul_log, while
+a search packs each operand once.
 """
 
 from __future__ import annotations
@@ -120,16 +122,16 @@ def _pack(cs, typecode):
     return int.from_bytes(lanes.tobytes(), "little")
 
 
-def _unpack(n, count, bits, typecode, p, step=1):
-    """Every `step`-th of the lowest `count` lanes of `n`, each reduced mod p."""
+def _unpack(n, count, bits, typecode, p):
+    """The lowest `count` lanes of `n`, each reduced mod p."""
     raw = (n & ((1 << count * bits) - 1)).to_bytes(count * bits // 8, "little")
     if typecode == "B":
-        return raw[::step].translate(_byte_mod(p))
+        return raw.translate(_byte_mod(p))
     lanes = array(typecode)
     lanes.frombytes(raw)
     if _BIG_ENDIAN:
         lanes.byteswap()
-    return [c % p for c in lanes[::step]]
+    return [c % p for c in lanes]
 
 
 def _mul(spec, a, b):
@@ -276,16 +278,15 @@ def _divmod_packed(p, inv_lead, a, b, bits, typecode):
     return tuple(quot), _trim(_unpack(rem, db, bits, typecode, p))
 
 
-def _packer(spec, length, batch=1):
-    """(pack, mul, multiples) of the 2-D packed form over `spec` (module docstring) for polynomials
-    and products of at most `length` coefficients; multiples(gs) yields each u * g as a code tuple,
-    with `batch` of the g side by side in one product per unit."""
+def _packer(spec, length):
+    """(pack, mul, unpack) of the 2-D packed form over `spec` (module docstring) for polynomials
+    and products of at most `length` coefficients; unpack is pack's inverse on reduced forms."""
     p, k, q, w = spec.p, spec.k, spec.q, 2 * spec.k - 1  # w lanes per coefficient: 2k-1 digit slots
-    bits, typecode = _lane(max(length * k * (p - 1) ** 2 * (1 + (k - 1) * (p - 1)), q - 1)) or (0, "")  # holds a code too
+    bits, typecode = _lane(length * k * (p - 1) ** 2 * (1 + (k - 1) * (p - 1))) or (0, "")
     if not bits:
         raise BudgetExceeded(f"products of {length} coefficients over GF({q}) overflow a 64-bit lane")
     size = w * bits // 8  # bytes per coefficient
-    ones = int.from_bytes((b"\1" + bytes(size - 1)) * length * batch, "little")  # each coefficient's lowest lane
+    ones = int.from_bytes((b"\1" + bytes(size - 1)) * length, "little")  # each coefficient's lowest lane
     slot, low, table = ones * ((1 << bits) - 1), ones * ((1 << k * bits) - 1), _byte_mod(p)
     folds = [((k + j) * bits, _pack(red, typecode)) for j, red in enumerate(spec._red)] if k > 1 else ()
     if p == 2:  # a lane's parity is its lowest bit
@@ -303,19 +304,11 @@ def _packer(spec, length, batch=1):
             n += (n >> shift & slot) * c
         return reduce(n)
 
-    codes = lambda n, m: _unpack(sum((n >> j * bits & slot) * p**j for j in range(k)), m * w, bits, typecode, q, w)
+    def unpack(n):
+        lanes = _unpack(n, -(-n.bit_length() // (8 * size)) * w, bits, typecode, p)
+        return tuple(lanes) if k == 1 else tuple(map(spec._code_of, (lanes[i:i + k] for i in range(0, len(lanes), w))))
 
-    def multiples(gs):
-        for part in (gs[i:i + batch] for i in range(0, len(gs), batch)):
-            n = int.from_bytes(b"".join(g.to_bytes(length * size, "little") for g in part), "little")
-            flat = codes(n, len(part) * length)  # the coefficients of each g, `length` apart
-            tuples = [flat[i:i - (-g.bit_length() // (8 * size))] for i, g in zip(range(0, len(flat), length), part)]
-            seen = sorted(set(flat))  # a unit multiplies each code once, all of them in one product
-            for u in range(1, q):
-                image = dict(zip(seen, codes(mul(pack(seen), pack((u,))), len(seen))))
-                yield from (tuple(map(image.__getitem__, t)) for t in tuples)
-
-    return pack, mul, multiples
+    return pack, mul, unpack
 
 
 def _monic_key(spec, pack, mul):

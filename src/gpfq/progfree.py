@@ -11,6 +11,10 @@ third terms to unit multiples. One enumerator, `_progressions`, lists these
 triples for `has_progression` and the extremal search (one include-first
 branch and bound over them as hyperedges). The searches and greedy builds
 multiply and compare polynomials as ints in polyring's 2-D packed form.
+
+The greedy set is closed under units, so both greedy builds run on the
+packed monic polynomials alone; only a set of Poly or a reported member is
+expanded to its q - 1 unit multiples.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from typing import NamedTuple, Optional, Tuple
 
 from .errors import BudgetExceeded, SpecMismatch, ZeroPolynomial
 from .factor import factorization_exponents
-from .polyring import Poly, _monic_key, _packer, enumerate_polys, enumerate_upto
+from .polyring import Poly, _monic_key, _packer, _scale, enumerate_polys, enumerate_upto
 
 DEFAULT_ENUM_BUDGET = 1 << 21
 DEFAULT_VERTEX_BUDGET = 1023
@@ -86,19 +90,72 @@ def greedy_member(f: Poly) -> bool:
 
 def greedy_members(spec, max_degree: int, budget: int = DEFAULT_ENUM_BUDGET):
     """The set of Poly of degree <= max_degree that `greedy_member` admits,
-    built from the irreducibles instead of by factoring each polynomial.
+    built from the irreducibles instead of by factoring each polynomial: the
+    unit multiples of `_greedy_sieve`'s monic members.
+    """
+    mul, unpack, monics = _monics(spec, max_degree, budget)
+    return _unit_multiples(spec, map(unpack, _greedy_sieve(mul, monics)))
+
+
+def greedy_construct_bruteforce(spec, max_degree: int, budget: int = DEFAULT_ENUM_BUDGET):
+    """Literal greedy construction: the set of Poly admitted by increasing degree.
+
+    Starts from the nonzero constants; f of degree d is rejected exactly
+    when f = r^2 * a with deg r >= 1 and a, r*a already admitted (f is the
+    largest term of any progression it completes, as degrees increase along
+    one). The rule commutes with units: f = r^2 * a is blocked by (r, a)
+    exactly when u*f is blocked by (r, u*a), and (r, a) blocks f exactly as
+    (r/c, c^2 * a) does for a unit c. So, by induction on the degree, the
+    admitted set is closed under units, monic ratios suffice, and the set is
+    the unit multiples of `_greedy_construct`'s monic members.
+    """
+    mul, unpack, monics = _monics(spec, max_degree, budget)
+    return _unit_multiples(spec, map(unpack, _greedy_construct(mul, monics)))
+
+
+def greedy_check(spec, max_degree: int, budget: int = DEFAULT_ENUM_BUDGET):
+    """(members, extra, missing, witness) for the greedy construction against
+    the characterization up to max_degree: its member count, the sorted Poly
+    it admits beyond `greedy_members` and those it lacks, and a progression
+    in it or None.
+
+    Both sets are closed under units, so they are compared by their monic
+    members. In a set closed under units a progression up to units is a
+    strict one, so one unit-tolerant search looks for it, over the
+    canonically least member of each class: its witness is the canonically
+    least of the whole set.
+    """
+    mul, unpack, monics = _monics(spec, max_degree, budget)
+    constructed, characterized = set(_greedy_construct(mul, monics)), set(_greedy_sieve(mul, monics))
+    extra, missing = (sorted(_unit_multiples(spec, map(unpack, s)))
+                      for s in (constructed - characterized, characterized - constructed))
+    least = [Poly._raw(spec, _scale(spec, cs, spec.inv_c(next(filter(None, cs))))) for cs in map(unpack, constructed)]
+    return (spec.q - 1) * len(constructed), extra, missing, has_progression(least, unit_tolerant=True)
+
+
+def _monics(spec, max_degree: int, budget: int):
+    """(mul, unpack, monics) for the greedy builds: monics[d] lists the monic
+    polynomials of degree d in canonical order, packed by polyring's _packer
+    for products of max_degree + 1 coefficients. The q^(max_degree+1)
+    polynomials they stand for are held to `budget`."""
+    if max_degree < 0:
+        raise ValueError("max_degree must be >= 0")
+    enumeration_size(spec.q, max_degree, budget)
+    pack, mul, unpack = _packer(spec, max_degree + 1)
+    return mul, unpack, [[pack(low + (1,)) for low in itertools.product(range(spec.q), repeat=d)]
+                         for d in range(max_degree + 1)]
+
+
+def _greedy_sieve(mul, monics):
+    """The packed monic members of the greedy set up to degree len(monics) - 1.
 
     The monic irreducibles of degree d are the monic polynomials that no P*m
     reaches, for P an irreducible with 2 deg P <= d and m monic of degree
     d - deg P. A depth-first pass over the irreducibles in order takes every
-    product of powers P^e with e in the AP-free set and total degree <=
-    max_degree, and each is multiplied by the q - 1 units.
+    product of powers P^e with e in the AP-free set and total degree at most
+    the top degree.
     """
-    if max_degree < 0:
-        raise ValueError("max_degree must be >= 0")
-    enumeration_size(spec.q, max_degree, budget)
-    pack, mul, multiples = _packer(spec, max_degree + 1, 1024)
-    monics = [[pack(low + (1,)) for low in itertools.product(range(spec.q), repeat=d)] for d in range(max_degree + 1)]
+    max_degree = len(monics) - 1
     irreducibles = []  # (degree, packed), by degree
     for d in range(1, max_degree + 1):
         composite = {mul(f, m) for e, f in irreducibles if 2 * e <= d for m in monics[d - e]}
@@ -118,38 +175,36 @@ def greedy_members(spec, max_degree: int, budget: int = DEFAULT_ENUM_BUDGET):
                 extend(i + 1, mul(g, h), room - d)
 
     extend(0, 1, max_degree)
-    return {Poly._raw(spec, f) for f in multiples(found)}
-
-
-def greedy_construct_bruteforce(spec, max_degree: int, budget: int = DEFAULT_ENUM_BUDGET):
-    """Literal greedy construction: the set of Poly admitted by increasing degree.
-
-    Starts from the nonzero constants; f of degree d is rejected exactly
-    when f = r^2 * a with deg r >= 1 and a, r*a already admitted (f is the
-    largest term of any progression it completes, as degrees increase along
-    one). No division: before degree d, each r*(r*a) of degree d with a and
-    r*a admitted is marked blocked.
-    """
-    if max_degree < 0:
-        raise ValueError("max_degree must be >= 0")
-    enumeration_size(spec.q, max_degree, budget)
-    pack, mul, _ = _packer(spec, max_degree + 1)
-    # packed, by degree: ratios[e] all (e = 0: the constants), levels[d] the admitted below max_degree
-    ratios = [[pack(r.coeffs) for r in enumerate_polys(spec, e)] for e in range(max_degree // 2 + 1)]
-    levels, admitted, found = [ratios[0]], set(), set(enumerate_polys(spec, 0))
-    for d in range(1, max_degree + 1):
-        blocked = set()
-        for e in range(1, d // 2 + 1):
-            for r in ratios[e]:
-                for a in levels[d - 2 * e]:
-                    mid = mul(r, a)
-                    if mid in admitted:
-                        blocked.add(mul(r, mid))
-        level = [f for f in enumerate_polys(spec, d) if not blocked or pack(f.coeffs) not in blocked]
-        found.update(level)
-        levels.append([pack(f.coeffs) for f in level] if d < max_degree else [])
-        admitted.update(levels[d])
     return found
+
+
+def _greedy_construct(mul, monics):
+    """The packed monic members of the literal greedy construction up to degree
+    len(monics) - 1, with monic ratios. No division: before degree d, each
+    r*(r*a) of degree d with a and r*a admitted is marked blocked."""
+    levels, admitted = [monics[0]], set()  # levels[d]: the admitted of degree d
+    for d in range(1, len(monics)):
+        blocked = {mul(r, mid) for e in range(1, d // 2 + 1) for r in monics[e]
+                   for a in levels[d - 2 * e] if (mid := mul(r, a)) in admitted}
+        levels.append([f for f in monics[d] if f not in blocked])
+        admitted.update(levels[d])
+    return [f for level in levels for f in level]
+
+
+def _unit_multiples(spec, gs):
+    """The set of Poly u*g for every unit u and code tuple g in `gs`. The
+    distinct codes of the g are multiplied by each unit in one packed product;
+    no g, no product."""
+    gs = list(gs)
+    if not gs:
+        return set()
+    seen = sorted({c for g in gs for c in g})
+    pack, mul, unpack = _packer(spec, len(seen))
+    row, out = pack(seen), set()
+    for u in range(1, spec.q):
+        image = dict(zip(seen, unpack(mul(row, pack((u,))))))
+        out.update(Poly._raw(spec, tuple(map(image.__getitem__, g))) for g in gs)
+    return out
 
 
 class ProgressionWitness(NamedTuple):

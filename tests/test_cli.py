@@ -17,9 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpfq import factor, make_field, parse_poly, progfree
+from gpfq import factor, format_poly, greedy_member, make_field, parse_poly, progfree
 from gpfq.cli import run
-from gpfq.polyring import MAX_TEXT_DEGREE
+from gpfq.polyring import MAX_TEXT_DEGREE, Poly, _packer
 
 
 @pytest.fixture(scope="module")
@@ -157,11 +157,22 @@ def test_greedy_check(capsys, schema):
 
 
 def test_greedy_check_many_units(capsys):
-    # the unit-tolerant search keys members by their monic forms, so GF(32)'s
-    # 31 units cost at most one product per member
+    # both sets are built, compared and searched by their monic members, and
+    # the 31 units of GF(32) enter only the member count
     code, out, _ = invoke(capsys, "greedy", "check", "--q", "32", "--max-degree", "2")
     assert code == 0
     assert out == "ok: 31775 members up to degree 2 match the exponent characterization; no progression found\n"
+
+
+def test_greedy_check_builds_few_polys(capsys, monkeypatch):
+    # a few Poly per monic polynomial of degree <= 2 over GF(64) (4,161 of
+    # them), not one per member (258,111) or per polynomial
+    calls = []
+    raw = Poly._raw.__func__
+    monkeypatch.setattr(Poly, "_raw", classmethod(lambda cls, *args: calls.append(1) or raw(cls, *args)))
+    code, out, _ = invoke(capsys, "greedy", "check", "--q", "64", "--max-degree", "2")
+    assert code == 0 and out.startswith("ok: 258111 members")
+    assert len(calls) <= 3 * 4161
 
 
 def test_greedy_enumerate(capsys, schema):
@@ -431,11 +442,15 @@ def test_factor_stdout_pinned(capsys, q, degree, spread, digest):
         (3, 6, "2b6240db144f94d7", "d59024761f5aa63f"),
         (4, 5, "f34ce0ae141b39ea", "462688928fe03eb5"),
         (5, 4, "3ff937d366203361", "e3537a570641ff61"),
+        (64, 2, "190445d14d5ef848", "f27681b77da01539"),
+        (1024, 1, "7051d79da797c604", "84a262dda4af52f2"),
+        (8192, 0, "41e0cfe3a3a97b53", "f3702f1458e40ab8"),  # above the log tables
     ],
 )
 def test_greedy_check_stdout_pinned(capsys, q, max_degree, digest, json_digest):
     # sha256 prefixes of the stdout of the division-based greedy construction
-    # and two progression searches per check
+    # and two progression searches per check; the last three rows from the
+    # construction over every polynomial as a set of Poly
     argv = ["greedy", "check", "--q", str(q), "--max-degree", str(max_degree)]
     for flags, want in (((), digest), (("--json",), json_digest)):
         code, out, _ = invoke(capsys, *argv, *flags)
@@ -463,21 +478,25 @@ def test_greedy_enumerate_stdout_pinned(capsys, q, max_degree, digest, json_dige
 @pytest.mark.parametrize(
     "texts, witness",
     [
-        # only up to units (1, x, 2*x^2): the unit-tolerant witness is reported
-        (["1", "x", "2*x^2"], "base=1 ratio=x"),
-        # a strict progression is reported before a canonically earlier tolerant one
-        (["1", "x", "2*x^2", "x+2", "x^2+2", "x^3+x^2+2*x+2"], "base=x+2 ratio=x+1"),
+        (["1", "x", "x^2"], "base=1 ratio=x"),
+        # the canonically least base of the progression's class is 2*(x+2)
+        (["x+2", "x^2+2", "x^3+x^2+2*x+2"], "base=2*x+1 ratio=x+1"),
     ],
 )
 def test_greedy_check_reports_progression(capsys, schema, monkeypatch, texts, witness):
+    # a planted monic construction: its unit multiples are listed, counted and searched
     spec = make_field(3)
-    planted = {parse_poly(spec, t) for t in texts}
-    monkeypatch.setattr(progfree, "greedy_construct_bruteforce", lambda *_: planted)
+    planted = [parse_poly(spec, t) for t in texts]
+    pack = _packer(spec, 4)[0]  # the packed form of greedy check at --max-degree 3
+    monkeypatch.setattr(progfree, "_greedy_construct", lambda *_: [pack(f.coeffs) for f in planted])
+    extra = [format_poly(f) for f in sorted(Poly(spec, (u,)) * f for f in planted if not greedy_member(f) for u in (1, 2))]
     code, out, _ = invoke(capsys, "greedy", "check", "--q", "3", "--max-degree", "3")
     assert code == 1
+    assert [line.split(": ")[1] for line in out.splitlines() if line.startswith("constructed but not")] == extra
     assert out.splitlines()[-1] == f"progression found: {witness}"
     code, obj = invoke_json(capsys, schema, "greedy", "check", "--q", "3", "--max-degree", "3", "--json")
-    assert code == 1 and obj["ok"] is False and obj["members"] == len(texts)
+    assert code == 1 and obj["ok"] is False and obj["members"] == 2 * len(texts)
+    assert obj["extra"] == extra
 
 
 def _planted_lines():

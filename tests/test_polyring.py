@@ -416,7 +416,7 @@ def test_log_domain_makes_no_field_calls(p, k):
 
 # (field, the longest product its searches form): has_progression keeps the
 # ratios within q^(D/2 + 1) <= 2^21, so D <= 41 at q = 2, 25 at q = 3, ...;
-# GF(2^10) is scaled by its units at degree <= 1 (greedy check at D = 1)
+# GF(2^10) takes products of 2 coefficients in greedy check at D = 1
 PACKED_FIELDS = (
     (F2, 42), (F3, 26), (F4, 20), (make_field(3, 2, (1, 0, 1)), 12),
     (make_field(5, 2), 8), (make_field(11), 12), (make_field(2, 10), 2),
@@ -430,14 +430,19 @@ def test_packed_product_matches_oracle(data, case):
     spec, longest = case
     field = DigitField(spec.p, spec.modulus)
     length = data.draw(st.integers(1, longest))
-    pack, mul, multiples = _packer(spec, length, data.draw(st.integers(1, 3)))
+    pack, mul, unpack = _packer(spec, length)
     a = _poly_codes(data.draw, spec.q, data.draw(st.integers(1, length)))  # degree 0 included
     b = _poly_codes(data.draw, spec.q, data.draw(st.integers(1, length + 1 - len(a))))
-    assert mul(pack(a), pack(b)) == pack(tuple(gfq_mul(field, list(a), list(b))))
+    assert (unpack(pack(a)), unpack(pack(b))) == (a, b)
+    assert unpack(mul(pack(a), pack(b))) == tuple(gfq_mul(field, list(a), list(b)))
     assert mul(pack(b), pack(a)) == mul(pack(a), pack(b))
-    gs = [a, b] + [_poly_codes(data.draw, spec.q, data.draw(st.integers(1, length))) for _ in range(data.draw(st.integers(0, 2)))]
-    got = sorted(multiples([pack(g) for g in gs]))
-    assert got == sorted(tuple(field.mul(u, c) for c in g) for g in gs for u in range(1, spec.q))
+
+
+def test_packer_lanes_hold_products_only():
+    # a lane holds a digit of a product, not a whole code: GF(2^10) at length 2
+    # packs each coefficient's 19 digit slots into 8-bit lanes
+    pack = _packer(make_field(2, 10), 2)[0]
+    assert pack((0, 1)) == 1 << 8 * 19
 
 
 def test_packer_refuses_products_past_64_bit_lanes():

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import (
+    DigitField,
     greedy_apfree_integers,
     greedy_construct_divisions,
     has_progression_brute,
@@ -17,6 +18,7 @@ from _oracles import (
 )
 from gpfq import (
     BudgetExceeded,
+    Poly,
     SpecMismatch,
     ZeroPolynomial,
     a3_contains,
@@ -137,6 +139,18 @@ def test_greedy_members_budget():
         greedy_members(F2, 5, budget=10)
     with pytest.raises(ValueError):
         greedy_members(F2, -1)
+
+
+@pytest.mark.parametrize("spec", [F2, F9_101, F11, make_field(3, 5), make_field(2, 10)])
+def test_unit_multiples_match_oracle(spec):
+    # each unit times the distinct codes of the g in one packed product (8-bit
+    # lanes over GF(2) and GF(9), 16-bit ones here otherwise), against DigitField
+    field = DigitField(spec.p, spec.modulus)
+    rng = random.Random(spec.q)
+    gs = [tuple(rng.randrange(spec.q) for _ in range(n)) + (1,) for n in range(4)]
+    expect = {Poly(spec, [field.mul(u, c) for c in g]) for g in gs for u in range(1, spec.q)}
+    assert progfree._unit_multiples(spec, gs) == expect
+    assert progfree._unit_multiples(spec, []) == set()
 
 
 @settings(max_examples=100, deadline=None)
