@@ -58,7 +58,7 @@ def _prime_power(parser, q):
 def _field_for(parser, args):
     p, k = _prime_power(parser, args.q)
     modulus = None
-    if args.modulus:
+    if args.modulus is not None:
         try:
             modulus = tuple(int(c) for c in args.modulus.split(","))
         except ValueError:
@@ -71,36 +71,30 @@ def _field_for(parser, args):
         parser.error(f"invalid field: {exc}")
 
 
-def _emit(args, text_lines, json_obj):
-    """Print the text lines, or under --json the object (called first if a function)."""
-    if getattr(args, "json", False):
-        import json  # only --json pays for loading it
-
-        obj = json_obj() if callable(json_obj) else json_obj
-        print(json.dumps(obj, indent=2, sort_keys=True))
-    else:
-        for line in text_lines:
-            print(line)
-
-
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: each returns (exit code, text lines, JSON object or a
+# function that builds it), and `run` prints one or the other
 # ---------------------------------------------------------------------------
 
-_DENSITY_KINDS = {"greedy": "greedy", "lower": "lower_mq", "upper-simple": "upper_simple", "upper-no": "upper_no"}
+# kind: (density.certify kind, the one of --depth and --terms it reads, if any)
+_DENSITY_KINDS = {"greedy": ("greedy", "depth"), "lower": ("lower_mq", "depth"),
+                  "upper-simple": ("upper_simple", "terms"), "upper-no": ("upper_no", None)}
 
 
 def _cmd_density(parser, args):
+    kind, reads = _DENSITY_KINDS[args.kind]
+    for flag in ("depth", "terms"):
+        if flag != reads and getattr(args, flag) is not None:
+            parser.error(f"density {args.kind} does not take --{flag}")
     _prime_power(parser, args.q)
-    report = density.certify(_DENSITY_KINDS[args.kind], args.q, args.digits, depth=args.depth, terms=args.terms)
-    _emit(args, [report.rendered], lambda: {"command": "density", **report.to_json()})
-    return 0
+    report = density.certify(kind, args.q, args.digits, depth=args.depth, terms=args.terms)
+    return 0, [report.rendered], report.to_json
 
 
 def _cmd_tables(parser, args):
     start = time.monotonic()
     cells = tables.verify_table(args.which)
-    seconds = time.monotonic() - start
+    print(f"table {args.which} verified in {time.monotonic() - start:.2f}s", file=sys.stderr)
     all_pass = all(c.ok for c in cells)
     lines = [
         f"q={c.q} {c.column} expected={c.expected} computed={c.computed} "
@@ -108,59 +102,39 @@ def _cmd_tables(parser, args):
         for c in cells
     ]
     lines.append(f"{sum(c.ok for c in cells)}/{len(cells)} cells PASS")
-    obj = {
-        "command": "tables",
-        "which": args.which,
-        "all_pass": all_pass,
-        "cells": [{key: getattr(c, key) for key in ("q", "column", "expected", "computed", "ok")} for c in cells],
-    }
-    _emit(args, lines, obj)
-    print(f"table {args.which} verified in {seconds:.2f}s", file=sys.stderr)
-    return 0 if all_pass else 1
+    rows = [{key: getattr(c, key) for key in ("q", "column", "expected", "computed", "ok")} for c in cells]
+    return (0 if all_pass else 1), lines, {"which": args.which, "all_pass": all_pass, "cells": rows}
 
 
 def _cmd_figure1(parser, args):
     rows = density.figure1_data(args.qmax)
-    out_lines = ["q,density"] + [f"{q},{val}" for q, val in rows]
-    text = "\n".join(out_lines) + "\n"
-    if args.out:
-        try:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            parser.error(f"cannot write {args.out}: {exc}")
-        print(f"wrote {len(rows)} rows to {args.out}", file=sys.stderr)
-    else:
-        sys.stdout.write(text)
-    return 0
+    lines = ["q,density"] + [f"{q},{val}" for q, val in rows]
+    if not args.out:
+        return 0, lines, None
+    try:
+        with open(args.out, "w") as fh:
+            fh.write("".join(line + "\n" for line in lines))
+    except OSError as exc:
+        parser.error(f"cannot write {args.out}: {exc}")
+    print(f"wrote {len(rows)} rows to {args.out}", file=sys.stderr)
+    return 0, [], None
 
 
 def _cmd_checkpoint(parser, args):
     _prime_power(parser, args.q)
     exact = str(density.checkpoint_density(args.q, args.k))
-    _emit(args, [exact], {"command": "checkpoint", "q": args.q, "k": args.k, "exact": exact})
-    return 0
+    return 0, [exact], {"q": args.q, "k": args.k, "exact": exact}
 
 
 def _cmd_empirical(parser, args):
     _prime_power(parser, args.q)
-    value = density.empirical_greedy_density(args.q, args.max_degree)
-    obj = {
-        "command": "empirical",
-        "q": args.q,
-        "max_degree": args.max_degree,
-        "exact": str(value),
-    }
-    _emit(args, [str(value)], obj)
-    return 0
+    exact = str(density.empirical_greedy_density(args.q, args.max_degree))
+    return 0, [exact], {"q": args.q, "max_degree": args.max_degree, "exact": exact}
 
 
 def _cmd_rn(parser, args):
-    table = density.rn_sequence(args.n)
-    values = list(table)
-    _emit(args, [" ".join(str(v) for v in values)],
-          {"command": "rn", "n": args.n, "values": values})
-    return 0
+    values = list(density.rn_sequence(args.n))
+    return 0, [" ".join(map(str, values))], {"n": args.n, "values": values}
 
 
 def _cmd_factor(parser, args):
@@ -170,70 +144,44 @@ def _cmd_factor(parser, args):
     except Error as exc:
         parser.error(f"bad polynomial {_excerpt(args.poly)}: {exc}")
     fac = factorize(f, seed=args.seed)
-    pieces = [str(fac.unit.code)]
-    pieces += [
-        f"({format_poly(prime)})" + (f"^{e}" if e > 1 else "")
-        for prime, e in fac.parts
-    ]
-    text = " * ".join(pieces)
-    obj = {
-        "command": "factor",
-        "q": args.q,
-        "input": args.poly,
-        "unit": fac.unit.code,
-        "parts": [{"prime": format_poly(p), "exp": e} for p, e in fac.parts],
-    }
-    _emit(args, [text], obj)
-    return 0
+    parts = [(format_poly(prime), e) for prime, e in fac.parts]
+    pieces = [str(fac.unit.code)] + [f"({prime})" + (f"^{e}" if e > 1 else "") for prime, e in parts]
+    obj = {"q": args.q, "input": args.poly, "unit": fac.unit.code, "parts": [{"prime": t, "exp": e} for t, e in parts]}
+    return 0, [" * ".join(pieces)], obj
 
 
-def _cmd_greedy(parser, args):
-    if args.action == "check":
-        spec = _field_for(parser, args)
-        members, extra, missing, witness = progfree.greedy_check(spec, args.max_degree, _enum_budget(parser))
-        lines = [f"constructed but not characterized: {format_poly(f)}" for f in extra]
-        lines += [f"characterized but not constructed: {format_poly(f)}" for f in missing]
-        if witness:
-            lines.append(f"progression found: base={format_poly(witness.base)} ratio={format_poly(witness.ratio)}")
-        ok = not lines
-        if ok:
-            lines.append(
-                f"ok: {members} members up to degree {args.max_degree} "
-                "match the exponent characterization; no progression found"
-            )
-        obj = {
-            "command": "greedy-check",
-            "q": args.q,
-            "max_degree": args.max_degree,
-            "ok": ok,
-            "members": members,
-            "extra": [format_poly(f) for f in extra],
-            "missing": [format_poly(f) for f in missing],
-        }
-        _emit(args, lines, obj)
-        return 0 if ok else 1
+def _cmd_check(parser, args):
+    spec = _field_for(parser, args)
+    members, extra, missing, witness = progfree.greedy_check(spec, args.max_degree, _enum_budget(parser))
+    extra = [format_poly(f) for f in extra]
+    missing = [format_poly(f) for f in missing]
+    lines = [f"constructed but not characterized: {f}" for f in extra]
+    lines += [f"characterized but not constructed: {f}" for f in missing]
+    if witness:
+        lines.append(f"progression found: base={format_poly(witness.base)} ratio={format_poly(witness.ratio)}")
+    ok = not lines
+    if ok:
+        lines = [f"ok: {members} members up to degree {args.max_degree} "
+                 "match the exponent characterization; no progression found"]
+    obj = {"q": args.q, "max_degree": args.max_degree, "ok": ok, "members": members, "extra": extra, "missing": missing}
+    return (0 if ok else 1), lines, obj
 
-    # enumerate: counts from the Euler product, which needs only q; a field is
-    # built to list members, or to check a given --modulus
-    if args.counts_only and not args.modulus:
+
+def _cmd_enumerate(parser, args):
+    # counts come from the Euler product, which needs only q; a field is built
+    # to list members, or to check a given --modulus
+    if args.counts_only and args.modulus is None:
         _prime_power(parser, args.q)
     else:
         spec = _field_for(parser, args)
     if not args.counts_only:
         members = progfree.greedy_members(spec, args.max_degree, _enum_budget(parser))
     counts = density.greedy_counts(args.q, args.max_degree)
-    obj = {
-        "command": "greedy-enumerate",
-        "q": args.q,
-        "max_degree": args.max_degree,
-        "counts": counts,
-    }
+    obj = {"q": args.q, "max_degree": args.max_degree, "counts": counts}
     if args.counts_only:
-        lines = [f"{d} {c}" for d, c in enumerate(counts)]
-    else:
-        lines = obj["members"] = [format_poly(f) for f in sorted(members, key=canonical_key)]
-    _emit(args, lines, obj)
-    return 0
+        return 0, [f"{d} {c}" for d, c in enumerate(counts)], obj
+    lines = obj["members"] = [format_poly(f) for f in sorted(members, key=canonical_key)]
+    return 0, lines, obj
 
 
 def _cmd_progcheck(parser, args):
@@ -245,133 +193,105 @@ def _cmd_progcheck(parser, args):
         parser.error(f"cannot read {args.file}: {exc}")
     polys = [parse_poly(spec, t) for t in polys]  # and the lines' text is freed
     witness = progfree.has_progression(polys, unit_tolerant=args.unit_tolerant)
+    obj = {"q": args.q, "progression_free": witness is None, "witness": None}
     if witness is None:
-        lines = ["progression-free"]
-        obj = {"command": "progcheck", "q": args.q, "progression_free": True, "witness": None}
-    else:
-        members = ", ".join(format_poly(g) for g in witness.members)
-        lines = [
-            f"progression: base={format_poly(witness.base)} "
-            f"ratio={format_poly(witness.ratio)} members=[{members}]"
-        ]
-        obj = {
-            "command": "progcheck",
-            "q": args.q,
-            "progression_free": False,
-            "witness": {
-                "base": format_poly(witness.base),
-                "ratio": format_poly(witness.ratio),
-                "members": [format_poly(g) for g in witness.members],
-            },
-        }
-    _emit(args, lines, obj)
-    return 0
+        return 0, ["progression-free"], obj
+    shown = obj["witness"] = {
+        "base": format_poly(witness.base),
+        "ratio": format_poly(witness.ratio),
+        "members": [format_poly(g) for g in witness.members],
+    }
+    members = ", ".join(shown["members"])
+    return 0, [f"progression: base={shown['base']} ratio={shown['ratio']} members=[{members}]"], obj
 
 
 def _cmd_extremal(parser, args):
     spec = _field_for(parser, args)
     size, witness = progfree.max_progression_free_subset(spec, args.max_degree, args.budget)
-    lines = [f"size={size}", "witness: " + ", ".join(format_poly(f) for f in witness)]
-    obj = {
-        "command": "extremal",
-        "q": args.q,
-        "max_degree": args.max_degree,
-        "size": size,
-        "witness": [format_poly(f) for f in witness],
-    }
-    _emit(args, lines, obj)
-    return 0
+    shown = [format_poly(f) for f in witness]
+    obj = {"q": args.q, "max_degree": args.max_degree, "size": size, "witness": shown}
+    return 0, [f"size={size}", "witness: " + ", ".join(shown)], obj
 
 
 # ---------------------------------------------------------------------------
-# parser wiring
+# parser table: (name, help, handler, arguments), a name of two words under the
+# group its first word names; every handler but figure1's also takes --json,
+# and its JSON object is headed by the name, hyphenated
 # ---------------------------------------------------------------------------
 
-def _add_q(p):
-    p.add_argument("--q", type=int, required=True, help="field order, a prime power")
+def _arg(*flags, **options):
+    return flags, options
 
 
-def _add_field_opts(p):
-    _add_q(p)
-    p.add_argument("--modulus", help="comma-separated modulus coefficients, constant first")
+_Q = _arg("--q", type=int, required=True, help="field order, a prime power")
+_MODULUS = _arg("--modulus", help="comma-separated modulus coefficients, constant first")
+_MAX_DEGREE = _arg("--max-degree", type=_int_in(0), required=True)
+
+_COMMANDS = (
+    ("density", "certified density and bound values", _cmd_density, [
+        _arg("kind", choices=list(_DENSITY_KINDS)),
+        _Q,
+        _arg("--digits", type=_int_in(1, density.MAX_DIGITS), default=6),
+        _arg("--depth", type=_int_in(1, density.MAX_DEPTH), help="fixed product depth instead of adaptive"),
+        _arg("--terms", type=_int_in(0), help="finite progression families for upper-simple"),
+    ]),
+    ("tables", "verify the published tables cell by cell", _cmd_tables, [
+        _arg("--which", type=int, choices=[1, 2, 3], required=True),
+    ]),
+    ("figure1", "density against q as CSV", _cmd_figure1, [
+        _arg("--qmax", type=_int_in(2), default=130),
+        _arg("--out", help="output path (default: stdout)"),
+    ]),
+    ("checkpoint", "exact checkpoint density at N_k", _cmd_checkpoint, [
+        _Q,
+        _arg("--k", type=_int_in(1), required=True),
+    ]),
+    ("empirical", "exact finite-stage greedy density", _cmd_empirical, [_Q, _MAX_DEGREE]),
+    ("rn", "least endpoints r_n for AP-free subsets", _cmd_rn, [_arg("--n", type=_int_in(1), required=True)]),
+    ("factor", "factor a polynomial over F_q", _cmd_factor, [
+        _Q,
+        _MODULUS,
+        _arg("poly", help="polynomial text, e.g. 'x^3+x+1'"),
+        _arg("--seed", type=int, help="override the splitting seed"),
+    ]),
+    ("greedy", "greedy progression-free set operations", None, []),
+    ("greedy check", "brute-force construction vs characterization", _cmd_check, [_Q, _MODULUS, _MAX_DEGREE]),
+    ("greedy enumerate", "list greedy-set members", _cmd_enumerate, [
+        _Q,
+        _MODULUS,
+        _MAX_DEGREE,
+        _arg("--counts-only", action="store_true"),
+    ]),
+    ("progcheck", "search a polynomial list for a progression", _cmd_progcheck, [
+        _Q,
+        _MODULUS,
+        _arg("--file", required=True, help="one polynomial text per line"),
+        _arg("--unit-tolerant", action="store_true"),
+    ]),
+    ("extremal", "exact maximum progression-free subset", _cmd_extremal, [
+        _Q,
+        _MODULUS,
+        _MAX_DEGREE,
+        _arg("--budget", type=_int_in(1), default=progfree.DEFAULT_VERTEX_BUDGET,
+             help="vertex budget (default %(default)s)"),
+    ]),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="gpfq", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("density", help="certified density and bound values")
-    p.add_argument("kind", choices=list(_DENSITY_KINDS))
-    _add_q(p)
-    p.add_argument("--digits", type=_int_in(1, density.MAX_DIGITS), default=6)
-    p.add_argument("--depth", type=_int_in(1, density.MAX_DEPTH), help="fixed product depth instead of adaptive")
-    p.add_argument("--terms", type=_int_in(0), help="finite progression families for upper-simple")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_density)
-
-    p = sub.add_parser("tables", help="verify the published tables cell by cell")
-    p.add_argument("--which", type=int, choices=[1, 2, 3], required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_tables)
-
-    p = sub.add_parser("figure1", help="density against q as CSV")
-    p.add_argument("--qmax", type=_int_in(2), default=130)
-    p.add_argument("--out", help="output path (default: stdout)")
-    p.set_defaults(func=_cmd_figure1)
-
-    p = sub.add_parser("checkpoint", help="exact checkpoint density at N_k")
-    _add_q(p)
-    p.add_argument("--k", type=_int_in(1), required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_checkpoint)
-
-    p = sub.add_parser("empirical", help="exact finite-stage greedy density")
-    _add_q(p)
-    p.add_argument("--max-degree", type=_int_in(0), required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_empirical)
-
-    p = sub.add_parser("rn", help="least endpoints r_n for AP-free subsets")
-    p.add_argument("--n", type=_int_in(1), required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_rn)
-
-    p = sub.add_parser("factor", help="factor a polynomial over F_q")
-    _add_field_opts(p)
-    p.add_argument("poly", help="polynomial text, e.g. 'x^3+x+1'")
-    p.add_argument("--seed", type=int, help="override the splitting seed")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_factor)
-
-    p = sub.add_parser("greedy", help="greedy progression-free set operations")
-    psub = p.add_subparsers(dest="action", required=True)
-    pc = psub.add_parser("check", help="brute-force construction vs characterization")
-    _add_field_opts(pc)
-    pc.add_argument("--max-degree", type=_int_in(0), required=True)
-    pc.add_argument("--json", action="store_true")
-    pc.set_defaults(func=_cmd_greedy)
-    pe = psub.add_parser("enumerate", help="list greedy-set members")
-    _add_field_opts(pe)
-    pe.add_argument("--max-degree", type=_int_in(0), required=True)
-    pe.add_argument("--counts-only", action="store_true")
-    pe.add_argument("--json", action="store_true")
-    pe.set_defaults(func=_cmd_greedy)
-
-    p = sub.add_parser("progcheck", help="search a polynomial list for a progression")
-    _add_field_opts(p)
-    p.add_argument("--file", required=True, help="one polynomial text per line")
-    p.add_argument("--unit-tolerant", action="store_true")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_progcheck)
-
-    p = sub.add_parser("extremal", help="exact maximum progression-free subset")
-    _add_field_opts(p)
-    p.add_argument("--max-degree", type=_int_in(0), required=True)
-    p.add_argument("--budget", type=_int_in(1), default=progfree.DEFAULT_VERTEX_BUDGET,
-                   help="vertex budget (default %(default)s)")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_extremal)
-
+    groups = {"": parser.add_subparsers(dest="command", required=True)}
+    for name, help_text, handler, arguments in _COMMANDS:
+        group, _, leaf = name.rpartition(" ")
+        p = groups[group].add_parser(leaf, help=help_text)
+        if handler is None:
+            groups[name] = p.add_subparsers(dest="action", required=True)
+            continue
+        for flags, options in arguments:
+            p.add_argument(*flags, **options)
+        if handler is not _cmd_figure1:
+            p.add_argument("--json", action="store_true")
+        p.set_defaults(func=handler, name=name)
     return parser
 
 
@@ -383,7 +303,16 @@ def run(argv) -> int:
         args = parser.parse_args(argv)
         if limited:  # exact answers may pass the digit limit; density's budgets bound them
             sys.set_int_max_str_digits(0)
-        return args.func(parser, args)
+        code, lines, obj = args.func(parser, args)
+        if getattr(args, "json", False):
+            import json  # only --json pays for loading it
+
+            obj = obj() if callable(obj) else obj
+            print(json.dumps({"command": args.name.replace(" ", "-"), **obj}, indent=2, sort_keys=True))
+        else:
+            for line in lines:
+                print(line)
+        return code
     except SystemExit as exc:  # argparse usage error (2) or --help (0)
         return exc.code if isinstance(exc.code, int) else 2
     except Error as exc:

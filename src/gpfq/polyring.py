@@ -13,12 +13,12 @@ Modern Computer Algebra, section 8.4) and reduce each lane mod p only when
 unpacking (8-bit lanes by one bytes.translate through the table of i mod p).
 A product's lanes stay below min(len) * (p-1)^2; a division keeps the
 remainder as one int and adds (p - t) * b at each step, so its lanes never
-borrow and must hold (p-1) + steps * (p-1)^2. 8-bit lanes pack at every
-length, wider ones from _PACK_MIN coefficients (the shorter factor, or the
-divisor); a p that no 64-bit lane holds keeps the loop. Over an extension
-field with log tables (q <= 4096, see ff), _mul_log and _divmod_log run that
-loop in the log domain with no ff call: each product is one exp lookup, added
-by XOR at p = 2 and through the Zech table.
+borrow and must hold (p-1) + steps * (p-1)^2. Operands of every length pack
+into the narrowest lane that holds that bound; a bound that no 64-bit lane
+holds keeps the loop. Over an extension field with log tables (q <= 4096,
+see ff), _mul_log and _divmod_log run that loop in the log domain with no ff
+call: each product is one exp lookup, added by XOR at p = 2 and through the
+Zech table.
 
 The progression searches and greedy builds in progfree keep every operand in
 a 2-D packed form over every field (_packer): digit j of code i sits in lane
@@ -53,11 +53,6 @@ NEG_INFINITY = float("-inf")  # degree of the zero polynomial
 #: The largest exponent parse_poly accepts; past it, BudgetExceeded before any allocation.
 MAX_TEXT_DEGREE = 2**20
 
-# Over a prime field, _mul and _divmod pack into 16-, 32- or 64-bit lanes only
-# when the shorter factor (the divisor, for _divmod) has at least this many
-# coefficients; below 16 the loop wins on short divisions. 8-bit lanes pack
-# at every length.
-_PACK_MIN = 16
 # (bits, array typecode) of the unsigned 8-, 16-, 32- and 64-bit lanes
 _LANES = tuple((array(t).itemsize * 8, t) for t in "BHIQ")
 _BIG_ENDIAN = sys.byteorder == "big"  # packed ints are little-endian lanes
@@ -142,7 +137,7 @@ def _mul(spec, a, b):
         short = min(len(a), len(b))
         # a product coefficient is a sum of at most `short` products of codes < p
         lane = _lane(short * (p - 1) ** 2)
-        if lane and (lane[0] == 8 or short >= _PACK_MIN):
+        if lane:
             bits, typecode = lane
             packed_a = _pack(a, typecode)
             packed_b = packed_a if b is a else _pack(b, typecode)
@@ -200,7 +195,7 @@ def _divmod(spec, a, b):
         p = spec.p
         # every step adds at most (p-1)^2 to a lane that starts below p
         lane = _lane((p - 1) + (len(a) - db) * (p - 1) ** 2)
-        if lane and (lane[0] == 8 or len(b) >= _PACK_MIN):
+        if lane:
             return _divmod_packed(p, spec.inv_c(b[-1]), a, b, *lane)
     if spec.log is not None:
         return _divmod_log(spec, a, b)

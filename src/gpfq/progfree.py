@@ -24,7 +24,7 @@ from typing import NamedTuple, Optional, Tuple
 
 from .errors import BudgetExceeded, SpecMismatch, ZeroPolynomial
 from .factor import factorization_exponents
-from .polyring import Poly, _monic_key, _packer, _scale, enumerate_polys, enumerate_upto
+from .polyring import Poly, _monic_key, _packer, _scale
 
 DEFAULT_ENUM_BUDGET = 1 << 21
 DEFAULT_VERTEX_BUDGET = 1023
@@ -193,18 +193,24 @@ def _greedy_construct(mul, monics):
 
 def _unit_multiples(spec, gs):
     """The set of Poly u*g for every unit u and code tuple g in `gs`. The
-    distinct codes of the g are multiplied by each unit in one packed product;
-    no g, no product."""
+    codes 0 and 1 map to 0 and u; the other distinct codes of the g are
+    multiplied by each unit in one packed product. No such code, no product."""
     gs = list(gs)
     if not gs:
         return set()
-    seen = sorted({c for g in gs for c in g})
-    pack, mul, unpack = _packer(spec, len(seen))
-    row, out = pack(seen), set()
-    for u in range(1, spec.q):
-        image = dict(zip(seen, unpack(mul(row, pack((u,))))))
-        out.update(Poly._raw(spec, tuple(map(image.__getitem__, g))) for g in gs)
-    return out
+    seen = sorted({c for g in gs for c in g} - {0, 1})
+    if seen:
+        pack, mul, unpack = _packer(spec, len(seen))
+        row = pack(seen)
+
+    def images():  # code -> u * code, per unit u
+        for u in range(1, spec.q):
+            image = {0: 0, 1: u}
+            if seen:
+                image.update(zip(seen, unpack(mul(row, pack((u,))))))
+            yield image
+
+    return {Poly._raw(spec, tuple(map(image.__getitem__, g))) for image in images() for g in gs}
 
 
 class ProgressionWitness(NamedTuple):
@@ -258,8 +264,8 @@ def _progressions(spec, bases, max_degree: int, unit_tolerant: bool = False):
     enumeration_size(spec.q, max_degree // 2, DEFAULT_ENUM_BUDGET)
     pack, mul, _ = _packer(spec, max_degree + 1)
     key = _monic_key(spec, pack, mul) if unit_tolerant else pack
-    ratios = [(len(r.coeffs), r.coeffs, key(r.coeffs)) for d in range(1, max_degree // 2 + 1)
-              for r in enumerate_polys(spec, d) if not unit_tolerant or next(filter(None, r.coeffs)) == 1]
+    ratios = [(len(r), r, key(r)) for r in _code_tuples(spec.q, 1, max_degree // 2)
+              if not unit_tolerant or next(filter(None, r)) == 1]
 
     def triples():
         for a in bases:
@@ -270,6 +276,13 @@ def _progressions(spec, bases, max_degree: int, unit_tolerant: bool = False):
                 yield a, r, mul(ratio, packed), ratio
 
     return key, mul, triples()
+
+
+def _code_tuples(q, lo, hi):
+    """The code tuples of the nonzero polynomials over GF(q) of degree lo..hi,
+    in canonical order (polyring.enumerate_polys, with no Poly built)."""
+    return [low + (lead,) for d in range(lo, hi + 1)
+            for low in itertools.product(range(q), repeat=d) for lead in range(1, q)]
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +300,7 @@ def max_progression_free_subset(spec, max_degree: int, budget: int = DEFAULT_VER
     search by MAX_SEARCH_WORK edge scans; past either, BudgetExceeded.
     """
     enumeration_size(spec.q, max_degree, budget, nonzero=True)
-    universe = [f.coeffs for f in enumerate_upto(spec, max_degree)]
+    universe = _code_tuples(spec.q, 0, max_degree)
     pack, mul, triples = _progressions(spec, universe, max_degree)
     index = {key: i for i, f in enumerate(universe) for key in (f, pack(f))}
     edges = [(index[a], index[mid], index[mul(mid, ratio)]) for a, r, mid, ratio in triples]

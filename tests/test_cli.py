@@ -1,5 +1,6 @@
 """CLI behavior: outputs, exit codes, JSON schema conformance, determinism."""
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -18,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpfq import factor, format_poly, greedy_member, make_field, parse_poly, progfree
-from gpfq.cli import run
+from gpfq.cli import build_parser, run
 from gpfq.polyring import MAX_TEXT_DEGREE, Poly, _packer
 
 
@@ -165,14 +166,14 @@ def test_greedy_check_many_units(capsys):
 
 
 def test_greedy_check_builds_few_polys(capsys, monkeypatch):
-    # a few Poly per monic polynomial of degree <= 2 over GF(64) (4,161 of
-    # them), not one per member (258,111) or per polynomial
+    # at most one Poly per monic polynomial of degree <= 2 over GF(64) (4,161
+    # of them), not one per member (258,111), per polynomial or per ratio
     calls = []
     raw = Poly._raw.__func__
     monkeypatch.setattr(Poly, "_raw", classmethod(lambda cls, *args: calls.append(1) or raw(cls, *args)))
     code, out, _ = invoke(capsys, "greedy", "check", "--q", "64", "--max-degree", "2")
     assert code == 0 and out.startswith("ok: 258111 members")
-    assert len(calls) <= 3 * 4161
+    assert len(calls) <= 4161
 
 
 def test_greedy_enumerate(capsys, schema):
@@ -373,6 +374,13 @@ def test_checkpoint_budget(capsys, k):
         (["greedy", "check", "--q", "2", "--max-degree", "2"], ("GPFQ_ENUM_BUDGET", "-5")),
         (["greedy", "check", "--q", "2", "--max-degree", "2"], ("GPFQ_ENUM_BUDGET", "1e3")),
         (["greedy", "enumerate", "--q", "2", "--max-degree", "2"], ("GPFQ_ENUM_BUDGET", "0")),
+        (["density", "upper-no", "--q", "2", "--depth", "3"], None),
+        (["density", "upper-simple", "--q", "2", "--depth", "3"], None),
+        (["density", "greedy", "--q", "2", "--terms", "3"], None),
+        (["density", "lower", "--q", "2", "--terms", "3"], None),
+        (["density", "upper-no", "--q", "2", "--terms", "3"], None),
+        (["factor", "--q", "2", "--modulus", "", "x+1"], None),
+        (["greedy", "enumerate", "--q", "2", "--max-degree", "2", "--counts-only", "--modulus", ""], None),
     ],
 )
 def test_bad_argv_or_env_is_usage_error(capsys, monkeypatch, argv, env):
@@ -381,6 +389,107 @@ def test_bad_argv_or_env_is_usage_error(capsys, monkeypatch, argv, env):
     code, out, err = invoke(capsys, *argv)
     assert code == 2
     assert "Traceback" not in err and out == ""
+
+
+def test_density_and_modulus_refusals_name_the_flag(capsys):
+    # a flag the kind does not read, and an empty --modulus, were once ignored
+    for argv, named in (
+        (["density", "upper-no", "--q", "2", "--depth", "3"], "does not take --depth"),
+        (["density", "lower", "--q", "2", "--terms", "3"], "does not take --terms"),
+        (["factor", "--q", "2", "--modulus", "", "x+1"], "--modulus ''"),
+    ):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (2, "") and named in err
+
+
+_SUBCOMMANDS = {
+    "density": "certified density and bound values",
+    "tables": "verify the published tables cell by cell",
+    "figure1": "density against q as CSV",
+    "checkpoint": "exact checkpoint density at N_k",
+    "empirical": "exact finite-stage greedy density",
+    "rn": "least endpoints r_n for AP-free subsets",
+    "factor": "factor a polynomial over F_q",
+    "greedy": "greedy progression-free set operations",
+    "progcheck": "search a polynomial list for a progression",
+    "extremal": "exact maximum progression-free subset",
+}
+_Q = (["--q"], True, None, None, "field order, a prime power")
+_MODULUS = (["--modulus"], False, None, None, "comma-separated modulus coefficients, constant first")
+_MAX_DEGREE = (["--max-degree"], True, None, None, None)
+_JSON = (["--json"], False, False, None, None)
+# per parser level after -h: (option strings, required, default, choices, help) of each
+# action; a subparsers action's choices are {name: help}
+_PARSER_LEVELS = {
+    "gpfq": [([], True, None, _SUBCOMMANDS, None)],
+    "gpfq density": [
+        ([], True, None, ["greedy", "lower", "upper-simple", "upper-no"], None),
+        _Q,
+        (["--digits"], False, 6, None, None),
+        (["--depth"], False, None, None, "fixed product depth instead of adaptive"),
+        (["--terms"], False, None, None, "finite progression families for upper-simple"),
+        _JSON,
+    ],
+    "gpfq tables": [(["--which"], True, None, [1, 2, 3], None), _JSON],
+    "gpfq figure1": [
+        (["--qmax"], False, 130, None, None),
+        (["--out"], False, None, None, "output path (default: stdout)"),
+    ],
+    "gpfq checkpoint": [_Q, (["--k"], True, None, None, None), _JSON],
+    "gpfq empirical": [_Q, _MAX_DEGREE, _JSON],
+    "gpfq rn": [(["--n"], True, None, None, None), _JSON],
+    "gpfq factor": [
+        _Q,
+        _MODULUS,
+        ([], True, None, None, "polynomial text, e.g. 'x^3+x+1'"),
+        (["--seed"], False, None, None, "override the splitting seed"),
+        _JSON,
+    ],
+    "gpfq greedy": [
+        ([], True, None, {
+            "check": "brute-force construction vs characterization",
+            "enumerate": "list greedy-set members",
+        }, None),
+    ],
+    "gpfq greedy check": [_Q, _MODULUS, _MAX_DEGREE, _JSON],
+    "gpfq greedy enumerate": [_Q, _MODULUS, _MAX_DEGREE, (["--counts-only"], False, False, None, None), _JSON],
+    "gpfq progcheck": [
+        _Q,
+        _MODULUS,
+        (["--file"], True, None, None, "one polynomial text per line"),
+        (["--unit-tolerant"], False, False, None, None),
+        _JSON,
+    ],
+    "gpfq extremal": [
+        _Q,
+        _MODULUS,
+        _MAX_DEGREE,
+        (["--budget"], False, 1023, None, "vertex budget (default %(default)s)"),
+        _JSON,
+    ],
+}
+
+
+def _parser_levels(parser):
+    """{prog: [pinned fields of each action]} over the parser and every subparser below it."""
+    rows = []
+    levels = {parser.prog: rows}
+    for action in parser._actions:
+        choices = action.choices
+        if isinstance(action, argparse._SubParsersAction):
+            choices = {choice.dest: choice.help for choice in action._choices_actions}
+            for sub in action.choices.values():
+                levels.update(_parser_levels(sub))
+        elif choices is not None:
+            choices = list(choices)
+        rows.append((action.option_strings, action.required, action.default, choices, action.help))
+    return levels
+
+
+def test_parser_actions_are_pinned():
+    # the fields each parser level's actions are built with, not the rendered --help
+    help_row = (["-h", "--help"], False, argparse.SUPPRESS, None, "show this help message and exit")
+    assert _parser_levels(build_parser()) == {prog: [help_row, *rows] for prog, rows in _PARSER_LEVELS.items()}
 
 
 @pytest.mark.parametrize(

@@ -171,7 +171,7 @@ def test_factorize_deterministic():
     assert a.expand() == f
 
 
-# (field, largest degree drawn): prime fields reach past the packed-kernel cutoff
+# (field, largest degree drawn): prime fields reach the wider packed lanes
 EXPAND_FIELDS = ((F2, 64), (F3, 40), (make_field(7), 24), (F4, 24), (make_field(2, 9), 6))
 
 

@@ -30,7 +30,7 @@ from gpfq import (
     x,
     zero,
 )
-from gpfq.polyring import MAX_TEXT_DEGREE, _PACK_MIN, _divmod, _lane, _mul, _packer, _parse_term
+from gpfq.polyring import MAX_TEXT_DEGREE, _divmod, _lane, _mul, _packer, _parse_term
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -298,9 +298,9 @@ def _poly_codes(draw, p, length):
 @given(data=st.data(), p=st.sampled_from(KERNEL_PRIMES))
 def test_kernel_mul_divmod_match_oracle(data, p):
     spec = make_field(p)
-    # lengths on both sides of the cutoff; dividends up to many steps long
-    a = _poly_codes(data.draw, p, data.draw(st.integers(0, 6 * _PACK_MIN)))
-    b = _poly_codes(data.draw, p, data.draw(st.integers(0, 2 * _PACK_MIN + 8)))
+    # short and long operands, so lanes of every width; dividends up to many steps long
+    a = _poly_codes(data.draw, p, data.draw(st.integers(0, 6 * 16)))
+    b = _poly_codes(data.draw, p, data.draw(st.integers(0, 2 * 16 + 8)))
     assert list(_mul(spec, a, b)) == fp_mul(p, list(a), list(b))
     assert list(_mul(spec, b, b)) == fp_mul(p, list(b), list(b))
     if b:
@@ -319,15 +319,15 @@ def test_lane_widths():
 
 @pytest.mark.parametrize("p", [2, 3, 65521])
 def test_kernel_makes_no_coefficient_calls(p):
-    # past the cutoff over a prime field no per-coefficient ff operation runs
+    # over a prime field whose bound a 64-bit lane holds no per-coefficient ff operation runs
     spec = make_field(p)
 
     def refuse(*args):
         raise AssertionError("per-coefficient call")
 
     rng = random.Random(p)
-    a = tuple(rng.randrange(p) for _ in range(3 * _PACK_MIN)) + (1,)
-    b = tuple(rng.randrange(p) for _ in range(_PACK_MIN)) + (p - 1,)
+    a = tuple(rng.randrange(p) for _ in range(3 * 16)) + (1,)
+    b = tuple(rng.randrange(p) for _ in range(16)) + (p - 1,)
     expect = (_mul(spec, a, b), _divmod(spec, a, b))
     for name in ("add_c", "neg_c", "mul_c"):
         setattr(spec, name, refuse)
@@ -345,7 +345,7 @@ def test_byte_lanes_make_no_coefficient_calls_below_cutoff(p):
     rng = random.Random(p)
     a = tuple(rng.randrange(p) for _ in range(6)) + (1,)
     b = tuple(rng.randrange(p) for _ in range(2)) + (p - 1,)
-    assert len(b) < len(a) < _PACK_MIN
+    assert len(b) < len(a) < 16
     expect = (_mul(spec, a, b), _divmod(spec, a, b))
     quot, rem = expect[1]
     assert list(expect[0]) == fp_mul(p, list(a), list(b))
@@ -353,6 +353,24 @@ def test_byte_lanes_make_no_coefficient_calls_below_cutoff(p):
     for name in ("add_c", "neg_c", "mul_c"):
         setattr(spec, name, refuse)
     assert (_mul(spec, a, b), _divmod(spec, a, b)) == expect
+
+
+@pytest.mark.parametrize("p", [251, 65521])
+def test_wide_lanes_pack_short_operands(p, monkeypatch):
+    # 32- and 64-bit lanes pack a 3-coefficient factor or divisor too: no per-coefficient ff call
+    spec = make_field(p)
+
+    def refuse(*args):
+        raise AssertionError("per-coefficient call")
+
+    rng = random.Random(p)
+    a = tuple(rng.randrange(p) for _ in range(6)) + (1,)
+    b = (rng.randrange(p), rng.randrange(p), p - 1)
+    for name in ("add_c", "neg_c", "mul_c"):
+        monkeypatch.setattr(spec, name, refuse)
+    quot, rem = _divmod(spec, a, b)
+    assert list(_mul(spec, a, b)) == fp_mul(p, list(a), list(b))
+    assert (list(quot), list(rem)) == fp_divmod(p, list(a), list(b))
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])

@@ -153,6 +153,16 @@ def test_unit_multiples_match_oracle(spec):
     assert progfree._unit_multiples(spec, []) == set()
 
 
+def test_unit_multiples_of_zeros_and_ones_pack_nothing(monkeypatch):
+    # u*0 = 0 and u*1 = u need no product: over GF(2^13) the one _packer call is _monics'
+    calls = []
+    packer = progfree._packer
+    monkeypatch.setattr(progfree, "_packer", lambda *args: calls.append(args) or packer(*args))
+    spec = make_field(2, 13)
+    assert greedy_members(spec, 0) == {Poly(spec, [u]) for u in range(1, spec.q)}
+    assert len(calls) == 1
+
+
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_has_progression_matches_divisibility_oracle(data):
