@@ -4,75 +4,60 @@ Exact constructions and membership tests for the greedy progression-free
 set, certified-interval evaluation of its density and of the published
 lower/upper bounds, and exhaustive combinatorial searches, all in exact
 rational arithmetic.
+
+Importing the package runs only `errors` and `intarith`. Each layer module
+below is in `sys.modules` and is an attribute of the package from the start,
+but its code runs on the first attribute access (`importlib.util.LazyLoader`),
+so a command runs only the layers it calls. The exported names resolve
+through `_EXPORTS` on first use (PEP 562).
 """
 
-from .density import (
-    DensityReport,
-    RnTable,
-    checkpoint_density,
-    empirical_greedy_density,
-    figure1_data,
-    greedy_counts,
-    greedy_density,
-    greedy_density_interval,
-    lower_bound_mq,
-    mq_interval,
-    rn_sequence,
-    upper_bound_no,
-    upper_bound_no_interval,
-    upper_bound_simple,
-)
-from .errors import (
-    BudgetExceeded,
-    CodeOutOfRange,
-    CoefficientOutOfRange,
-    DivisionByZero,
-    Error,
-    NeedsMorePrecision,
-    NegativeOperand,
-    NotPrime,
-    PolySyntaxError,
-    ReducibleModulus,
-    SpecMismatch,
-    WrongDegreeModulus,
-    ZeroPolynomial,
-)
-from .factor import (
-    Factorization,
-    enumerate_irreducibles,
-    factorization_exponents,
-    factorize,
-    is_irreducible,
-)
-from .ff import FieldElem, FieldSpec, make_field
-from .intarith import count_irreducibles, nk
-from .numeric import Interval, exp_upper, render_decimal, round_half_away
-from .polyring import (
-    NEG_INFINITY,
-    Poly,
-    canonical_key,
-    derivative,
-    enumerate_monic,
-    enumerate_polys,
-    enumerate_upto,
-    format_poly,
-    gcd,
-    make_monic,
-    one,
-    parse_poly,
-    x,
-    zero,
-)
-from .progfree import (
-    ProgressionWitness,
-    a3_contains,
-    a3_list,
-    greedy_construct_bruteforce,
-    greedy_member,
-    greedy_members,
-    has_progression,
-    max_progression_free_subset,
-    reflected_degrees,
-)
+import importlib.util
+import sys
 
+from . import errors, intarith
+
+# module: the names the package exports from it
+_EXPORTS = {
+    "density": """DensityReport RnTable checkpoint_density empirical_greedy_density figure1_data
+        greedy_counts greedy_density greedy_density_interval lower_bound_mq mq_interval rn_sequence
+        upper_bound_no upper_bound_no_interval upper_bound_simple""",
+    "errors": """BudgetExceeded CodeOutOfRange CoefficientOutOfRange DivisionByZero Error
+        NeedsMorePrecision NegativeOperand NotPrime PolySyntaxError ReducibleModulus SpecMismatch
+        WrongDegreeModulus ZeroPolynomial""",
+    "factor": "Factorization enumerate_irreducibles factorization_exponents factorize is_irreducible",
+    "ff": "FieldElem FieldSpec make_field",
+    "intarith": "count_irreducibles nk",
+    "numeric": "Interval exp_upper render_decimal round_half_away",
+    "polyring": """NEG_INFINITY Poly canonical_key derivative enumerate_monic enumerate_polys enumerate_upto
+        format_poly gcd make_monic one parse_poly x zero""",
+    "progfree": """ProgressionWitness a3_contains a3_list greedy_construct_bruteforce greedy_member
+        greedy_members has_progression max_progression_free_subset reflected_degrees""",
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+__all__ = sorted(_MODULE_OF)
 __version__ = "0.1.0"
+
+
+def _lazy(name):
+    """The submodule `name`, registered in `sys.modules`; its code runs on first attribute access."""
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+density, factor, ff, numeric, polyring, progfree, tables = map(
+    _lazy, ("density", "factor", "ff", "numeric", "polyring", "progfree", "tables"))
+
+
+def __getattr__(name):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(globals()[_MODULE_OF[name]], name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

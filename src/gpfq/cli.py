@@ -15,12 +15,10 @@ import os
 import sys
 import time
 
-from . import density, progfree, tables
-from .errors import BudgetExceeded, Error
-from .factor import factorize
-from .ff import make_field
+# the layers are read at call time, so a subcommand runs only the ones it calls
+from . import density, factor, ff, polyring, progfree, tables
+from .errors import DEFAULT_ENUM_BUDGET, DEFAULT_VERTEX_BUDGET, MAX_DEPTH, MAX_DIGITS, BudgetExceeded, Error
 from .intarith import prime_power
-from .polyring import _excerpt, canonical_key, format_poly, parse_poly
 
 
 def _int_in(lo: int, hi: float = float("inf")):
@@ -39,7 +37,7 @@ def _enum_budget(parser) -> int:
     """GPFQ_ENUM_BUDGET, or the default cap on polynomial enumerations."""
     raw = os.environ.get("GPFQ_ENUM_BUDGET")
     try:
-        return _int_in(1)(raw) if raw else progfree.DEFAULT_ENUM_BUDGET
+        return _int_in(1)(raw) if raw else DEFAULT_ENUM_BUDGET
     except ValueError:
         parser.error(f"GPFQ_ENUM_BUDGET={raw!r} is not a positive integer")
 
@@ -64,7 +62,7 @@ def _field_for(parser, args):
         except ValueError:
             parser.error(f"--modulus {args.modulus!r} is not a comma-separated integer list")
     try:
-        return make_field(p, k, modulus)
+        return ff.make_field(p, k, modulus)
     except BudgetExceeded:
         raise  # a computation limit (exit 1), not a usage error
     except Error as exc:
@@ -72,8 +70,9 @@ def _field_for(parser, args):
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns (exit code, text lines, JSON object or a
-# function that builds it), and `run` prints one or the other
+# subcommand handlers: each takes its own subparser, for usage errors, and the
+# parsed arguments; it returns (exit code, text lines, JSON object or a function
+# that builds it), and `run` prints one or the other
 # ---------------------------------------------------------------------------
 
 # kind: (density.certify kind, the one of --depth and --terms it reads, if any)
@@ -140,11 +139,11 @@ def _cmd_rn(parser, args):
 def _cmd_factor(parser, args):
     spec = _field_for(parser, args)
     try:
-        f = parse_poly(spec, args.poly)
+        f = polyring.parse_poly(spec, args.poly)
     except Error as exc:
-        parser.error(f"bad polynomial {_excerpt(args.poly)}: {exc}")
-    fac = factorize(f, seed=args.seed)
-    parts = [(format_poly(prime), e) for prime, e in fac.parts]
+        parser.error(f"bad polynomial {polyring._excerpt(args.poly)}: {exc}")
+    fac = factor.factorize(f, seed=args.seed)
+    parts = [(polyring.format_poly(prime), e) for prime, e in fac.parts]
     pieces = [str(fac.unit.code)] + [f"({prime})" + (f"^{e}" if e > 1 else "") for prime, e in parts]
     obj = {"q": args.q, "input": args.poly, "unit": fac.unit.code, "parts": [{"prime": t, "exp": e} for t, e in parts]}
     return 0, [" * ".join(pieces)], obj
@@ -153,12 +152,13 @@ def _cmd_factor(parser, args):
 def _cmd_check(parser, args):
     spec = _field_for(parser, args)
     members, extra, missing, witness = progfree.greedy_check(spec, args.max_degree, _enum_budget(parser))
-    extra = [format_poly(f) for f in extra]
-    missing = [format_poly(f) for f in missing]
+    extra = [polyring.format_poly(f) for f in extra]
+    missing = [polyring.format_poly(f) for f in missing]
     lines = [f"constructed but not characterized: {f}" for f in extra]
     lines += [f"characterized but not constructed: {f}" for f in missing]
     if witness:
-        lines.append(f"progression found: base={format_poly(witness.base)} ratio={format_poly(witness.ratio)}")
+        lines.append(f"progression found: base={polyring.format_poly(witness.base)} "
+                     f"ratio={polyring.format_poly(witness.ratio)}")
     ok = not lines
     if ok:
         lines = [f"ok: {members} members up to degree {args.max_degree} "
@@ -180,7 +180,7 @@ def _cmd_enumerate(parser, args):
     obj = {"q": args.q, "max_degree": args.max_degree, "counts": counts}
     if args.counts_only:
         return 0, [f"{d} {c}" for d, c in enumerate(counts)], obj
-    lines = obj["members"] = [format_poly(f) for f in sorted(members, key=canonical_key)]
+    lines = obj["members"] = [polyring.format_poly(f) for f in sorted(members, key=polyring.canonical_key)]
     return 0, lines, obj
 
 
@@ -191,15 +191,15 @@ def _cmd_progcheck(parser, args):
             polys = [line.strip() for line in fh if line.strip()]
     except (OSError, UnicodeDecodeError) as exc:
         parser.error(f"cannot read {args.file}: {exc}")
-    polys = [parse_poly(spec, t) for t in polys]  # and the lines' text is freed
+    polys = [polyring.parse_poly(spec, t) for t in polys]  # and the lines' text is freed
     witness = progfree.has_progression(polys, unit_tolerant=args.unit_tolerant)
     obj = {"q": args.q, "progression_free": witness is None, "witness": None}
     if witness is None:
         return 0, ["progression-free"], obj
     shown = obj["witness"] = {
-        "base": format_poly(witness.base),
-        "ratio": format_poly(witness.ratio),
-        "members": [format_poly(g) for g in witness.members],
+        "base": polyring.format_poly(witness.base),
+        "ratio": polyring.format_poly(witness.ratio),
+        "members": [polyring.format_poly(g) for g in witness.members],
     }
     members = ", ".join(shown["members"])
     return 0, [f"progression: base={shown['base']} ratio={shown['ratio']} members=[{members}]"], obj
@@ -208,7 +208,7 @@ def _cmd_progcheck(parser, args):
 def _cmd_extremal(parser, args):
     spec = _field_for(parser, args)
     size, witness = progfree.max_progression_free_subset(spec, args.max_degree, args.budget)
-    shown = [format_poly(f) for f in witness]
+    shown = [polyring.format_poly(f) for f in witness]
     obj = {"q": args.q, "max_degree": args.max_degree, "size": size, "witness": shown}
     return 0, [f"size={size}", "witness: " + ", ".join(shown)], obj
 
@@ -231,8 +231,8 @@ _COMMANDS = (
     ("density", "certified density and bound values", _cmd_density, [
         _arg("kind", choices=list(_DENSITY_KINDS)),
         _Q,
-        _arg("--digits", type=_int_in(1, density.MAX_DIGITS), default=6),
-        _arg("--depth", type=_int_in(1, density.MAX_DEPTH), help="fixed product depth instead of adaptive"),
+        _arg("--digits", type=_int_in(1, MAX_DIGITS), default=6),
+        _arg("--depth", type=_int_in(1, MAX_DEPTH), help="fixed product depth instead of adaptive"),
         _arg("--terms", type=_int_in(0), help="finite progression families for upper-simple"),
     ]),
     ("tables", "verify the published tables cell by cell", _cmd_tables, [
@@ -272,7 +272,7 @@ _COMMANDS = (
         _Q,
         _MODULUS,
         _MAX_DEGREE,
-        _arg("--budget", type=_int_in(1), default=progfree.DEFAULT_VERTEX_BUDGET,
+        _arg("--budget", type=_int_in(1), default=DEFAULT_VERTEX_BUDGET,
              help="vertex budget (default %(default)s)"),
     ]),
 )
@@ -291,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(*flags, **options)
         if handler is not _cmd_figure1:
             p.add_argument("--json", action="store_true")
-        p.set_defaults(func=handler, name=name)
+        p.set_defaults(func=handler, name=name, parser=p)
     return parser
 
 
@@ -303,7 +303,7 @@ def run(argv) -> int:
         args = parser.parse_args(argv)
         if limited:  # exact answers may pass the digit limit; density's budgets bound them
             sys.set_int_max_str_digits(0)
-        code, lines, obj = args.func(parser, args)
+        code, lines, obj = args.func(args.parser, args)
         if getattr(args, "json", False):
             import json  # only --json pays for loading it
 

@@ -35,15 +35,11 @@ from fractions import Fraction
 from math import comb, log2
 from typing import NamedTuple, Optional, Union
 
-from .errors import BudgetExceeded, NeedsMorePrecision
+from .errors import MAX_DEPTH, MAX_DIGITS, MAX_TAIL_BITS, BudgetExceeded, NeedsMorePrecision
 from .intarith import count_irreducibles, nk, prime_powers_upto
 from .numeric import Interval, exp_upper, render_decimal
 
 DEFAULT_START_DEPTH = 3
-#: One x86-64 core builds q=2 depth 9 in about 1.6 s and depth 10 in 14 s.
-MAX_DEPTH = 9
-MAX_TAIL_BITS = 3 ** (MAX_DEPTH + 1)  # the q=2 tail at MAX_DEPTH, as a cost bound for every q
-MAX_DIGITS = MAX_TAIL_BITS * 3 // 10  # about the most a product within MAX_TAIL_BITS resolves
 MAX_CHECKPOINT_BITS = 2**20  # denominators q^(N_k + 1) and q^(2+3T); q=2, k=13 prints in a few seconds
 #: The last r_n searched. The search is deterministic, so its cost depends on n alone:
 #: r_1..r_22 take 9,997,192 DFS nodes (9 to 15 s on one x86-64 core), r_23 alone more than 2^24.

@@ -22,12 +22,10 @@ from __future__ import annotations
 import itertools
 from typing import NamedTuple, Optional, Tuple
 
-from .errors import BudgetExceeded, SpecMismatch, ZeroPolynomial
-from .factor import factorization_exponents
+from . import factor
+from .errors import DEFAULT_ENUM_BUDGET, DEFAULT_VERTEX_BUDGET, BudgetExceeded, SpecMismatch, ZeroPolynomial
 from .polyring import Poly, _monic_key, _packer, _scale
 
-DEFAULT_ENUM_BUDGET = 1 << 21
-DEFAULT_VERTEX_BUDGET = 1023
 #: Edge scans (nodes times edges) `_largest_free_set` may make; q=2, D=9 needs about 3.3e6.
 MAX_SEARCH_WORK = 2**25
 
@@ -85,7 +83,7 @@ def greedy_member(f: Poly) -> bool:
     """
     if f.is_zero():
         raise ZeroPolynomial("membership of the zero polynomial")
-    return all(a3_contains(e) for e in factorization_exponents(f))
+    return all(a3_contains(e) for e in factor.factorization_exponents(f))
 
 
 def greedy_members(spec, max_degree: int, budget: int = DEFAULT_ENUM_BUDGET):

@@ -192,8 +192,8 @@ def test_greedy_counts_factor_nothing(capsys, monkeypatch):
     def refuse(*_):
         raise AssertionError("factorization called")
 
-    for module in (factor, progfree):
-        monkeypatch.setattr(module, "factorization_exponents", refuse)
+    # progfree reads factorization_exponents from factor at call time
+    monkeypatch.setattr(factor, "factorization_exponents", refuse)
     monkeypatch.setattr(factor, "factorize", refuse)
     code, out, _ = invoke(capsys, "empirical", "--q", "2", "--max-degree", "13")
     assert (code, out.strip()) == (0, "10639/16384")
@@ -400,6 +400,28 @@ def test_density_and_modulus_refusals_name_the_flag(capsys):
     ):
         code, out, err = invoke(capsys, *argv)
         assert (code, out) == (2, "") and named in err
+
+
+@pytest.mark.parametrize(
+    "argv, env, prog, named",
+    [
+        (["density", "upper-no", "--q", "2", "--depth", "3"], None, "gpfq density", "does not take --depth"),
+        (["density", "greedy", "--q", "6"], None, "gpfq density", "--q 6 is not a prime power"),
+        (["checkpoint", "--q", "1", "--k", "2"], None, "gpfq checkpoint", "--q 1"),
+        (["factor", "--q", "2", "--modulus", "", "x+1"], None, "gpfq factor", "--modulus ''"),
+        (["factor", "--q", "2", "x^^2"], None, "gpfq factor", "bad polynomial"),
+        (["greedy", "check", "--q", "2", "--max-degree", "2"], "0", "gpfq greedy check", "GPFQ_ENUM_BUDGET"),
+        (["progcheck", "--q", "2", "--file", "{tmp}/missing.txt"], None, "gpfq progcheck", "cannot read"),
+        (["figure1", "--qmax", "2", "--out", "{tmp}/missing/fig1.csv"], None, "gpfq figure1", "cannot write"),
+    ],
+)
+def test_handler_usage_errors_show_the_subcommand_usage(capsys, monkeypatch, tmp_path, argv, env, prog, named):
+    # a usage error a handler finds names its own subcommand, as argparse's own errors do
+    if env:
+        monkeypatch.setenv("GPFQ_ENUM_BUDGET", env)
+    code, out, err = invoke(capsys, *(arg.format(tmp=tmp_path) for arg in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"usage: {prog} [-h] ") and f"\n{prog}: error: " in err and named in err
 
 
 _SUBCOMMANDS = {
@@ -706,29 +728,50 @@ def test_large_arguments_end_at_once(argv, code):
         )
 
 
-_LAYERS = ("cli", "tables", "density", "progfree", "factor", "polyring", "numeric")
+_LAYERS = ("cli", "tables", "density", "progfree", "factor", "polyring", "numeric", "ff")
 _STARTUP_PROBE = f"""
-import sys
+import sys, types
 before = set(sys.modules)
 from gpfq import cli
 code = cli.run(sys.argv[1:])
 print(code, file=sys.stderr)
 print(*(m for m in ("dataclasses", "inspect", "json") if m in sys.modules and m not in before), file=sys.stderr)
 print(*(m for m in {_LAYERS!r} if "gpfq." + m in sys.modules), file=sys.stderr)
+print(*(m for m in {_LAYERS!r} if type(sys.modules.get("gpfq." + m)) is types.ModuleType), file=sys.stderr)
 """
 
 
-@pytest.mark.parametrize("json_flag, heavy", [([], ""), (["--json"], "json")])
-def test_startup_imports(json_flag, heavy):
-    # a cold run loads neither dataclasses nor inspect, and json only under --json;
-    # it still loads every layer module, which per-layer tracing of a cold run relies on
-    argv = ["density", "greedy", "--q", "2", "--digits", "6", *json_flag]
+def _startup_probe(*argv):
+    """(stderr lines, stdout) of one cold run of _STARTUP_PROBE."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     proc = subprocess.run(
         [sys.executable, "-c", _STARTUP_PROBE, *argv], capture_output=True, text=True, timeout=30, env=env,
     )
-    assert proc.stderr.splitlines() == ["0", heavy, " ".join(_LAYERS)]
-    assert "0.648361" in proc.stdout
+    return proc.stderr.splitlines(), proc.stdout
+
+
+@pytest.mark.parametrize("json_flag, heavy", [([], ""), (["--json"], "json")])
+def test_startup_imports(json_flag, heavy):
+    # a cold run loads neither dataclasses nor inspect, and json only under --json.
+    # Every layer module is in sys.modules from `import gpfq` on, which per-layer
+    # tracing of a cold run relies on, but only the layers the subcommand calls
+    # have run: one that has not is a lazily loaded module, not a plain ModuleType
+    err, out = _startup_probe("density", "greedy", "--q", "2", "--digits", "6", *json_flag)
+    assert err == ["0", heavy, " ".join(_LAYERS), "cli density numeric"]
+    assert "0.648361" in out
+
+
+@pytest.mark.parametrize(
+    "argv, ran, out",
+    [
+        # factoring over GF(4) searches its modulus and factors, but runs no number layer
+        (["factor", "--q", "4", "x^3+1"], "cli factor polyring ff", "1 * (x+[1]) * (x+[2]) * (x+[3])\n"),
+        # the extremal search over a prime field factors nothing
+        (["extremal", "--q", "2", "--max-degree", "1"], "cli progfree polyring ff", "size=3\nwitness: 1, x, x+1\n"),
+    ],
+)
+def test_startup_imports_polynomial_commands(argv, ran, out):
+    assert _startup_probe(*argv) == (["0", "", " ".join(_LAYERS), ran], out)
 
 
 _FUZZ_COMMANDS = {  # subcommand: (the flags it requires, the flags it takes besides)

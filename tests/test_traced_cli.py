@@ -1,0 +1,34 @@
+"""The benchmark's traced run, perfbench/traced_cli.py, wraps every layer right after
+`import gpfq.cli`, before any layer has run; it must still trace and answer like a plain run."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+HARNESS = Path(__file__).resolve().parent.parent / "perfbench" / "traced_cli.py"
+
+
+@pytest.mark.parametrize(
+    "argv, layers",
+    [
+        (["density", "greedy", "--q", "2", "--digits", "6"], ("density", "numeric")),
+        (["factor", "--q", "4", "x^3+1"], ("factor", "polyring")),
+    ],
+)
+def test_traced_run_answers_like_a_plain_run(tmp_path, argv, layers):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    plain = subprocess.run(
+        [sys.executable, "-m", "gpfq.cli", *argv], capture_output=True, text=True, timeout=30, env=env,
+    )
+    trace = tmp_path / "trace.json"
+    traced = subprocess.run(
+        [sys.executable, str(HARNESS), str(trace), *argv], capture_output=True, text=True, timeout=30, env=env,
+    )
+    assert (traced.returncode, plain.returncode) == (0, 0), traced.stderr[-300:]
+    assert traced.stdout == plain.stdout
+    calls = json.loads(trace.read_text())["calls"]
+    assert [layer for layer in layers if calls[layer] == 0] == []
