@@ -180,7 +180,7 @@ def _cmd_enumerate(parser, args):
     obj = {"q": args.q, "max_degree": args.max_degree, "counts": counts}
     if args.counts_only:
         return 0, [f"{d} {c}" for d, c in enumerate(counts)], obj
-    lines = obj["members"] = [polyring.format_poly(f) for f in sorted(members, key=polyring.canonical_key)]
+    lines = obj["members"] = [polyring.format_poly(f) for f in members]
     return 0, lines, obj
 
 

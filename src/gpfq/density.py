@@ -125,11 +125,9 @@ def greedy_density_interval(q: int, depth: int) -> Interval:
 
 
 def mq_interval(q: int, depth: int) -> Interval:
-    """m_q = (1 - q^-2) * prod_{i>=1} (1 + q^(-3^i)) through `depth`, certified."""
-    partial = 1 - Fraction(1, q * q)
-    for i in range(1, depth + 1):
-        partial *= 1 + Fraction(1, q ** (3**i))
-    return Interval.point(partial) * _one_plus_tail(Fraction(1, q ** (3 ** (depth + 1))))
+    """m_q = (1 - q^-2) * prod_{i>=1} (1 + q^(-3^i)) through `depth`, certified; the partial
+    product is checkpoint_density(q, depth + 1), as (1 - 1/q)(1 + 1/q) = 1 - q^-2."""
+    return Interval.point(checkpoint_density(q, depth + 1)) * _one_plus_tail(Fraction(1, q ** (3 ** (depth + 1))))
 
 
 def greedy_density(q: int, digits: int = 6) -> DensityReport:

@@ -393,10 +393,6 @@ def _default_modulus(p, k):
     # base-p digits of p^(k-1), p^(k-1) + 1, ...: starting there skips the
     # constant term 0 (x divides those), and no range(p) is ever listed.
     for n in itertools.count(p ** (k - 1)):
-        low = []
-        for _ in range(k):
-            n, c = divmod(n, p)
-            low.append(c)
-        cand = tuple(reversed(low)) + (1,)
+        cand = tuple(n // p ** (k - 1 - i) % p for i in range(k)) + (1,)
         if factor.is_irreducible(polyring.Poly(base, cand)):
             return cand

@@ -306,12 +306,23 @@ def _packer(spec, length):
     return pack, mul, unpack
 
 
+def _unit_ops(spec):
+    """(times, inverse) on nonzero codes with no field call: mod p over GF(p) and
+    by the exp/log tables over a tabled GF(p^k); only a field with no tables
+    (q > 4096, see ff) falls back to its own mul_c and inv_c."""
+    p, q, exp, log = spec.p, spec.q, spec.exp, spec.log
+    if spec.k == 1:
+        return (lambda a, b: a * b % p), (lambda c: pow(c, p - 2, p))
+    if log is not None:
+        return (lambda a, b: exp[log[a] + log[b]]), (lambda c: exp[q - 1 - log[c]])
+    return spec.mul_c, spec.inv_c
+
+
 def _monic_key(spec, pack, mul):
     """pack(monic form of cs) for nonzero code tuples cs, with `pack` and `mul` from _packer: one
-    product by the packed inverse of the lead, none when the lead is 1. The inverse is read with no
-    field call, by Fermat over GF(p) and from the log tables over GF(p^k), which must exist."""
-    p, q, exp, log = spec.p, spec.q, spec.exp, spec.log
-    inverse = (lambda c: pow(c, p - 2, p)) if spec.k == 1 else (lambda c: exp[q - 1 - log[c]])
+    product by the packed inverse of the lead, none when the lead is 1. The inverse comes from
+    _unit_ops, so no field call is made over GF(p) or a tabled GF(p^k)."""
+    inverse = _unit_ops(spec)[1]
     return lambda cs: pack(cs) if cs[-1] == 1 else mul(pack(cs), pack((inverse(cs[-1]),)))
 
 
@@ -511,28 +522,37 @@ def derivative(f: Poly) -> Poly:
 # enumeration
 # ---------------------------------------------------------------------------
 
+def _code_tuples(q, lo, hi, leads=None):
+    """The code tuples of the nonzero polynomials over GF(q) of degree lo..hi
+    whose lead is in `leads` (by default every nonzero code), lazily, in
+    canonical order: the one enumerator behind every listing of polynomials."""
+    leads = range(1, q) if leads is None else leads
+    return (low + (lead,) for d in range(lo, hi + 1)
+            for low in itertools.product(range(q), repeat=d) for lead in leads)
+
+
+def _canonical(rows):
+    """The code tuples `rows` sorted in canonical order (stable sorts: lex, then by degree)."""
+    return sorted(sorted(rows), key=len)
+
+
 def enumerate_polys(spec, degree: int):
     """All (q-1)*q^degree polynomials of exact degree, in canonical order."""
     if degree < 0:
         raise ValueError("degree must be >= 0")
-    q = spec.q
-    for low in itertools.product(range(q), repeat=degree):
-        for lead in range(1, q):
-            yield Poly._raw(spec, low + (lead,))
+    yield from map(partial(Poly._raw, spec), _code_tuples(spec.q, degree, degree))
 
 
 def enumerate_monic(spec, degree: int):
     """All q^degree monic polynomials of exact degree, in canonical order."""
     if degree < 0:
         raise ValueError("degree must be >= 0")
-    for low in itertools.product(range(spec.q), repeat=degree):
-        yield Poly._raw(spec, low + (1,))
+    yield from map(partial(Poly._raw, spec), _code_tuples(spec.q, degree, degree, (1,)))
 
 
 def enumerate_upto(spec, max_degree: int):
     """All nonzero polynomials of degree <= max_degree, in canonical order."""
-    for d in range(max_degree + 1):
-        yield from enumerate_polys(spec, d)
+    return map(partial(Poly._raw, spec), _code_tuples(spec.q, 0, max_degree))
 
 
 # ---------------------------------------------------------------------------

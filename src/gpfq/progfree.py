@@ -13,8 +13,8 @@ branch and bound over them as hyperedges). The searches and greedy builds
 multiply and compare polynomials as ints in polyring's 2-D packed form.
 
 The greedy set is closed under units, so both greedy builds run on the
-packed monic polynomials alone; only a set of Poly or a reported member is
-expanded to its q - 1 unit multiples.
+packed monic polynomials alone; only a listing of members is expanded to
+their q - 1 unit multiples, as a list of Poly in canonical order.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import NamedTuple, Optional, Tuple
 
 from . import factor
 from .errors import DEFAULT_ENUM_BUDGET, DEFAULT_VERTEX_BUDGET, BudgetExceeded, SpecMismatch, ZeroPolynomial
-from .polyring import Poly, _monic_key, _packer, _scale
+from .polyring import Poly, _canonical, _code_tuples, _monic_key, _packer, _scale, _unit_ops
 
 #: Edge scans (nodes times edges) `_largest_free_set` may make; q=2, D=9 needs about 3.3e6.
 MAX_SEARCH_WORK = 2**25
@@ -87,16 +87,17 @@ def greedy_member(f: Poly) -> bool:
 
 
 def greedy_members(spec, max_degree: int, budget: int = DEFAULT_ENUM_BUDGET):
-    """The set of Poly of degree <= max_degree that `greedy_member` admits,
-    built from the irreducibles instead of by factoring each polynomial: the
-    unit multiples of `_greedy_sieve`'s monic members.
+    """The Poly of degree <= max_degree that `greedy_member` admits, in
+    canonical order, built from the irreducibles instead of by factoring each
+    polynomial: the unit multiples of `_greedy_sieve`'s monic members.
     """
     mul, unpack, monics = _monics(spec, max_degree, budget)
     return _unit_multiples(spec, map(unpack, _greedy_sieve(mul, monics)))
 
 
 def greedy_construct_bruteforce(spec, max_degree: int, budget: int = DEFAULT_ENUM_BUDGET):
-    """Literal greedy construction: the set of Poly admitted by increasing degree.
+    """Literal greedy construction: the Poly admitted by increasing degree, in
+    canonical order.
 
     Starts from the nonzero constants; f of degree d is rejected exactly
     when f = r^2 * a with deg r >= 1 and a, r*a already admitted (f is the
@@ -113,9 +114,9 @@ def greedy_construct_bruteforce(spec, max_degree: int, budget: int = DEFAULT_ENU
 
 def greedy_check(spec, max_degree: int, budget: int = DEFAULT_ENUM_BUDGET):
     """(members, extra, missing, witness) for the greedy construction against
-    the characterization up to max_degree: its member count, the sorted Poly
-    it admits beyond `greedy_members` and those it lacks, and a progression
-    in it or None.
+    the characterization up to max_degree: its member count, the Poly it
+    admits beyond `greedy_members` and those it lacks, each in canonical
+    order, and a progression in it or None.
 
     Both sets are closed under units, so they are compared by their monic
     members. In a set closed under units a progression up to units is a
@@ -125,7 +126,7 @@ def greedy_check(spec, max_degree: int, budget: int = DEFAULT_ENUM_BUDGET):
     """
     mul, unpack, monics = _monics(spec, max_degree, budget)
     constructed, characterized = set(_greedy_construct(mul, monics)), set(_greedy_sieve(mul, monics))
-    extra, missing = (sorted(_unit_multiples(spec, map(unpack, s)))
+    extra, missing = (_unit_multiples(spec, map(unpack, s))
                       for s in (constructed - characterized, characterized - constructed))
     least = [Poly._raw(spec, _scale(spec, cs, spec.inv_c(next(filter(None, cs))))) for cs in map(unpack, constructed)]
     return (spec.q - 1) * len(constructed), extra, missing, has_progression(least, unit_tolerant=True)
@@ -140,8 +141,7 @@ def _monics(spec, max_degree: int, budget: int):
         raise ValueError("max_degree must be >= 0")
     enumeration_size(spec.q, max_degree, budget)
     pack, mul, unpack = _packer(spec, max_degree + 1)
-    return mul, unpack, [[pack(low + (1,)) for low in itertools.product(range(spec.q), repeat=d)]
-                         for d in range(max_degree + 1)]
+    return mul, unpack, [list(map(pack, _code_tuples(spec.q, d, d, (1,)))) for d in range(max_degree + 1)]
 
 
 def _greedy_sieve(mul, monics):
@@ -190,25 +190,17 @@ def _greedy_construct(mul, monics):
 
 
 def _unit_multiples(spec, gs):
-    """The set of Poly u*g for every unit u and code tuple g in `gs`. The
-    codes 0 and 1 map to 0 and u; the other distinct codes of the g are
-    multiplied by each unit in one packed product. No such code, no product."""
+    """The Poly u*g for every unit u and code tuple g in `gs`, in canonical
+    order. Each unit maps the codes through one dict: 0 to 0, 1 to u and any
+    other code c to times(u, c) of _unit_ops."""
     gs = list(gs)
-    if not gs:
-        return set()
-    seen = sorted({c for g in gs for c in g} - {0, 1})
-    if seen:
-        pack, mul, unpack = _packer(spec, len(seen))
-        row = pack(seen)
-
-    def images():  # code -> u * code, per unit u
-        for u in range(1, spec.q):
-            image = {0: 0, 1: u}
-            if seen:
-                image.update(zip(seen, unpack(mul(row, pack((u,))))))
-            yield image
-
-    return {Poly._raw(spec, tuple(map(image.__getitem__, g))) for image in images() for g in gs}
+    times = _unit_ops(spec)[0]
+    seen = {c for g in gs for c in g}
+    rows = []
+    for u in range(1, spec.q):
+        image = {c: c * u if c < 2 else times(u, c) for c in seen}
+        rows += (tuple(map(image.__getitem__, g)) for g in gs)
+    return [Poly._raw(spec, cs) for cs in _canonical(rows)]
 
 
 class ProgressionWitness(NamedTuple):
@@ -242,7 +234,7 @@ def has_progression(polys, unit_tolerant: bool = False) -> Optional[ProgressionW
     top = max(lengths) - 1
     if min(lengths) >= top:  # a base has degree <= top - 2
         return None
-    bases = sorted(sorted({f.coeffs for f in members if len(f.coeffs) < top}), key=len)  # canonical order
+    bases = _canonical({f.coeffs for f in members if len(f.coeffs) < top})
     key, mul, triples = _progressions(spec, bases, top, unit_tolerant)
     present = {key(f.coeffs) for f in members}
     for a, r, mid, ratio in triples:
@@ -276,13 +268,6 @@ def _progressions(spec, bases, max_degree: int, unit_tolerant: bool = False):
     return key, mul, triples()
 
 
-def _code_tuples(q, lo, hi):
-    """The code tuples of the nonzero polynomials over GF(q) of degree lo..hi,
-    in canonical order (polyring.enumerate_polys, with no Poly built)."""
-    return [low + (lead,) for d in range(lo, hi + 1)
-            for low in itertools.product(range(q), repeat=d) for lead in range(1, q)]
-
-
 # ---------------------------------------------------------------------------
 # exact extremal search (maximum progression-free subset)
 # ---------------------------------------------------------------------------
@@ -298,7 +283,7 @@ def max_progression_free_subset(spec, max_degree: int, budget: int = DEFAULT_VER
     search by MAX_SEARCH_WORK edge scans; past either, BudgetExceeded.
     """
     enumeration_size(spec.q, max_degree, budget, nonzero=True)
-    universe = _code_tuples(spec.q, 0, max_degree)
+    universe = list(_code_tuples(spec.q, 0, max_degree))
     pack, mul, triples = _progressions(spec, universe, max_degree)
     index = {key: i for i, f in enumerate(universe) for key in (f, pack(f))}
     edges = [(index[a], index[mid], index[mul(mid, ratio)]) for a, r, mid, ratio in triples]

@@ -84,8 +84,8 @@ def test_criterion_5_characterization_equivalence():
         polys = list(enumerate_upto(spec, dmax))
         assert len(polys) == universe
         constructed = greedy_construct_bruteforce(spec, dmax)
-        characterized = {f for f in polys if greedy_member(f)}
-        assert constructed == characterized
+        characterized = [f for f in polys if greedy_member(f)]
+        assert constructed == characterized  # as lists: in canonical order too
         assert has_progression(constructed) is None
         assert has_progression(constructed, unit_tolerant=True) is None
     _report(5, "greedy construction == exponent characterization, q=2 d<=8 and q=3 d<=5", start, 120)

@@ -19,6 +19,7 @@ from gpfq import (
     ZeroPolynomial,
     canonical_key,
     derivative,
+    enumerate_monic,
     enumerate_polys,
     enumerate_upto,
     format_poly,
@@ -30,7 +31,7 @@ from gpfq import (
     x,
     zero,
 )
-from gpfq.polyring import MAX_TEXT_DEGREE, _divmod, _lane, _mul, _packer, _parse_term
+from gpfq.polyring import MAX_TEXT_DEGREE, _divmod, _lane, _mul, _packer, _parse_term, _unit_ops
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -148,9 +149,12 @@ def test_enumeration_examples():
 
 
 def test_enumeration_canonical_order():
-    for spec in (F2, F3):
+    for spec in (F2, F3, F4):
         seq = list(enumerate_upto(spec, 3))
         assert seq == sorted(seq, key=canonical_key)
+        assert len(seq) == spec.q**4 - 1
+        monic = [f for d in range(4) for f in enumerate_monic(spec, d)]
+        assert monic == [f for f in seq if f.is_monic()]
 
 
 def test_parse_examples():
@@ -454,6 +458,23 @@ def test_packed_product_matches_oracle(data, case):
     assert (unpack(pack(a)), unpack(pack(b))) == (a, b)
     assert unpack(mul(pack(a), pack(b))) == tuple(gfq_mul(field, list(a), list(b)))
     assert mul(pack(b), pack(a)) == mul(pack(a), pack(b))
+
+
+@pytest.mark.parametrize("p, k", [(7, 1), (3, 2), (2, 10), (2, 13)])
+def test_unit_ops_match_field(p, k):
+    # mod p over GF(7), log tables over GF(9) and GF(2^10), no field call in
+    # either; above the tables (GF(2^13)) the field's own mul_c and inv_c
+    spec = make_field(p, k)
+    assert (spec.log is None) == (k in (1, 13))
+    units = range(1, spec.q) if spec.q < 100 else random.Random(spec.q).sample(range(1, spec.q), 64)
+    expect = [(spec.inv_c(a), [spec.mul_c(a, b) for b in units]) for a in units]
+    if k < 13:
+        def refuse(*args):
+            raise AssertionError("field call")
+
+        spec.mul_c = spec.inv_c = refuse
+    times, inverse = _unit_ops(spec)
+    assert [(inverse(a), [times(a, b) for b in units]) for a in units] == expect
 
 
 def test_packer_lanes_hold_products_only():

@@ -82,8 +82,8 @@ def test_greedy_member_examples():
 
 def test_greedy_construct_examples():
     got = greedy_construct_bruteforce(F2, 2)
-    assert {format_poly(f) for f in got} == {"1", "x", "x+1", "x^2+x", "x^2+x+1"}
-    assert greedy_construct_bruteforce(F2, 0) == {P(F2, "1")}
+    assert [format_poly(f) for f in got] == ["1", "x", "x+1", "x^2+x", "x^2+x+1"]
+    assert greedy_construct_bruteforce(F2, 0) == [P(F2, "1")]
     assert len(greedy_construct_bruteforce(F3, 1)) == 8  # no progression fits below degree 2
 
 
@@ -95,8 +95,8 @@ def test_greedy_budget():
 def test_equivalence_small():
     for spec, dmax in ((F2, 6), (F3, 4)):
         constructed = greedy_construct_bruteforce(spec, dmax)
-        characterized = {f for f in enumerate_upto(spec, dmax) if greedy_member(f)}
-        assert constructed == characterized
+        characterized = [f for f in enumerate_upto(spec, dmax) if greedy_member(f)]
+        assert constructed == characterized  # as lists: in canonical order too
 
 
 @pytest.mark.parametrize("p, k", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (5, 2)])
@@ -104,15 +104,15 @@ def test_greedy_construct_matches_division_oracle(p, k):
     # every D with q^(D+1) <= 4096 (for GF(11) and GF(25) also the largest D
     # whose division oracle runs in under 2 s); the greedy set up to D is the
     # oracle's set at the largest such D cut to degree <= D, as each degree is
-    # decided by the lower ones alone
+    # decided by the lower ones alone; each oracle is listed in canonical order
     spec = make_field(p, k)
     top = max(d for d in range(12) if spec.q ** (d + 1) <= 4096)
     divided = greedy_construct_divisions(spec, top)
-    characterized = {f for f in enumerate_upto(spec, top) if greedy_member(f)}
+    characterized = [f for f in enumerate_upto(spec, top) if greedy_member(f)]
     for d in range(top + 1):
         got = greedy_construct_bruteforce(spec, d)
-        assert got == {f for f in divided if f.degree <= d}
-        assert got == {f for f in characterized if f.degree <= d}
+        assert got == [f for f in enumerate_upto(spec, d) if f in divided]
+        assert got == [f for f in characterized if f.degree <= d]
 
 
 @pytest.mark.parametrize("p, k", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (5, 2)])
@@ -120,13 +120,13 @@ def test_greedy_members_match_factoring_oracle(p, k):
     # three routes to one set at every D with q^(D+1) <= 4096, and for GF(11)
     # and GF(25) up to the largest D whose factoring oracle runs in under 2 s:
     # the sieve of irreducibles, factoring each polynomial, and the
-    # Euler-product counts
+    # Euler-product counts; the factoring oracle is listed in canonical order
     spec = make_field(p, k)
     top = {(11, 1): 3, (5, 2): 2}.get((p, k)) or max(d for d in range(12) if spec.q ** (d + 1) <= 4096)
-    characterized = {f for f in enumerate_upto(spec, top) if greedy_member(f)}
+    characterized = [f for f in enumerate_upto(spec, top) if greedy_member(f)]
     for d in range(top + 1):
         got = greedy_members(spec, d)
-        assert got == {f for f in characterized if f.degree <= d}
+        assert got == [f for f in characterized if f.degree <= d]
         counts = [0] * (d + 1)
         for f in got:
             counts[f.degree] += 1
@@ -134,7 +134,7 @@ def test_greedy_members_match_factoring_oracle(p, k):
 
 
 def test_greedy_members_budget():
-    assert greedy_members(F2, 0) == {P(F2, "1")}
+    assert greedy_members(F2, 0) == [P(F2, "1")]
     with pytest.raises(BudgetExceeded):
         greedy_members(F2, 5, budget=10)
     with pytest.raises(ValueError):
@@ -143,23 +143,28 @@ def test_greedy_members_budget():
 
 @pytest.mark.parametrize("spec", [F2, F9_101, F11, make_field(3, 5), make_field(2, 10)])
 def test_unit_multiples_match_oracle(spec):
-    # each unit times the distinct codes of the g in one packed product (8-bit
-    # lanes over GF(2) and GF(9), 16-bit ones here otherwise), against DigitField
+    # each unit times each code of the g, against DigitField's products
+    # sorted in canonical order
     field = DigitField(spec.p, spec.modulus)
     rng = random.Random(spec.q)
     gs = [tuple(rng.randrange(spec.q) for _ in range(n)) + (1,) for n in range(4)]
-    expect = {Poly(spec, [field.mul(u, c) for c in g]) for g in gs for u in range(1, spec.q)}
+    expect = sorted(Poly(spec, [field.mul(u, c) for c in g]) for g in gs for u in range(1, spec.q))
     assert progfree._unit_multiples(spec, gs) == expect
-    assert progfree._unit_multiples(spec, []) == set()
+    assert progfree._unit_multiples(spec, []) == []
 
 
 def test_unit_multiples_of_zeros_and_ones_pack_nothing(monkeypatch):
-    # u*0 = 0 and u*1 = u need no product: over GF(2^13) the one _packer call is _monics'
+    # the unit multiples map codes through dicts: over GF(2^13), above the log
+    # tables, the one _packer call is _monics'
     calls = []
     packer = progfree._packer
     monkeypatch.setattr(progfree, "_packer", lambda *args: calls.append(args) or packer(*args))
     spec = make_field(2, 13)
-    assert greedy_members(spec, 0) == {Poly(spec, [u]) for u in range(1, spec.q)}
+    assert greedy_members(spec, 0) == [Poly(spec, [u]) for u in range(1, spec.q)]
+    assert len(calls) == 1
+    gs = [(1,), (0, 1), (5, 0, 1)]
+    expect = sorted(Poly(spec, [spec.mul_c(u, c) for c in g]) for g in gs for u in range(1, spec.q))
+    assert progfree._unit_multiples(spec, gs) == expect
     assert len(calls) == 1
 
 
