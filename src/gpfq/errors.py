@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the limits the CLI checks arguments against.
+"""Exception types shared across the package, the limits the CLI checks arguments against, and factor's work budget.
 
 Every command loads this module, so the front end reads these limits without
 running the layers that enforce them; `density` and `progfree` re-export them.
@@ -10,6 +10,10 @@ MAX_TAIL_BITS = 3 ** (MAX_DEPTH + 1)  # the q=2 tail at MAX_DEPTH, as a cost bou
 MAX_DIGITS = MAX_TAIL_BITS * 3 // 10  # about the most a product within MAX_TAIL_BITS resolves
 DEFAULT_ENUM_BUDGET = 1 << 21
 DEFAULT_VERTEX_BUDGET = 1023
+#: What one factorize call may do: Euclid and division steps and ring products, each
+#: weighted by its modulus degree (see factor); about 1000x what the largest input
+#: tested, `factor --q 2 "x^1048576+1"`, uses.
+MAX_FACTOR_WORK = 1 << 31
 
 
 class Error(Exception):

@@ -5,12 +5,27 @@ The pipeline is the standard one, complete in every characteristic:
   1. squarefree decomposition via gcd(f, f'); what the gcd keeps of f after
      the squarefree parts (all of f when f' = 0) is some g^p, so recurse on g,
      whose coefficients are recovered through the inverse Frobenius a -> a^(q/p);
-  2. distinct-degree splitting of each squarefree part via x^(q^d) mod f;
+  2. distinct-degree splitting of each squarefree part via h_d = x^(q^d) mod f,
+     blocked (von zur Gathen and Shoup, "Computing Frobenius maps and factoring
+     polynomials", 1992): the product of h_d - x over _BLOCK consecutive degrees
+     is accumulated mod f and one gcd with f is taken per block, and only a block
+     whose gcd is nontrivial is split degree by degree;
   3. equal-degree splitting (Cantor-Zassenhaus) by randomized powering, with
      the trace construction in characteristic 2.
 
-The randomized stage draws from a generator seeded by (q, encoding of f), so
-factorizations are bit-reproducible unless a caller overrides the seed.
+Steps 2 and 3 and is_irreducible run in a residue ring GF(q)[x]/(f). Over GF(p)
+it is _Packed, on polyring's 1-D lane-packed ints: a product is reduced by
+Barrett reduction with mu = x^(2n) // f, computed once per modulus, and a gcd
+runs a Euclid that keeps both operands packed (von zur Gathen and Gerhard,
+Modern Computer Algebra, sections 8.4 and 9.1). Over an extension field, or a
+prime whose lane bound fits no 64-bit lane, it is _Residues on code tuples, with
+one gcd per degree in step 2. No other layer builds either ring.
+
+factorize counts its work (_Work): every Euclid or division step and every ring
+product costs the degree of its modulus, and past MAX_FACTOR_WORK it raises
+BudgetExceeded. The randomized stage draws from a generator seeded by
+(q, encoding of f), so factorizations are bit-reproducible unless a caller
+overrides the seed.
 """
 
 from __future__ import annotations
@@ -18,23 +33,31 @@ from __future__ import annotations
 import random
 from typing import NamedTuple, Tuple
 
-from .errors import ZeroPolynomial
+from .errors import MAX_FACTOR_WORK, BudgetExceeded, ZeroPolynomial
 from .ff import FieldElem, FieldSpec
-from .intarith import prime_divisors
 from .polyring import (
     Poly,
     _add,
+    _byte_mod,
     _deriv,
     _divmod,
-    _gcd,
+    _lane,
     _mod,
     _monic,
-    _powmod,
+    _mul,
+    _pack,
     _sub,
     _trim,
+    _unpack,
     canonical_key,
     enumerate_monic,
 )
+
+#: Degrees per gcd in the distinct-degree split over a packed ring.
+_BLOCK = 8
+
+_TO_DIGITS = bytes.maketrans(b"\0\1", b"01")
+_FROM_DIGITS = bytes.maketrans(b"01", b"\0\1")
 
 
 class Factorization(NamedTuple):
@@ -56,33 +79,262 @@ class Factorization(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
+# work budget
+# ---------------------------------------------------------------------------
+
+class _Work:
+    """The work one factorization may still do, in steps weighted by the degree of their modulus."""
+
+    __slots__ = ("left",)
+
+    def __init__(self, budget):
+        self.left = budget
+
+    def charge(self, units):
+        self.left -= units
+        if self.left < 0:
+            raise BudgetExceeded(f"factoring needs more than the work budget of {MAX_FACTOR_WORK} degree-weighted steps")
+
+
+_UNMETERED = _Work(float("inf"))
+
+
+# ---------------------------------------------------------------------------
+# packed lanes, and metered gcd and exact division
+# ---------------------------------------------------------------------------
+
+def _lane_for(spec, n):
+    """polyring's packed lane for products of residues of degree < n over GF(p), or None."""
+    return _lane(max(n, 2) * (spec.p - 1) ** 2) if spec.k == 1 else None
+
+
+def _reducer(p, bits, typecode, lanes):
+    """The function reducing every lane of a packed int mod p (at p = 2, of at most `lanes` lanes)."""
+    if p == 2:  # a lane's parity is its lowest bit
+        return int.from_bytes((b"\1" + bytes(bits // 8 - 1)) * lanes, "little").__and__
+    if bits == 8:
+        table = _byte_mod(p)
+        return lambda n: int.from_bytes(n.to_bytes(n.bit_length() + 7 >> 3, "little").translate(table), "little")
+    return lambda n: _pack(_unpack(n, -(-n.bit_length() // bits), bits, typecode, p), typecode)
+
+
+def _euclid(p, lane, a, b, work):
+    """Monic gcd of two packed polynomials whose lanes are below p, as a code tuple.
+
+    A division step adds (p - t) * b, shifted, to a, so lanes only grow and never
+    borrow: the lead is read mod p, and an operand's lanes are all reduced only
+    when the next step could overflow one. At p = 2 both operands move to one bit
+    per coefficient, and a step is one XOR. Each division is charged its steps.
+    """
+    bits, typecode = lane
+    weight = (max(a.bit_length(), b.bit_length()) - 1) // bits
+    if p == 2:
+        a, b = _bits(a, bits), _bits(b, bits)
+        while b:
+            la, lb = a.bit_length(), b.bit_length()
+            if la >= lb:
+                work.charge((la - lb + 1) * weight)
+                while la >= lb:
+                    a ^= b << la - lb
+                    la = a.bit_length()
+            a, b = b, a
+        return tuple(bin(a)[:1:-1].encode().translate(_FROM_DIGITS)) if a else ()
+    mask = (1 << bits) - 1
+    reduce = _reducer(p, bits, typecode, 0)
+    da, db = (a.bit_length() - 1) // bits, (b.bit_length() - 1) // bits
+    ba = bb = p - 1  # bounds on the lanes of a and b
+    while db >= 0:
+        inv = pow((b >> db * bits) % p, p - 2, p)
+        if da >= db:
+            work.charge((da - db + 1) * weight)
+        while da >= db:
+            t = (a >> da * bits & mask) * inv % p
+            if t:
+                m = p - t
+                if ba + m * bb > mask:
+                    a, ba = reduce(a), p - 1
+                    if ba + m * bb > mask:
+                        b, bb = reduce(b), p - 1
+                a += m * b << (da - db) * bits
+                ba += m * bb
+            da -= 1
+        while da >= 0 and (a >> da * bits & mask) % p == 0:
+            da -= 1
+        a &= (1 << (da + 1) * bits) - 1  # drop the cancelled lanes
+        a, b, da, db, ba, bb = b, a, db, da, bb, ba
+    if da < 0:
+        return ()
+    cs = _unpack(a, da + 1, bits, typecode, p)
+    inv = pow(cs[-1], p - 2, p)
+    return tuple(c * inv % p for c in cs)
+
+
+def _bits(n, bits):
+    """The 1-bit form of a packed GF(2) polynomial whose lanes are 0 or 1: bit i is the coefficient of x^i."""
+    step = bits // 8
+    raw = n.to_bytes(-(-n.bit_length() // bits) * step, "little")[::step]
+    return int(raw[::-1].translate(_TO_DIGITS), 2) if raw else 0
+
+
+def _gcd(spec, a, b, work):
+    """Monic gcd of code tuples, packed (_euclid) over GF(p) when a lane holds it."""
+    lane = _lane_for(spec, max(len(a), len(b)))
+    if lane:
+        return _euclid(spec.p, lane, _pack(a, lane[1]), _pack(b, lane[1]), work)
+    weight = max(len(a), len(b)) - 1
+    while b:
+        work.charge(max(len(a) - len(b) + 1, 0) * weight)
+        a, b = b, _mod(spec, a, b)
+    return _monic(spec, a)[1] if a else ()
+
+
+def _quotient(spec, a, b, work):
+    """a // b, charged its division steps at the degree of a."""
+    work.charge(max(len(a) - len(b) + 1, 0) * (len(a) - 1))
+    return _divmod(spec, a, b)[0]
+
+
+# ---------------------------------------------------------------------------
+# residue rings modulo a monic f of degree n >= 1
+# ---------------------------------------------------------------------------
+
+def _residues(spec, f, work=_UNMETERED):
+    """The ring GF(q)[x]/(f): packed when f's products fit a lane, on code tuples otherwise."""
+    return (_Packed if _lane_for(spec, len(f) - 1) else _Residues)(spec, f, work)
+
+
+class _Residues:
+    """GF(q)[x]/(f) on code tuples of length at most n, through polyring's _mul and _mod.
+
+    Elements are canonical, so equal residues compare equal. Every product is
+    charged n units of `work`, and every gcd its Euclid steps.
+    """
+
+    block = 1  # degrees per gcd in _distinct_degree
+
+    def __init__(self, spec, f, work):
+        self.spec, self.f, self.n, self.work = spec, f, len(f) - 1, work
+        self.one = self.elem((1,))
+        self.x = self.elem((0, 1))
+
+    def over(self, g):
+        """The same kind of ring modulo g."""
+        return type(self)(self.spec, g, self.work)
+
+    def elem(self, cs):
+        """The residue of the code tuple cs."""
+        return _mod(self.spec, cs, self.f)
+
+    def codes(self, a):
+        return a
+
+    def add(self, a, b):
+        return _add(self.spec, a, b)
+
+    def sub(self, a, b):
+        return _sub(self.spec, a, b)
+
+    def mul(self, a, b):
+        self.work.charge(self.n)
+        return _mod(self.spec, _mul(self.spec, a, b), self.f)
+
+    def pow(self, a, e):
+        """a^e for e >= 1, by square and multiply."""
+        result = None
+        while True:
+            if e & 1:
+                result = a if result is None else self.mul(result, a)
+            e >>= 1
+            if not e:
+                return result
+            a = self.mul(a, a)
+
+    def frobenius(self, a):
+        return self.pow(a, self.spec.q)
+
+    def gcd(self, a):
+        """Monic gcd(a, f) as a code tuple."""
+        return _gcd(self.spec, self.f, self.codes(a), self.work)
+
+
+class _Packed(_Residues):
+    """GF(p)[x]/(f) on polyring's 1-D lane-packed ints, every lane below p.
+
+    A product c = a*b has degree < 2n, so its quotient by f is exactly
+    (c >> n lanes) * mu >> n lanes, with mu = x^(2n) // f; the residue is the
+    low n lanes of c + quotient * (x^n - f). That is three packed products,
+    each followed by a lane reduction. A lane holds max(n, 2) * (p-1)^2, which
+    also leaves _euclid room for a division step between reductions.
+    """
+
+    block = _BLOCK
+
+    def __init__(self, spec, f, work):
+        p, n = spec.p, len(f) - 1
+        self.p, self.lane = p, _lane_for(spec, n)
+        bits, self.typecode = self.lane
+        self.shift, self.low = n * bits, (1 << n * bits) - 1
+        self.reduce = _reducer(p, bits, self.typecode, 2 * n)
+        self.mu = _pack(_divmod(spec, (0,) * 2 * n + (1,), f)[0], self.typecode)
+        self.tail = _pack([-c % p for c in f[:n]], self.typecode)
+        self.packed = _pack(f, self.typecode)
+        super().__init__(spec, f, work)
+
+    def elem(self, cs):
+        return _pack(_mod(self.spec, cs, self.f), self.typecode)
+
+    def codes(self, a):
+        bits = self.lane[0]
+        return tuple(_unpack(a, -(-a.bit_length() // bits), bits, self.typecode, self.p))
+
+    def add(self, a, b):
+        return a ^ b if self.p == 2 else self.reduce(a + b)
+
+    def sub(self, a, b):
+        return a ^ b if self.p == 2 else self.reduce(a + (self.p - 1) * b)
+
+    def mul(self, a, b):
+        self.work.charge(self.n)
+        reduce, shift = self.reduce, self.shift
+        c = reduce(a * b)
+        if c >> shift == 0:
+            return c
+        return reduce(c + (reduce((c >> shift) * self.mu) >> shift) * self.tail & self.low)
+
+    def gcd(self, a):
+        return _euclid(self.p, self.lane, self.packed, a, self.work)
+
+
+# ---------------------------------------------------------------------------
 # irreducibility
 # ---------------------------------------------------------------------------
 
 def is_irreducible(f: Poly) -> bool:
     """True iff the monic associate of f is irreducible; constants are not.
 
-    Deterministic test: x^(q^n) == x (mod f) together with
-    gcd(x^(q^(n/l)) - x, f) = 1 for every prime l | n.
+    Ben-Or's test ("Probabilistic algorithms in finite fields", 1981): f of
+    degree n is irreducible iff gcd(x^(q^d) - x, f) = 1 for every d <= n/2,
+    taken one gcd per block of degrees as in the distinct-degree split. A
+    reducible f stops at the block of its smallest factor's degree.
     """
     if f.is_zero():
         raise ZeroPolynomial("irreducibility of the zero polynomial")
     spec = f.spec
     m = _monic(spec, f.coeffs)[1]
-    n = len(m) - 1
-    if n == 0:
-        return False
-    if n == 1:
-        return True
-    q = spec.q
-    xp = (0, 1)
-    checkpoints = {n // l for l in prime_divisors(n)}
-    h = xp
-    for j in range(1, n + 1):
-        h = _powmod(spec, h, q, m)
-        if j in checkpoints and len(_gcd(spec, _sub(spec, h, xp), m)) > 1:
+    if len(m) <= 2:
+        return len(m) == 2
+    return _irreducible(_residues(spec, m))
+
+
+def _irreducible(ring):
+    """is_irreducible for the ring's modulus."""
+    h, d = ring.x, 0
+    while 2 * (d + 1) <= ring.n:
+        hs, acc = _block(ring, h, d)
+        if len(ring.gcd(acc)) > 1:
             return False
-    return h == xp
+        h, d = hs[-1], d + len(hs)
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -96,104 +348,159 @@ def _pth_root(spec, f):
     return _trim(tuple(root(f[i]) for i in range(0, len(f), p)))
 
 
-def _squarefree_decomposition(spec, f):
+def _squarefree_decomposition(spec, f, work=_UNMETERED):
     """{exponent: squarefree monic factor}, product over e of factor^e = f."""
     out = {}
     if len(f) - 1 == 0:
         return out
-    c = _gcd(spec, f, _deriv(spec, f))  # f itself when f' = 0
-    w = _divmod(spec, f, c)[0]
+    c = _gcd(spec, f, _deriv(spec, f), work)  # f itself when f' = 0
+    w = _quotient(spec, f, c, work)
     i = 1
     while len(w) > 1:
-        y = _gcd(spec, w, c)
-        z = _divmod(spec, w, y)[0]
+        y = _gcd(spec, w, c, work)
+        z = _quotient(spec, w, y, work)
         if len(z) > 1:
             out[i] = z
         i += 1
         w = y
-        c = _divmod(spec, c, y)[0]
+        c = _quotient(spec, c, y, work)
     if len(c) > 1:
         # exponents divisible by p live entirely in c, itself a p-th power
-        for e, g in _squarefree_decomposition(spec, _pth_root(spec, c)).items():
+        for e, g in _squarefree_decomposition(spec, _pth_root(spec, c), work).items():
             out[e * spec.p] = g
     return out
 
 
 # ---------------------------------------------------------------------------
-# distinct-degree / equal-degree splitting (tuple level; f squarefree monic)
+# distinct-degree / equal-degree splitting (f squarefree monic)
 # ---------------------------------------------------------------------------
 
-def _distinct_degree(spec, f):
-    """[(d, product of the irreducible factors of degree d)] ascending in d."""
-    q = spec.q
+def _distinct_degree(ring):
+    """[(d, product of the irreducible factors of degree d)] ascending in d, for the ring's modulus.
+
+    Degrees come in blocks of ring.block: the product of h_d - x over a block
+    takes one gcd with f, and every factor of degree below the block is gone
+    from f by then. A degree past n/2 is never walked: what is left of f then
+    is irreducible. Taking out a block's factors moves the walk to a smaller ring.
+    """
     out = []
-    xp = (0, 1)
-    h = _mod(spec, xp, f)
-    d = 0
-    while len(f) - 1 > 2 * d:
-        d += 1
-        h = _powmod(spec, h, q, f)
-        g = _gcd(spec, _sub(spec, h, _mod(spec, xp, f)), f)
+    h, d = ring.x, 0
+    while 2 * (d + 1) <= ring.n:
+        hs, acc = _block(ring, h, d)
+        h, first, d = hs[-1], d + 1, d + len(hs)
+        g = ring.gcd(acc)
         if len(g) > 1:
-            out.append((d, g))
-            f = _divmod(spec, f, g)[0]
-            h = _mod(spec, h, f)
-    if len(f) > 1:
-        out.append((len(f) - 1, f))
+            out += _split_block(ring, g, hs, first)
+            f = _quotient(ring.spec, ring.f, g, ring.work)
+            if len(f) == 1:
+                return out
+            h, ring = ring.codes(h), ring.over(f)
+            h = ring.elem(h)
+    out.append((ring.n, ring.f))
     return out
 
 
-def _equal_degree(spec, f, d, rng):
+def _block(ring, h, d):
+    """The next block of degrees d+1, d+2, ..., none past n/2, walked from h = h_d: the
+    list of their h_e = x^(q^e) mod f and the product of the h_e - x, all in the ring."""
+    hs = []
+    for _ in range(min(ring.block, ring.n // 2 - d)):
+        h = ring.frobenius(h)
+        hs.append(h)
+    acc = ring.sub(hs[0], ring.x)
+    for h in hs[1:]:
+        acc = ring.mul(acc, ring.sub(h, ring.x))
+    return hs, acc
+
+
+def _split_block(ring, g, hs, first):
+    """[(d, part of g of degree d)] for g the block gcd and hs its h_d, d = first, first+1, ...
+
+    Every factor of g has a degree in the block, so the part of degree d is
+    gcd(g, h_d - x) once the parts below d are divided out, and the last
+    degree takes what is left.
+    """
+    spec, work = ring.spec, ring.work
+    out = []
+    for d, h in enumerate(hs[:-1], first):
+        if len(g) == 1:
+            return out
+        part = _gcd(spec, g, _mod(spec, ring.codes(ring.sub(h, ring.x)), g), work)
+        if len(part) > 1:
+            out.append((d, part))
+            g = _quotient(spec, g, part, work)
+    if len(g) > 1:
+        out.append((first + len(hs) - 1, g))
+    return out
+
+
+def _equal_degree(spec, f, d, rng, work=_UNMETERED):
     """Split a product of distinct monic irreducibles, all of degree d."""
     n = len(f) - 1
     if n == d:
         return [f]
+    ring = _residues(spec, f, work)
     q = spec.q
     while True:
         a = _trim(tuple(rng.randrange(q) for _ in range(n)))
         if len(a) <= 1:
             continue
-        c = _gcd(spec, a, f)
+        a = ring.elem(a)
+        c = ring.gcd(a)
         if not 1 < len(c) < len(f):
             if spec.p == 2:
                 # trace map a + a^2 + a^4 + ... with k*d terms splits over GF(2^k)
-                b = a
-                t = a
+                b = t = a
                 for _ in range(spec.k * d - 1):
-                    t = _powmod(spec, t, 2, f)
-                    b = _add(spec, b, t)
-                c = _gcd(spec, b, f) if b else ()
+                    t = ring.mul(t, t)
+                    b = ring.add(b, t)
             else:
-                b = _powmod(spec, a, (q**d - 1) // 2, f)
-                c = _gcd(spec, _sub(spec, b, (1,)), f)
+                b = ring.sub(ring.pow(a, (q**d - 1) // 2), ring.one)
+            c = ring.gcd(b)
             if not 1 < len(c) < len(f):
                 continue
-        rest = _divmod(spec, f, c)[0]
-        return _equal_degree(spec, c, d, rng) + _equal_degree(spec, rest, d, rng)
+        rest = _quotient(spec, f, c, work)
+        return _equal_degree(spec, c, d, rng, work) + _equal_degree(spec, rest, d, rng, work)
 
 
 # ---------------------------------------------------------------------------
 # full factorization
 # ---------------------------------------------------------------------------
 
+def _horner(cs, q):
+    """The big-endian base-q value sum of cs[i] * q^(len(cs)-1-i), by halves: the two
+    halves' values are joined by one product with a power of q, so long inputs cost
+    a few big products rather than one small product per coefficient."""
+    if len(cs) <= 64:
+        s = 0
+        for c in cs:
+            s = s * q + c
+        return s
+    mid = len(cs) // 2
+    return _horner(cs[:mid], q) * q ** (len(cs) - mid) + _horner(cs[mid:], q)
+
+
 def _default_seed(spec, coeffs) -> int:
-    s = 1
-    for c in coeffs:
-        s = s * spec.q + c
-    return s * spec.q + spec.q
+    """(1, coeffs..., q) read as base-q digits, most significant first."""
+    q = spec.q
+    return (q ** len(coeffs) + _horner(coeffs, q)) * q + q
 
 
 def factorize(f: Poly, seed: int | None = None) -> Factorization:
-    """Factor f != 0 as unit * product of monic irreducible powers."""
+    """Factor f != 0 as unit * product of monic irreducible powers.
+
+    Raises BudgetExceeded once the work passes MAX_FACTOR_WORK (module docstring).
+    """
     if f.is_zero():
         raise ZeroPolynomial("cannot factor the zero polynomial")
     spec = f.spec
     unit_code, m = _monic(spec, f.coeffs)
     rng = random.Random(_default_seed(spec, f.coeffs) if seed is None else seed)
+    work = _Work(MAX_FACTOR_WORK)
     found = []
-    for e, part in _squarefree_decomposition(spec, m).items():
-        for d, block in _distinct_degree(spec, part):
-            for prime in _equal_degree(spec, block, d, rng):
+    for e, part in _squarefree_decomposition(spec, m, work).items():
+        for d, block in _distinct_degree(_residues(spec, part, work)):
+            for prime in _equal_degree(spec, block, d, rng, work):
                 found.append((Poly._raw(spec, prime), e))
     found.sort(key=lambda pe: canonical_key(pe[0]))
     return Factorization(spec.element(unit_code), tuple(found))

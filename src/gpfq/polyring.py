@@ -4,8 +4,11 @@ A polynomial is stored as a tuple of coefficient codes, constant term first,
 with no trailing zero (the empty tuple is the zero polynomial). The canonical
 order used everywhere for enumeration and reporting is (degree, then
 constant-first lexicographic on the code tuple). The private tuple-level
-helpers (_mul, _divmod, _gcd, ...) are what the factorization machinery runs
-on; the Poly class wraps them for the public API and operator syntax.
+helpers (_mul, _divmod, _gcd, ...) are what the Poly class wraps for the
+public API and operator syntax, and factor runs on _mul and _divmod. Over GF(p),
+factor keeps its Frobenius walks and gcds in a residue ring modulo f on the
+same lane-packed ints (_lane, _pack, _unpack, _byte_mod; see the factor module
+docstring), so only factoring compiles that ring.
 
 Over a prime field, _mul and _divmod pack the codes into the 8-, 16-, 32- or
 64-bit lanes of one int (Kronecker substitution; von zur Gathen and Gerhard,
@@ -355,19 +358,6 @@ def _deriv(spec, a):
         s = i % p
         out.append(mul(a[i], s) if s != 1 else a[i])
     return _trim(out)
-
-
-def _powmod(spec, base, e, mod):
-    """base^e reduced mod `mod`, e >= 0."""
-    result = (1,)
-    base = _mod(spec, base, mod)
-    while e:
-        if e & 1:
-            result = _mod(spec, _mul(spec, result, base), mod)
-        e >>= 1
-        if e:
-            base = _mod(spec, _mul(spec, base, base), mod)
-    return result
 
 
 # ---------------------------------------------------------------------------

@@ -704,6 +704,8 @@ def _run_cli(*argv):
         (["greedy", "enumerate", "--q", str(3**300), "--max-degree", "1", "--counts-only"], 0),
         (["factor", "--q", "2", f"x^{MAX_TEXT_DEGREE + 1}"], 2),
         (["factor", "--q", "2", "x^" + "1" * 100_000], 2),
+        (["factor", "--q", "2", f"x^{MAX_TEXT_DEGREE}+x+1"], 1),
+        (["factor", "--q", "2", f"x^{MAX_TEXT_DEGREE}+1"], 0),
     ],
 )
 def test_large_arguments_end_at_once(argv, code):
@@ -725,6 +727,7 @@ def test_large_arguments_end_at_once(argv, code):
             "0.846375541078942",
             "40 712880545712",
             f"1 {(3**300 - 1) * 3**300}",  # every polynomial of degree 1
+            f"1 * (x+1)^{MAX_TEXT_DEGREE}",
         )
 
 

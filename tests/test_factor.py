@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from _oracles import naive_is_irreducible, trial_division_factorize
@@ -11,16 +11,19 @@ from gpfq import (
     Poly,
     ZeroPolynomial,
     count_irreducibles,
+    derivative,
     enumerate_irreducibles,
     enumerate_upto,
     factorization_exponents,
     factorize,
     format_poly,
+    gcd,
     is_irreducible,
     make_field,
     parse_poly,
     zero,
 )
+from gpfq import factor
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -197,3 +200,130 @@ def test_factorization_record():
     assert (fac.unit.code, _parts(fac), fac.exponents()) == (2, [("x", 2), ("x+1", 2), ("x+2", 1)], (2, 2, 1))
     unit, parts = fac
     assert (unit, parts) == (fac.unit, fac.parts)
+
+
+# ---------------------------------------------------------------------------
+# the packed residue ring against the tuple path
+# ---------------------------------------------------------------------------
+
+# (field, largest degree drawn, lane bits of its packed ring at that degree; None: tuple path only)
+RING_FIELDS = (
+    (F2, 40, 8),
+    (F3, 40, 8),
+    (make_field(7), 24, 16),
+    (make_field(251), 12, 32),
+    (make_field(65521), 10, 64),
+    (make_field(2**61 - 1), 5, None),
+)
+
+
+def _squarefree(data, spec, dmax):
+    """A random monic squarefree polynomial of degree 1..dmax, drawn through `data`."""
+    d = data.draw(st.integers(1, dmax))
+    f = Poly(spec, data.draw(st.lists(st.integers(0, spec.q - 1), min_size=d, max_size=d)) + [1])
+    assume(gcd(f, derivative(f)).degree == 0)
+    return f
+
+
+def _both_rings(spec, f):
+    packed = factor._residues(spec, f.coeffs)
+    return packed, factor._Residues(spec, f.coeffs, factor._UNMETERED)
+
+
+@pytest.mark.parametrize("spec, dmax, bits", RING_FIELDS)
+def test_ring_lanes(spec, dmax, bits):
+    ring = factor._residues(spec, Poly(spec, [1] * dmax + [1]).coeffs)
+    assert (ring.lane[0] if isinstance(ring, factor._Packed) else None) == bits
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), field=st.sampled_from(RING_FIELDS))
+def test_ring_matches_tuple_path(data, field):
+    spec, dmax, _ = field
+    f = _squarefree(data, spec, dmax)
+    packed, plain = _both_rings(spec, f)
+    assert factor._distinct_degree(packed) == factor._distinct_degree(plain)
+    if f.degree >= 2:
+        assert factor._irreducible(packed) == factor._irreducible(plain)
+    assert factorize(f).expand() == f
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), field=st.sampled_from(RING_FIELDS[:3]))
+def test_irreducible_matches_naive(data, field):
+    spec = field[0]
+    d = data.draw(st.integers(2, 8 if spec.q == 2 else 5))
+    f = Poly(spec, data.draw(st.lists(st.integers(0, spec.q - 1), min_size=d, max_size=d)) + [1])
+    assert is_irreducible(f) == factor._irreducible(_both_rings(spec, f)[1]) == naive_is_irreducible(f)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), field=st.sampled_from(RING_FIELDS))
+def test_packed_gcd_matches_tuple_gcd(data, field):
+    # long Euclids over small primes overflow narrow lanes unless reduced in time
+    spec, dmax, _ = field
+    codes = st.integers(0, spec.q - 1)
+    a, b, c = (Poly(spec, data.draw(st.lists(codes, max_size=dmax + 1))) for _ in range(3))
+    assume(not (a.is_zero() and b.is_zero()))
+    for u, v in ((a, b), (a * c, b * c)) if not c.is_zero() else ((a, b),):
+        assert factor._gcd(spec, u.coeffs, v.coeffs, factor._UNMETERED) == gcd(u, v).coeffs
+
+
+def _random_irreducible(spec, degree, rng):
+    """A monic irreducible of the degree, by the trial-division oracle over GF(2) and GF(3)
+    and by the tuple path's test elsewhere."""
+    while True:
+        f = Poly(spec, [rng.randrange(spec.q) for _ in range(degree)] + [1])
+        if degree == 1 or (naive_is_irreducible(f) if spec.q <= 3 else
+                           factor._irreducible(factor._Residues(spec, f.coeffs, factor._UNMETERED))):
+            return f
+
+
+B = factor._BLOCK
+# degrees of the prime factors: on both sides of the first block edge, all inside one block,
+# and single primes (already irreducible inputs, degree 1 among them)
+BLOCK_PATTERNS = ((B, B + 1), (B - 1, B, B + 1, B + 2), (2, 3, 5, 7), (B + 1, B + 3, 2 * B), (1, 1, B + 1),
+                  (1,), (B,), (B + 1,), (2 * B + 1,))
+
+
+@settings(max_examples=60, deadline=None)
+@given(field=st.sampled_from(RING_FIELDS[:3]), degrees=st.sampled_from(BLOCK_PATTERNS), seed=st.integers(0, 2**32))
+def test_distinct_degree_at_block_edges(field, degrees, seed):
+    spec = field[0]
+    rng = random.Random(seed)
+    primes = []
+    for d in degrees:
+        prime = _random_irreducible(spec, d, rng)
+        while prime in primes:
+            prime = _random_irreducible(spec, d, rng)
+        primes.append(prime)
+    f = Poly(spec, (1,))
+    for prime in primes:
+        f = f * prime
+    expected = []
+    for d in sorted(set(degrees)):
+        part = Poly(spec, (1,))
+        for prime in primes:
+            if prime.degree == d:
+                part = part * prime
+        expected.append((d, part.coeffs))
+    for ring in _both_rings(spec, f):
+        assert factor._distinct_degree(ring) == expected
+    if len(primes) == 1 and f.degree >= 2:
+        assert all(factor._irreducible(ring) for ring in _both_rings(spec, f))
+    fac = factorize(f)
+    assert fac.expand() == f and sorted(p.coeffs for p, _ in fac.parts) == sorted(p.coeffs for p in primes)
+
+
+def _seed_by_horner(q, coeffs):
+    s = 1
+    for c in coeffs:
+        s = s * q + c
+    return s * q + q
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), spec=st.sampled_from((F2, F3, F4, make_field(7), make_field(3, 6), make_field(2**61 - 1))))
+def test_default_seed_is_the_horner_value(data, spec):
+    coeffs = data.draw(st.lists(st.integers(0, spec.q - 1), max_size=300))
+    assert factor._default_seed(spec, tuple(coeffs)) == _seed_by_horner(spec.q, coeffs)

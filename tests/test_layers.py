@@ -20,7 +20,7 @@ LAYERS = {
     "numeric": {"errors"},
     "ff": {"errors", "intarith"},
     "polyring": {"errors", "ff"},
-    "factor": {"errors", "ff", "intarith", "polyring"},
+    "factor": {"errors", "ff", "polyring"},
     "progfree": {"errors", "factor", "polyring"},
     "density": {"errors", "intarith", "numeric"},
     "tables": {"density", "numeric"},
