@@ -158,9 +158,10 @@ def _euclid(p, lane, a, b, work):
                 a += m * b << (da - db) * bits
                 ba += m * bb
             da -= 1
-        while da >= 0 and (a >> da * bits & mask) % p == 0:
-            da -= 1
-        a &= (1 << (da + 1) * bits) - 1  # drop the cancelled lanes
+        a &= (1 << db * bits) - 1  # the remainder, without the cancelled lanes
+        if a and (a >> (a.bit_length() - 1) // bits * bits) % p == 0:
+            a, ba = reduce(a), p - 1  # its top lane is 0 mod p, so reduce before reading the degree
+        da = (a.bit_length() - 1) // bits
         a, b, da, db, ba, bb = b, a, db, da, bb, ba
     if da < 0:
         return ()

@@ -706,6 +706,7 @@ def _run_cli(*argv):
         (["factor", "--q", "2", "x^" + "1" * 100_000], 2),
         (["factor", "--q", "2", f"x^{MAX_TEXT_DEGREE}+x+1"], 1),
         (["factor", "--q", "2", f"x^{MAX_TEXT_DEGREE}+1"], 0),
+        (["factor", "--q", "3", f"x^{MAX_TEXT_DEGREE}+x+1"], 1),
     ],
 )
 def test_large_arguments_end_at_once(argv, code):
