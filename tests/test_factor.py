@@ -56,7 +56,7 @@ def test_irreducible_examples():
 
 
 def test_irreducibility_matches_naive():
-    for spec, dmax in ((F2, 8), (F3, 5), (F4, 4)):
+    for spec, dmax in ((F2, 8), (F3, 5), (F4, 4), (make_field(7), 3)):
         for f in enumerate_upto(spec, dmax):
             if f.degree >= 1:
                 assert is_irreducible(f) == naive_is_irreducible(f), format_poly(f)
@@ -246,15 +246,6 @@ def test_ring_matches_tuple_path(data, field):
     if f.degree >= 2:
         assert factor._irreducible(packed) == factor._irreducible(plain)
     assert factorize(f).expand() == f
-
-
-@settings(max_examples=100, deadline=None)
-@given(data=st.data(), field=st.sampled_from(RING_FIELDS[:3]))
-def test_irreducible_matches_naive(data, field):
-    spec = field[0]
-    d = data.draw(st.integers(2, 8 if spec.q == 2 else 5))
-    f = Poly(spec, data.draw(st.lists(st.integers(0, spec.q - 1), min_size=d, max_size=d)) + [1])
-    assert is_irreducible(f) == factor._irreducible(_both_rings(spec, f)[1]) == naive_is_irreducible(f)
 
 
 @settings(max_examples=100, deadline=None)
