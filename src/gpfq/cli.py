@@ -6,6 +6,12 @@ error. Identical invocations produce bit-identical output.
 
 The environment variable GPFQ_ENUM_BUDGET, a positive integer, overrides the
 cap on polynomial enumerations.
+
+`progcheck` hands the lines of its file, as they decode, to
+progfree.has_progression_text, which keeps one packed int per distinct member
+and builds no Poly; on a bad line it reads the rest of the file first, so text
+that is not UTF-8 is still a usage error before any parse error. A `greedy
+enumerate` listing formats code tuples (polyring._format_codes), not Poly.
 """
 
 from __future__ import annotations
@@ -175,12 +181,12 @@ def _cmd_enumerate(parser, args):
     else:
         spec = _field_for(parser, args)
     if not args.counts_only:
-        members = progfree.greedy_members(spec, args.max_degree, _enum_budget(parser))
+        members = progfree._member_codes(spec, args.max_degree, _enum_budget(parser))
     counts = density.greedy_counts(args.q, args.max_degree)
     obj = {"q": args.q, "max_degree": args.max_degree, "counts": counts}
     if args.counts_only:
         return 0, [f"{d} {c}" for d, c in enumerate(counts)], obj
-    lines = obj["members"] = [polyring.format_poly(f) for f in members]
+    lines = obj["members"] = polyring._format_codes(spec.k, members)
     return 0, lines, obj
 
 
@@ -188,11 +194,14 @@ def _cmd_progcheck(parser, args):
     spec = _field_for(parser, args)
     try:
         with open(args.file, encoding="utf-8") as fh:
-            polys = [line.strip() for line in fh if line.strip()]
+            try:
+                witness = progfree.has_progression_text(spec, fh, unit_tolerant=args.unit_tolerant)
+            except Error:
+                for _ in fh:  # text that is not UTF-8 is a usage error, found before any bad line
+                    pass
+                raise
     except (OSError, UnicodeDecodeError) as exc:
         parser.error(f"cannot read {args.file}: {exc}")
-    polys = [polyring.parse_poly(spec, t) for t in polys]  # and the lines' text is freed
-    witness = progfree.has_progression(polys, unit_tolerant=args.unit_tolerant)
     obj = {"q": args.q, "progression_free": witness is None, "witness": None}
     if witness is None:
         return 0, ["progression-free"], obj
@@ -309,9 +318,8 @@ def run(argv) -> int:
 
             obj = obj() if callable(obj) else obj
             print(json.dumps({"command": args.name.replace(" ", "-"), **obj}, indent=2, sort_keys=True))
-        else:
-            for line in lines:
-                print(line)
+        elif lines:
+            print("\n".join(lines))
         return code
     except SystemExit as exc:  # argparse usage error (2) or --help (0)
         return exc.code if isinstance(exc.code, int) else 2

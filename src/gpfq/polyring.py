@@ -321,14 +321,6 @@ def _unit_ops(spec):
     return spec.mul_c, spec.inv_c
 
 
-def _monic_key(spec, pack, mul):
-    """pack(monic form of cs) for nonzero code tuples cs, with `pack` and `mul` from _packer: one
-    product by the packed inverse of the lead, none when the lead is 1. The inverse comes from
-    _unit_ops, so no field call is made over GF(p) or a tabled GF(p^k)."""
-    inverse = _unit_ops(spec)[1]
-    return lambda cs: pack(cs) if cs[-1] == 1 else mul(pack(cs), pack((inverse(cs[-1]),)))
-
-
 def _mod(spec, a, b):
     return _divmod(spec, a, b)[1]
 
@@ -617,18 +609,26 @@ def parse_poly(spec, text: str) -> Poly:
 
 def format_poly(f: Poly) -> str:
     """Canonical text, highest degree first; parse_poly(format_poly(f)) == f."""
-    if f.is_zero():
-        return "0"
-    k = f.spec.k
-    parts = []
-    for e in range(len(f.coeffs) - 1, -1, -1):
-        c = f.coeffs[e]
-        if c == 0:
-            continue
-        cs = str(c) if k == 1 else f"[{c}]"
-        if e == 0:
-            parts.append(cs)
-        else:
-            xs = "x" if e == 1 else f"x^{e}"
-            parts.append(xs if c == 1 else f"{cs}*{xs}")
-    return "+".join(parts)
+    k, cs = f.spec.k, f.coeffs
+    return "+".join([_term(k, e, cs[e]) for e in range(len(cs) - 1, -1, -1) if cs[e]]) or "0"
+
+
+@lru_cache(maxsize=4096)
+def _term(k, e, c):
+    """The text of the term c * x^e for a nonzero code c of GF(p^k); cached, as _parse_term is."""
+    code, power = str(c) if k == 1 else f"[{c}]", "x" if e == 1 else f"x^{e}"
+    return code if e == 0 else power if c == 1 else f"{code}*{power}"
+
+
+def _format_codes(k, rows):
+    """format_poly of each code tuple in `rows` over GF(p^k). A run of rows of one length is
+    joined a column of codes at a time, with each distinct term's text built once."""
+    out = []
+    for n, run in itertools.groupby(rows, len):
+        run, columns = list(run), []
+        for e in range(n - 1, -1, -1):
+            codes, sep = [cs[e] for cs in run], "+" if e < n - 1 else ""
+            texts = {c: sep + _term(k, e, c) if c else "" for c in set(codes)}
+            columns.append(map(texts.__getitem__, codes))
+        out += map("".join, zip(*columns)) if n else ["0"] * len(run)
+    return out

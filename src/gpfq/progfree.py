@@ -8,13 +8,18 @@ non-unit geometric progressions, and an exact extremal search.
 A geometric progression here is the strict triple (b, r*b, r^2*b) with
 deg r >= 1; the unit-tolerant variant relaxes membership of the second and
 third terms to unit multiples. One enumerator, `_progressions`, lists these
-triples for `has_progression` and the extremal search (one include-first
-branch and bound over them as hyperedges). The searches and greedy builds
-multiply and compare polynomials as ints in polyring's 2-D packed form.
+triples for the progression search and the extremal search (one
+include-first branch and bound over them as hyperedges). The searches and
+greedy builds multiply and compare polynomials as ints in polyring's 2-D
+packed form. The progression search (`_first_progression`) takes its members
+as a set of those ints: `has_progression` packs its Poly values into it, and
+`has_progression_text` reads polynomial text straight into it, with no Poly
+per line.
 
 The greedy set is closed under units, so both greedy builds run on the
 packed monic polynomials alone; only a listing of members is expanded to
-their q - 1 unit multiples, as a list of Poly in canonical order.
+their q - 1 unit multiples, as code tuples in canonical order (`_member_codes`,
+which the CLI formats with no Poly) or as Poly (`greedy_members`).
 """
 
 from __future__ import annotations
@@ -23,8 +28,9 @@ import itertools
 from typing import NamedTuple, Optional, Tuple
 
 from . import factor
-from .errors import DEFAULT_ENUM_BUDGET, DEFAULT_VERTEX_BUDGET, BudgetExceeded, SpecMismatch, ZeroPolynomial
-from .polyring import Poly, _canonical, _code_tuples, _monic_key, _packer, _scale, _unit_ops
+from .errors import (DEFAULT_ENUM_BUDGET, DEFAULT_VERTEX_BUDGET, BudgetExceeded, PolySyntaxError, SpecMismatch,
+                     ZeroPolynomial)
+from .polyring import Poly, _canonical, _code_tuples, _packer, _parse_term, _scale, _unit_ops
 
 #: Edge scans (nodes times edges) `_largest_free_set` may make; q=2, D=9 needs about 3.3e6.
 MAX_SEARCH_WORK = 2**25
@@ -91,8 +97,13 @@ def greedy_members(spec, max_degree: int, budget: int = DEFAULT_ENUM_BUDGET):
     canonical order, built from the irreducibles instead of by factoring each
     polynomial: the unit multiples of `_greedy_sieve`'s monic members.
     """
+    return [Poly._raw(spec, cs) for cs in _member_codes(spec, max_degree, budget)]
+
+
+def _member_codes(spec, max_degree: int, budget: int):
+    """greedy_members as code tuples, which a listing formats with no Poly built."""
     mul, unpack, monics = _monics(spec, max_degree, budget)
-    return _unit_multiples(spec, map(unpack, _greedy_sieve(mul, monics)))
+    return _unit_codes(spec, map(unpack, _greedy_sieve(mul, monics)))
 
 
 def greedy_construct_bruteforce(spec, max_degree: int, budget: int = DEFAULT_ENUM_BUDGET):
@@ -190,9 +201,13 @@ def _greedy_construct(mul, monics):
 
 
 def _unit_multiples(spec, gs):
-    """The Poly u*g for every unit u and code tuple g in `gs`, in canonical
-    order. Each unit maps the codes through one dict: 0 to 0, 1 to u and any
-    other code c to times(u, c) of _unit_ops."""
+    """The Poly u*g for every unit u and code tuple g in `gs`, in canonical order."""
+    return [Poly._raw(spec, cs) for cs in _unit_codes(spec, gs)]
+
+
+def _unit_codes(spec, gs):
+    """_unit_multiples as code tuples. Each unit maps the codes through one dict:
+    0 to 0, 1 to u and any other code c to times(u, c) of _unit_ops."""
     gs = list(gs)
     times = _unit_ops(spec)[0]
     seen = {c for g in gs for c in g}
@@ -200,7 +215,7 @@ def _unit_multiples(spec, gs):
     for u in range(1, spec.q):
         image = {c: c * u if c < 2 else times(u, c) for c in seen}
         rows += (tuple(map(image.__getitem__, g)) for g in gs)
-    return [Poly._raw(spec, cs) for cs in _canonical(rows)]
+    return _canonical(rows)
 
 
 class ProgressionWitness(NamedTuple):
@@ -232,32 +247,106 @@ def has_progression(polys, unit_tolerant: bool = False) -> Optional[ProgressionW
             raise ZeroPolynomial("progression search over a set containing 0")
     lengths = {len(f.coeffs) for f in members}
     top = max(lengths) - 1
-    if min(lengths) >= top:  # a base has degree <= top - 2
+
+    def keyed(pack):
+        return {pack(f.coeffs) for f in members}, {f.coeffs for f in members if len(f.coeffs) < top}
+
+    return _first_progression(spec, min(lengths) - 1, top, unit_tolerant, keyed)
+
+
+def has_progression_text(spec, lines, unit_tolerant: bool = False) -> Optional[ProgressionWitness]:
+    """has_progression over the polynomials of `lines`, one per line as parse_poly
+    reads it; a line that is blank after stripping is skipped.
+
+    No Poly is built: each distinct term is parsed once by polyring's _parse_term,
+    with parse_poly's checks and errors, a line's packed int is the sum of its
+    terms' lanes, and a mask of its exponents refuses a repeated one. One int
+    per distinct member is kept. Its lanes are _packer's for the longest member
+    whose ratios the search may list, q^(D/2 + 1) <= DEFAULT_ENUM_BUDGET, and
+    are repacked once if the file's top degree D takes narrower ones. Past that
+    length no key is needed: the file has no member of degree below D - 1, or
+    the search ends in BudgetExceeded, as has_progression does.
+    """
+    q = spec.q
+    room = 0  # the coefficients of the longest member whose ratios the search may list
+    while q ** (room // 2 + 1) <= DEFAULT_ENUM_BUDGET:
+        room += 1
+    pack, _, unpack = _packer(spec, room) if room else (None, None, None)  # room = 0 when q > the budget
+    width = pack((0, 1)).bit_length() - 1 if room else 1  # bits per coefficient
+    terms = {}  # the text of a term: (1 << exponent, its lanes below `room`, its degree)
+    keys, far = set(), set()  # far: the degrees of members too long to key
+    for line in lines:
+        if not line or line.isspace():
+            continue
+        key = mask = 0
+        for term in line.split("+"):
+            try:
+                bit, lanes, _ = terms[term]
+            except KeyError:
+                e, c = _parse_term("".join(term.split()), q)
+                lanes = pack((0,) * e + (c,)) if c and e < room else 0
+                bit, lanes, _ = terms[term] = (1 << e, lanes, e if c else -1)
+            if mask & bit:
+                raise PolySyntaxError(f"exponent {bit.bit_length() - 1} appears twice")
+            mask |= bit
+            key += lanes
+        if mask >> room:  # a term past the keyed lanes: the key is exact if its code is 0
+            degree = max(terms[term][2] for term in line.split("+"))
+            if degree >= room:
+                far.add(degree)
+                continue
+        keys.add(key)
+    # ints of the packed form order by degree first
+    degrees = far.union((n.bit_length() - 1) // width for n in ((min(keys), max(keys)) if keys else ()))
+    if not degrees:
         return None
-    bases = _canonical({f.coeffs for f in members if len(f.coeffs) < top})
-    key, mul, triples = _progressions(spec, bases, top, unit_tolerant)
-    present = {key(f.coeffs) for f in members}
-    for a, r, mid, ratio in triples:
+    if min(degrees) < 0:
+        raise ZeroPolynomial("progression search over a set containing 0")
+    top = max(degrees)
+
+    def keyed(final):  # the keys in the lanes of the search's pack, and the bases, below x^(top - 1)
+        cut = pack((0,) * (top - 1) + (1,))
+        bases = [unpack(n) for n in keys if n < cut]
+        return (keys if final((0, 1)) == pack((0, 1)) else set(map(final, map(unpack, keys)))), bases
+
+    return _first_progression(spec, min(degrees), top, unit_tolerant, keyed)
+
+
+def _first_progression(spec, low: int, top: int, unit_tolerant: bool, keyed) -> Optional[ProgressionWitness]:
+    """The one search behind both entry points, over members of degrees low..top
+    (none zero). `keyed(pack)` gives their set of packed ints for the `pack` of
+    _packer(spec, top + 1), and the code tuples of the bases, the members of
+    degree below top - 1; it is called only once a base can have a progression.
+    """
+    if low >= top - 1:  # a base has degree <= top - 2
+        return None
+    unit_tolerant = unit_tolerant and spec.q > 2  # GF(2)'s one unit is 1
+    pack, mul, monic, triples = _progressions(spec, top, unit_tolerant)
+    members, bases = keyed(pack)
+    present = set(map(monic, members)) if monic else members
+    for a, r, mid, ratio in triples(_canonical(bases)):
         if mid in present and mul(mid, ratio) in present:
             return ProgressionWitness(Poly._raw(spec, a), Poly._raw(spec, r))
     return None
 
 
-def _progressions(spec, bases, max_degree: int, unit_tolerant: bool = False):
-    """(key, mul) of the packed form up to max_degree, and an iterator of (base,
-    ratio, keyed middle ratio * base, keyed ratio) for each base code tuple in
-    the order given and each non-unit ratio in canonical order with deg base + 2
-    deg ratio <= max_degree. The ratios are listed once, within DEFAULT_ENUM_BUDGET
-    (so q <= 1448 whenever a base has room for one). `key` packs a code tuple;
-    `unit_tolerant` packs its monic form instead, as monic(r*a) = monic(r) *
-    monic(a), and keeps each ratio that is the canonical first of its unit multiples."""
+def _progressions(spec, max_degree: int, unit_tolerant: bool = False):
+    """(pack, mul, monic, triples): _packer's form up to max_degree, and
+    `triples(bases)`, an iterator of (base, ratio, keyed middle ratio * base,
+    keyed ratio) for each base code tuple in the order given and each non-unit
+    ratio in canonical order with deg base + 2 deg ratio <= max_degree. The
+    ratios are listed once, within DEFAULT_ENUM_BUDGET (so q <= 1448 whenever a
+    base has room for one). A key is the packed int, or with `unit_tolerant`
+    its monic form by `monic` (else None), as monic(r*a) = monic(r) * monic(a),
+    and then only the ratio that is the canonical first of its unit multiples is kept."""
     enumeration_size(spec.q, max_degree // 2, DEFAULT_ENUM_BUDGET)
-    pack, mul, _ = _packer(spec, max_degree + 1)
-    key = _monic_key(spec, pack, mul) if unit_tolerant else pack
+    pack, mul, unpack = _packer(spec, max_degree + 1)
+    monic = _monic_key(spec, pack, mul, unpack) if unit_tolerant else None
+    key = (lambda cs: monic(pack(cs))) if monic else pack
     ratios = [(len(r), r, key(r)) for r in _code_tuples(spec.q, 1, max_degree // 2)
               if not unit_tolerant or next(filter(None, r)) == 1]
 
-    def triples():
+    def triples(bases):
         for a in bases:
             packed, room = key(a), (max_degree + 3 - len(a)) // 2
             for n, r, ratio in ratios:
@@ -265,7 +354,24 @@ def _progressions(spec, bases, max_degree: int, unit_tolerant: bool = False):
                     break  # ratios are in canonical (degree-major) order
                 yield a, r, mul(ratio, packed), ratio
 
-    return key, mul, triples()
+    return pack, mul, monic, triples
+
+
+def _monic_key(spec, pack, mul, unpack):
+    """The monic form of a nonzero int of _packer's (pack, mul, unpack): one product
+    by the packed inverse of its lead, none when the lead is 1. The inverse comes
+    from _unit_ops, so no field call is made over GF(p) or a tabled GF(p^k)."""
+    inverse, width, scales = _unit_ops(spec)[1], pack((0, 1)).bit_length() - 1, {}
+
+    def monic(n):
+        lead = n >> (n.bit_length() - 1) // width * width
+        if lead == 1:
+            return n
+        if lead not in scales:
+            scales[lead] = pack((inverse(unpack(lead)[0]),))
+        return mul(n, scales[lead])
+
+    return monic
 
 
 # ---------------------------------------------------------------------------
@@ -284,9 +390,9 @@ def max_progression_free_subset(spec, max_degree: int, budget: int = DEFAULT_VER
     """
     enumeration_size(spec.q, max_degree, budget, nonzero=True)
     universe = list(_code_tuples(spec.q, 0, max_degree))
-    pack, mul, triples = _progressions(spec, universe, max_degree)
+    pack, mul, _, triples = _progressions(spec, max_degree)
     index = {key: i for i, f in enumerate(universe) for key in (f, pack(f))}
-    edges = [(index[a], index[mid], index[mul(mid, ratio)]) for a, r, mid, ratio in triples]
+    edges = [(index[a], index[mid], index[mul(mid, ratio)]) for a, r, mid, ratio in triples(universe)]
     reflected = set(reflected_degrees(max_degree))
     seed = sum(1 << v for v, f in enumerate(universe) if len(f) - 1 in reflected)
     chosen = _largest_free_set(len(universe), edges, seed)

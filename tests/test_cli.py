@@ -9,16 +9,19 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from importlib import resources
 from unittest import mock
 
 import jsonschema
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from gpfq import factor, format_poly, greedy_member, make_field, parse_poly, progfree
+from _oracles import has_progression_brute
+from gpfq import (factor, format_poly, greedy_member, has_progression, make_field, parse_poly, polyring,
+                  progfree)
 from gpfq.cli import build_parser, run
 from gpfq.polyring import MAX_TEXT_DEGREE, Poly, _packer
 
@@ -272,6 +275,122 @@ def test_progcheck_unreadable_file_is_usage_error(capsys, tmp_path):
     assert (code, out) == (2, "") and "cannot read" in err
     code, out, err = invoke(capsys, "progcheck", "--q", "2", "--file", str(tmp_path / "missing.txt"))
     assert (code, out) == (2, "") and "cannot read" in err
+
+
+_LINE = "progression: base=1 ratio=x members=[1, x, x^2]\n"
+
+
+@pytest.mark.parametrize(
+    "q, data, code, out, err",
+    [
+        # the file decodes whole before any line is parsed: invalid UTF-8 after a bad line is a usage error
+        ("2", b"x^y\n\xff\n", 2, "", "cannot read"),
+        # a zero member is refused only after every line has parsed
+        ("2", b"0\nx^y\n", 1, "", "error: bad term 'x^y'\n"),
+        ("2", b"0\nx^1048577\n", 1, "", "error: exponent 1048577 exceeds the degree budget 1048576\n"),
+        ("2", b"0\n1\nx\n", 1, "", "error: progression search over a set containing 0\n"),
+        # a repeated exponent is found in term order, a zero code's too
+        ("2", b"x+x^1\n", 1, "", "error: exponent 1 appears twice\n"),
+        ("2", b"0*x+x\n", 1, "", "error: exponent 1 appears twice\n"),
+        ("2", b"x+x+x^y\n", 1, "", "error: exponent 1 appears twice\n"),
+        ("2", b"x^y+x+x\n", 1, "", "error: bad term 'x^y'\n"),
+        # CRLF and CR line ends, blank and whitespace-only lines, spaces inside a line
+        ("2", b"1\r\nx\r\nx^2\r\n", 0, _LINE, ""),
+        ("2", b"1\rx\rx^2", 0, _LINE, ""),
+        ("2", b"\n  \n\t\n1\n \nx \n x ^ 2 + 0 * x ^ 7\n", 0, _LINE, ""),
+        # the unit code and the exponents 0 and 1 written out
+        ("2", b"1*x^0\n1*x^1\nx^2\n", 0, _LINE, ""),
+        ("3", b"2*x^0\n2*x^1\n2*x^2\n", 0, "progression: base=2 ratio=x members=[2, 2*x, 2*x^2]\n", ""),
+        # a member past the ratio budget: free without a base below it, else the budget
+        ("2", b"x^99\nx^98\n", 0, "progression-free\n", ""),
+        ("2", b"x^99\n1\n", 1, "", "error: polynomials of degree <= 49 over GF(2) exceed budget 2097152\n"),
+    ],
+)
+def test_progcheck_error_order(capsys, tmp_path, q, data, code, out, err):
+    path = tmp_path / "lines.txt"
+    path.write_bytes(data)
+    got = invoke(capsys, "progcheck", "--q", q, "--file", str(path))
+    assert got[:2] == (code, out)
+    assert err in got[2] if code == 2 else got[2] == err
+
+
+def _written(draw, spec, cs):
+    """Text that parses to the code tuple cs, written as a user might: terms in any
+    order, zero codes, the code 1 and the exponents 0 and 1 spelled out or not,
+    bracketed codes or not over GF(p^k), and spaces."""
+    terms = []
+    for e in range(len(cs) + 1):
+        c = cs[e] if e < len(cs) else 0
+        if not c and not draw(st.integers(0, 4)) == 0:
+            continue
+        code = f"[{c}]" if spec.k > 1 and draw(st.booleans()) else str(c)
+        power = draw(st.sampled_from(["x^1", "x"] if e == 1 else [f"x^{e}"]))
+        if e == 0:
+            terms.append(draw(st.sampled_from([code, f"{code}*x^0"])))
+        else:
+            terms.append(draw(st.sampled_from([power, f"{code}*{power}"] if c == 1 else [f"{code}*{power}"])))
+    return draw(st.sampled_from(["+", " + ", "+ "])).join(draw(st.permutations(terms))) if terms else "0"
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), case=st.sampled_from([(2, 1, 5), (3, 1, 3), (2, 2, 2), (3, 2, 2)]), tolerant=st.booleans())
+def test_progcheck_matches_poly_search_and_oracle(tmp_path, data, case, tolerant):
+    # the keyed file reader, has_progression on Poly values and the divisibility oracle
+    # give one witness; members repeat and are written in many forms, one per line; at
+    # most 43 members, so the oracle stays fast
+    p, k, max_degree = case
+    spec = make_field(p, k)
+    universe = list(polyring.enumerate_upto(spec, max_degree))
+    polys = data.draw(st.permutations(universe))[: data.draw(st.integers(0, 40))]
+    if data.draw(st.booleans()):  # plant a progression, its later terms times units
+        a, r = (data.draw(st.sampled_from([f for f in universe if f.degree == d])) for d in (0, 1))
+        u, v = (data.draw(st.sampled_from(universe[: spec.q - 1])) for _ in "uv")
+        polys += [a, u * a * r, v * a * r * r]
+    repeats = data.draw(st.lists(st.sampled_from(polys), max_size=5)) if polys else []
+    lines = [_written(data.draw, spec, f.coeffs) for f in polys + repeats]
+    path = tmp_path / "members.txt"
+    path.write_bytes(data.draw(st.sampled_from(["\n", "\r\n"])).join(lines).encode())
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = run(["progcheck", "--q", str(spec.q), "--file", str(path), "--json"] + ["--unit-tolerant"] * tolerant)
+    assert code == 0
+    shown = json.loads(out.getvalue())["witness"]
+    expect = has_progression_brute(polys, unit_tolerant=tolerant)
+    assert has_progression(polys, unit_tolerant=tolerant) == expect
+    assert (shown and (shown["base"], shown["ratio"])) == (expect and tuple(map(format_poly, expect)))
+
+
+def test_progcheck_and_listing_build_no_poly(capsys, monkeypatch, tmp_path):
+    # a line becomes a packed int with no parse_poly call and no Poly, and a listing
+    # formats code tuples; only a witness is a Poly
+    def refuse(*_):
+        raise AssertionError("a Poly was built")
+
+    listings = {q: invoke(capsys, "greedy", "enumerate", "--q", q, "--max-degree", "5")[1] for q in ("2", "3")}
+    monkeypatch.setattr(polyring, "parse_poly", refuse)
+    monkeypatch.setattr(Poly, "_raw", refuse)
+    monkeypatch.setattr(Poly, "__init__", refuse)
+    for q, listing in listings.items():
+        assert invoke(capsys, "greedy", "enumerate", "--q", q, "--max-degree", "5")[:2] == (0, listing)
+        path = tmp_path / f"members{q}.txt"
+        path.write_text(listing)
+        for flags in ((), ("--unit-tolerant",)):
+            assert invoke(capsys, "progcheck", "--q", q, "--file", str(path), *flags)[:2] == (0, "progression-free\n")
+
+
+def test_progcheck_memory_stays_near_the_file_size(capsys, tmp_path):
+    # one int per distinct member and no list of lines or Poly: the traced peak of
+    # a 10,639-line member file stays below 5x its size (7.5x with a Poly per line)
+    path = tmp_path / "members.txt"
+    path.write_text(invoke(capsys, "greedy", "enumerate", "--q", "2", "--max-degree", "13")[1])
+    tracemalloc.start()
+    try:
+        code, out, _ = invoke(capsys, "progcheck", "--q", "2", "--file", str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (0, "progression-free\n")
+    assert peak < 5 * path.stat().st_size
 
 
 def test_extremal(capsys, schema):

@@ -31,7 +31,7 @@ from gpfq import (
     x,
     zero,
 )
-from gpfq.polyring import MAX_TEXT_DEGREE, _divmod, _lane, _mul, _packer, _parse_term, _unit_ops
+from gpfq.polyring import MAX_TEXT_DEGREE, _divmod, _format_codes, _lane, _mul, _packer, _parse_term, _unit_ops
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -255,6 +255,17 @@ def test_format_parse_roundtrip_random(data, spec):
     # degrees past the exhaustive test; GF(512) and GF(729) write three-digit bracketed codes
     f = Poly(spec, _poly_codes(data.draw, spec.q, data.draw(st.integers(0, 61))))
     assert parse_poly(spec, format_poly(f)) == f
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), spec=st.sampled_from((F2, F3, F4, make_field(2, 9))))
+def test_format_codes_matches_format_poly(data, spec):
+    # a listing formats its rows a column at a time; runs of one length come in any
+    # order and repeat, and the zero polynomial is a run of its own
+    rows = [_poly_codes(data.draw, spec.q, n) for n in data.draw(st.lists(st.integers(0, 5), max_size=12))]
+    texts = _format_codes(spec.k, rows)
+    assert texts == [format_poly(Poly(spec, cs)) for cs in rows]
+    assert [parse_poly(spec, t).coeffs for t in texts] == rows
 
 
 def test_spec_mismatch():
