@@ -13,13 +13,18 @@ The pipeline is the standard one, complete in every characteristic:
   3. equal-degree splitting (Cantor-Zassenhaus) by randomized powering, with
      the trace construction in characteristic 2.
 
-Steps 2 and 3 and is_irreducible run in a residue ring GF(q)[x]/(f). Over GF(p)
-it is _Packed, on polyring's 1-D lane-packed ints: a product is reduced by
-Barrett reduction with mu = x^(2n) // f, computed once per modulus, and a gcd
-runs a Euclid that keeps both operands packed (von zur Gathen and Gerhard,
-Modern Computer Algebra, sections 8.4 and 9.1). Over an extension field, or a
-prime whose lane bound fits no 64-bit lane, it is _Residues on code tuples, with
-one gcd per degree in step 2. No other layer builds either ring.
+Steps 2 and 3 and is_irreducible run in a residue ring GF(q)[x]/(f), q = p^k:
+_Packed, on polyring's 2-D packed ints (1-D at k = 1), with Barrett reduction in
+x by x^(2n) // f and in y by y^(2k) // m, m the field modulus (von zur Gathen and
+Gerhard, Modern Computer Algebra, 8.4 and 9.1). Its gcds keep both operands
+packed over GF(p) and are one tuple Euclid per block over GF(p^k). As h -> h^q
+is GF(q)-linear, where q > n the ring builds the matrix of the x^(iq) mod f by
+n - 1 ring products, and a step costs 0.5 to 2.7 ring products (measured, n <=
+256) against log2(q) to 2 log2(q) for square and multiply, which it keeps where
+q <= n: there the two walks are within 10% near q = n (q = 3 to 16), and at
+GF(4), n = 4096, a step costs 2.2 ring products against 2. Primes whose lane
+bound fits no 64-bit lane use _Residues on code tuples, one gcd per degree in
+step 2. No other layer builds either ring.
 
 factorize counts its work (_Work): every Euclid or division step and every ring
 product costs the degree of its modulus, and past MAX_FACTOR_WORK it raises
@@ -31,6 +36,7 @@ overrides the seed.
 from __future__ import annotations
 
 import random
+from itertools import accumulate, repeat
 from typing import NamedTuple, Tuple
 
 from .errors import MAX_FACTOR_WORK, BudgetExceeded, ZeroPolynomial
@@ -41,6 +47,7 @@ from .polyring import (
     _byte_mod,
     _deriv,
     _divmod,
+    _divmod_packed,
     _lane,
     _mod,
     _monic,
@@ -55,6 +62,8 @@ from .polyring import (
 
 #: Degrees per gcd in the distinct-degree split over a packed ring.
 _BLOCK = 8
+#: The largest Frobenius matrix a packed ring keeps, in bits (32 MiB: n = 2048 at 64-bit lanes).
+_MATRIX_BITS = 1 << 28
 
 _TO_DIGITS = bytes.maketrans(b"\0\1", b"01")
 _FROM_DIGITS = bytes.maketrans(b"01", b"\0\1")
@@ -104,17 +113,29 @@ _UNMETERED = _Work(float("inf"))
 # ---------------------------------------------------------------------------
 
 def _lane_for(spec, n):
-    """polyring's packed lane for products of residues of degree < n over GF(p), or None."""
-    return _lane(max(n, 2) * (spec.p - 1) ** 2) if spec.k == 1 else None
+    """polyring's packed lane for products of residues of degree < n in the 2-D form, or None."""
+    p, k = spec.p, spec.k
+    return _lane(max(max(n, 2) * k * (p - 1) ** 2, (k - 1) ** 2 * (p - 1) ** 3 + p - 1))
 
 
 def _reducer(p, bits, typecode, lanes):
-    """The function reducing every lane of a packed int mod p (at p = 2, of at most `lanes` lanes)."""
+    """The function reducing every lane of a packed int mod p (at p = 2, of at most `lanes` lanes).
+    A 16-bit lane 256*h + l at p < 128 is (256*h mod p) + (l mod p) mod p, read by byte tables."""
     if p == 2:  # a lane's parity is its lowest bit
         return int.from_bytes((b"\1" + bytes(bits // 8 - 1)) * lanes, "little").__and__
+    mod = _byte_mod(p)
     if bits == 8:
-        table = _byte_mod(p)
-        return lambda n: int.from_bytes(n.to_bytes(n.bit_length() + 7 >> 3, "little").translate(table), "little")
+        return lambda n: int.from_bytes(n.to_bytes(n.bit_length() + 7 >> 3, "little").translate(mod), "little")
+    if bits == 16 and p < 128:
+        high = bytes(256 * b % p for b in range(256))
+
+        def reduce(n):
+            raw = n.to_bytes(n.bit_length() + 15 >> 4 << 1, "little")
+            out, low = bytearray(len(raw)), int.from_bytes(raw[::2].translate(mod), "little")
+            out[::2] = (low + int.from_bytes(raw[1::2].translate(high), "little")).to_bytes(len(raw) >> 1, "little").translate(mod)
+            return int.from_bytes(out, "little")
+
+        return reduce
     return lambda n: _pack(_unpack(n, -(-n.bit_length() // bits), bits, typecode, p), typecode)
 
 
@@ -179,7 +200,7 @@ def _bits(n, bits):
 
 def _gcd(spec, a, b, work):
     """Monic gcd of code tuples, packed (_euclid) over GF(p) when a lane holds it."""
-    lane = _lane_for(spec, max(len(a), len(b)))
+    lane = spec.k == 1 and _lane_for(spec, max(len(a), len(b)))
     if lane:
         return _euclid(spec.p, lane, _pack(a, lane[1]), _pack(b, lane[1]), work)
     weight = max(len(a), len(b)) - 1
@@ -259,34 +280,60 @@ class _Residues:
 
 
 class _Packed(_Residues):
-    """GF(p)[x]/(f) on polyring's 1-D lane-packed ints, every lane below p.
+    """GF(q)[x]/(f) on polyring's 2-D packed ints: digit j of coefficient i in lane i*w + j, w = 2k - 1.
 
-    A product c = a*b has degree < 2n, so its quotient by f is exactly
-    (c >> n lanes) * mu >> n lanes, with mu = x^(2n) // f; the residue is the
-    low n lanes of c + quotient * (x^n - f). That is three packed products,
-    each followed by a lane reduction. A lane holds max(n, 2) * (p-1)^2, which
-    also leaves _euclid room for a division step between reductions.
+    A product c = a*b (degree < 2n) has quotient (c >> n coefficients) * mu >> n coefficients
+    by f, mu = x^(2n) // f, and residue the low n coefficients of c + quotient * (x^n - f).
+    Each of the three products is folded: lanes reduced mod p and, at k > 1, each coefficient
+    (degree < 2k - 1 in y) by m(y) the same way, mu_y = y^(2k) // m, its quotient unreduced. A
+    lane holds max(n, 2) * k * (p-1)^2 (at k = 1 also an _euclid step) and (k-1)^2 (p-1)^3 + p - 1.
     """
 
     block = _BLOCK
 
     def __init__(self, spec, f, work):
-        p, n = spec.p, len(f) - 1
-        self.p, self.lane = p, _lane_for(spec, n)
-        bits, self.typecode = self.lane
-        self.shift, self.low = n * bits, (1 << n * bits) - 1
-        self.reduce = _reducer(p, bits, self.typecode, 2 * n)
-        self.mu = _pack(_divmod(spec, (0,) * 2 * n + (1,), f)[0], self.typecode)
-        self.tail = _pack([-c % p for c in f[:n]], self.typecode)
-        self.packed = _pack(f, self.typecode)
+        p, k, n, w = spec.p, spec.k, len(f) - 1, 2 * spec.k - 1
+        self.spec, self.p, self.lane, self.matrix = spec, p, _lane_for(spec, n), None
+        bits, typecode = self.lane
+        self.width = w * bits  # bits per coefficient
+        self.shift, self.low = n * self.width, (1 << n * self.width) - 1
+        self.reduce = self.fold = _reducer(p, bits, typecode, 2 * n * w)
+        if k > 1:
+            ones = int.from_bytes((b"\1" + bytes(self.width // 8 - 1)) * 2 * n, "little")  # lane 0 of each coefficient
+            top, below, shift = ones * ((1 << (k - 1) * bits) - 1), ones * ((1 << k * bits) - 1), k * bits
+            mu_y = _pack(_divmod_packed(p, 1, (0,) * 2 * k + (1,), spec.modulus, bits, typecode)[0], typecode)
+            tail_y, reduce = _pack([-c % p for c in spec.modulus[:k]], typecode), self.reduce
+
+            def fold(c):
+                c = reduce(c)
+                return reduce(c + ((c >> shift & top) * mu_y >> shift & top) * tail_y & below)
+
+            self.fold = fold
+        self.mu = self.pack(_divmod(spec, (0,) * 2 * n + (1,), f)[0])
+        self.tail = self.reduce((p - 1) * self.pack(f[:n]))  # x^n - f, as -d = (p - 1) * d
+        self.packed = self.pack(f)
         super().__init__(spec, f, work)
 
+    def pack(self, cs):
+        """The packed int of the code tuple cs."""
+        p, k = self.p, self.spec.k
+        if k == 1:
+            return _pack(cs, self.lane[1])
+        lanes = [0] * (len(cs) * (2 * k - 1))
+        for j in range(k):
+            lanes[j::2 * k - 1] = [c // p**j % p for c in cs]
+        return _pack(lanes, self.lane[1])
+
     def elem(self, cs):
-        return _pack(_mod(self.spec, cs, self.f), self.typecode)
+        return self.pack(_mod(self.spec, cs, self.f))
 
     def codes(self, a):
-        bits = self.lane[0]
-        return tuple(_unpack(a, -(-a.bit_length() // bits), bits, self.typecode, self.p))
+        (bits, typecode), p, k, w = self.lane, self.p, self.spec.k, 2 * self.spec.k - 1
+        lanes = _unpack(a, -(-a.bit_length() // self.width) * w, bits, typecode, p)
+        cs = lanes[k - 1::w]
+        for j in range(k - 2, -1, -1):
+            cs = [c * p + d for c, d in zip(cs, lanes[j::w])]
+        return tuple(cs)
 
     def add(self, a, b):
         return a ^ b if self.p == 2 else self.reduce(a + b)
@@ -296,14 +343,29 @@ class _Packed(_Residues):
 
     def mul(self, a, b):
         self.work.charge(self.n)
-        reduce, shift = self.reduce, self.shift
-        c = reduce(a * b)
+        fold, shift = self.fold, self.shift
+        c = fold(a * b)
         if c >> shift == 0:
             return c
-        return reduce(c + (reduce((c >> shift) * self.mu) >> shift) * self.tail & self.low)
+        return fold(c + (fold((c >> shift) * self.mu) >> shift) * self.tail & self.low)
 
-    def gcd(self, a):
-        return _euclid(self.p, self.lane, self.packed, a, self.work)
+    def frobenius(self, a):
+        """a^q, through the matrix where q > n (module docstring) and it fits in _MATRIX_BITS."""
+        q, n = self.spec.q, self.n
+        return self.pow(a, q) if q <= n or n * self.shift > _MATRIX_BITS else self.frobenius_by_matrix(a)
+
+    def frobenius_by_matrix(self, a):
+        """a^q as sum a_i * x^(iq) mod f, from the matrix built on the first call; a step folds
+        the sum once and is charged as one ring product."""
+        n, size, digits = self.n, self.width // 8, self.spec.k * self.lane[0] // 8
+        if self.matrix is None:
+            self.matrix = list(accumulate(repeat(self.pow(self.x, self.spec.q), n - 1), self.mul, initial=self.one))
+        self.work.charge(n)
+        raw = a.to_bytes(n * size, "little")
+        return self.fold(sum(int.from_bytes(raw[i * size:i * size + digits], "little") * x for i, x in enumerate(self.matrix)))
+
+    def gcd(self, a):  # over GF(p^k), the tuple Euclid
+        return _euclid(self.p, self.lane, self.packed, a, self.work) if self.spec.k == 1 else super().gcd(a)
 
 
 # ---------------------------------------------------------------------------

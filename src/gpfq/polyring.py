@@ -5,10 +5,10 @@ with no trailing zero (the empty tuple is the zero polynomial). The canonical
 order used everywhere for enumeration and reporting is (degree, then
 constant-first lexicographic on the code tuple). The private tuple-level
 helpers (_mul, _divmod, _gcd, ...) are what the Poly class wraps for the
-public API and operator syntax, and factor runs on _mul and _divmod. Over GF(p),
-factor keeps its Frobenius walks and gcds in a residue ring modulo f on the
-same lane-packed ints (_lane, _pack, _unpack, _byte_mod; see the factor module
-docstring), so only factoring compiles that ring.
+public API and operator syntax, and factor runs on _mul and _divmod. Over every
+field, factor keeps its Frobenius walks in a residue ring modulo f on the 2-D
+packed form below, with its own reduction in y (_lane, _pack, _unpack, _byte_mod,
+_divmod_packed; see the factor module docstring), so only factoring compiles it.
 
 Over a prime field, _mul and _divmod pack the codes into the 8-, 16-, 32- or
 64-bit lanes of one int (Kronecker substitution; von zur Gathen and Gerhard,

@@ -24,11 +24,14 @@ from gpfq import (
     zero,
 )
 from gpfq import factor
+from gpfq.polyring import _pack, _trim, _unpack
 
 F2 = make_field(2)
 F3 = make_field(3)
 F4 = make_field(2, 2)
 F5 = make_field(5)
+F7 = make_field(7)
+F9 = make_field(3, 2)
 
 
 def P(spec, text):
@@ -56,7 +59,7 @@ def test_irreducible_examples():
 
 
 def test_irreducibility_matches_naive():
-    for spec, dmax in ((F2, 8), (F3, 5), (F4, 4), (make_field(7), 3)):
+    for spec, dmax in ((F2, 8), (F3, 5), (F4, 4), (F7, 3)):
         for f in enumerate_upto(spec, dmax):
             if f.degree >= 1:
                 assert is_irreducible(f) == naive_is_irreducible(f), format_poly(f)
@@ -175,7 +178,7 @@ def test_factorize_deterministic():
 
 
 # (field, largest degree drawn): prime fields reach the wider packed lanes
-EXPAND_FIELDS = ((F2, 64), (F3, 40), (make_field(7), 24), (F4, 24), (make_field(2, 9), 6))
+EXPAND_FIELDS = ((F2, 64), (F3, 40), (F7, 24), (F4, 24), (make_field(2, 9), 6))
 
 
 @settings(max_examples=120, deadline=None)
@@ -210,10 +213,18 @@ def test_factorization_record():
 RING_FIELDS = (
     (F2, 40, 8),
     (F3, 40, 8),
-    (make_field(7), 24, 16),
+    (F7, 24, 16),
     (make_field(251), 12, 32),
     (make_field(65521), 10, 64),
     (make_field(2**61 - 1), 5, None),
+    (F4, 24, 8),
+    (F9, 16, 8),
+    (make_field(2, 4), 12, 8),
+    (make_field(3, 3), 10, 8),
+    (make_field(2, 9), 8, 8),
+    (make_field(3, 6), 12, 16),
+    (make_field(2, 13), 6, 8),  # above ff._LOG_MAX: no log tables
+    (make_field(3, 2, (2, 1, 1)), 40, 16),  # GF(9) by x^2+x+2, not the default x^2+1
 )
 
 
@@ -236,7 +247,7 @@ def test_ring_lanes(spec, dmax, bits):
     assert (ring.lane[0] if isinstance(ring, factor._Packed) else None) == bits
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=250, deadline=None)
 @given(data=st.data(), field=st.sampled_from(RING_FIELDS))
 def test_ring_matches_tuple_path(data, field):
     spec, dmax, _ = field
@@ -278,9 +289,8 @@ BLOCK_PATTERNS = ((B, B + 1), (B - 1, B, B + 1, B + 2), (2, 3, 5, 7), (B + 1, B 
 
 
 @settings(max_examples=60, deadline=None)
-@given(field=st.sampled_from(RING_FIELDS[:3]), degrees=st.sampled_from(BLOCK_PATTERNS), seed=st.integers(0, 2**32))
-def test_distinct_degree_at_block_edges(field, degrees, seed):
-    spec = field[0]
+@given(spec=st.sampled_from((F2, F3, F7, F4, F9)), degrees=st.sampled_from(BLOCK_PATTERNS), seed=st.integers(0, 2**32))
+def test_distinct_degree_at_block_edges(spec, degrees, seed):
     rng = random.Random(seed)
     primes = []
     for d in degrees:
@@ -306,6 +316,47 @@ def test_distinct_degree_at_block_edges(field, degrees, seed):
     assert fac.expand() == f and sorted(p.coeffs for p, _ in fac.parts) == sorted(p.coeffs for p in primes)
 
 
+# (field, modulus degree): q > n takes the Frobenius matrix, q <= n square and multiply
+FROBENIUS_CASES = ((F7, 6), (F7, 8), (make_field(2, 9), 16), (F4, 40))
+
+
+@pytest.mark.parametrize("spec, n", FROBENIUS_CASES)
+def test_frobenius_matrix_matches_powering(spec, n):
+    rng = random.Random(n)
+    work = factor._Work(factor.MAX_FACTOR_WORK)
+    ring = factor._residues(spec, tuple(rng.randrange(spec.q) for _ in range(n)) + (1,), work)
+    ring.frobenius_by_matrix(ring.x)
+    assert factor.MAX_FACTOR_WORK - work.left >= n * n  # the build's n - 1 products and the step
+    for _ in range(20):
+        h = ring.elem(_trim([rng.randrange(spec.q) for _ in range(n)]))
+        left = work.left
+        step = ring.frobenius_by_matrix(h)
+        assert left - work.left == n  # a step is charged as one ring product
+        assert step == ring.pow(h, spec.q)
+        left = work.left
+        assert ring.frobenius(h) == step
+        assert (left - work.left == n) == (spec.q > n)
+
+
+def test_frobenius_matrix_past_the_cap_is_not_built(monkeypatch):
+    # a matrix of n residues of n coefficients is refused past _MATRIX_BITS, for memory
+    spec = make_field(2, 9)
+    ring = factor._residues(spec, tuple(range(1, 17)) + (1,))
+    monkeypatch.setattr(factor, "_MATRIX_BITS", 16 * ring.shift - 1)
+    h = ring.elem(tuple(range(16)))
+    assert ring.frobenius(h) == ring.pow(h, spec.q) and ring.matrix is None
+
+
+def test_byte_reducer_matches_unpacking():
+    # 16-bit lanes at p < 128 reduce by byte tables; the widest lane value is 0xFFFF
+    rng = random.Random(16)
+    for p in (c for c in range(2, 128) if all(c % d for d in range(2, c))):
+        for count in (1, 2, 7, 64, 301):
+            lanes = [rng.choice((0, 0xFFFF, p, p - 1, rng.randrange(1 << 16))) for _ in range(count)]
+            n = _pack(lanes, "H")
+            assert factor._reducer(p, 16, "H", count)(n) == _pack(_unpack(n, count, 16, "H", p), "H"), (p, lanes)
+
+
 def _seed_by_horner(q, coeffs):
     s = 1
     for c in coeffs:
@@ -314,7 +365,7 @@ def _seed_by_horner(q, coeffs):
 
 
 @settings(max_examples=60, deadline=None)
-@given(data=st.data(), spec=st.sampled_from((F2, F3, F4, make_field(7), make_field(3, 6), make_field(2**61 - 1))))
+@given(data=st.data(), spec=st.sampled_from((F2, F3, F4, F7, make_field(3, 6), make_field(2**61 - 1))))
 def test_default_seed_is_the_horner_value(data, spec):
     coeffs = data.draw(st.lists(st.integers(0, spec.q - 1), max_size=300))
     assert factor._default_seed(spec, tuple(coeffs)) == _seed_by_horner(spec.q, coeffs)
