@@ -19,12 +19,13 @@ x by x^(2n) // f and in y by y^(2k) // m, m the field modulus (von zur Gathen an
 Gerhard, Modern Computer Algebra, 8.4 and 9.1). Its gcds keep both operands
 packed over GF(p) and are one tuple Euclid per block over GF(p^k). As h -> h^q
 is GF(q)-linear, where q > n the ring builds the matrix of the x^(iq) mod f by
-n - 1 ring products, and a step costs 0.5 to 2.7 ring products (measured, n <=
-256) against log2(q) to 2 log2(q) for square and multiply, which it keeps where
-q <= n: there the two walks are within 10% near q = n (q = 3 to 16), and at
-GF(4), n = 4096, a step costs 2.2 ring products against 2. Primes whose lane
-bound fits no 64-bit lane use _Residues on code tuples, one gcd per degree in
-step 2. No other layer builds either ring.
+n - 1 ring products, and a step costs 0.5 to 2.7 ring products (measured, 16 <=
+n <= 256) against log2(q) to 2 log2(q) for square and multiply, which it keeps
+where q <= n: whole walks are within 12% either way near q = n (q = 4 to 16),
+powering wins by 15-20% for q well below n, and at GF(4), n = 4096, a step
+costs 2.2 ring products against 2. Primes whose lane bound fits no 64-bit lane
+use _Residues on code tuples, one gcd per degree in step 2. No other layer
+builds either ring.
 
 factorize counts its work (_Work): every Euclid or division step and every ring
 product costs the degree of its modulus, and past MAX_FACTOR_WORK it raises

@@ -59,7 +59,7 @@ def test_irreducible_examples():
 
 
 def test_irreducibility_matches_naive():
-    for spec, dmax in ((F2, 8), (F3, 5), (F4, 4), (F7, 3)):
+    for spec, dmax in ((F2, 8), (F3, 5), (F4, 4), (make_field(7), 3)):
         for f in enumerate_upto(spec, dmax):
             if f.degree >= 1:
                 assert is_irreducible(f) == naive_is_irreducible(f), format_poly(f)
@@ -178,7 +178,7 @@ def test_factorize_deterministic():
 
 
 # (field, largest degree drawn): prime fields reach the wider packed lanes
-EXPAND_FIELDS = ((F2, 64), (F3, 40), (F7, 24), (F4, 24), (make_field(2, 9), 6))
+EXPAND_FIELDS = ((F2, 64), (F3, 40), (make_field(7), 24), (F4, 24), (make_field(2, 9), 6))
 
 
 @settings(max_examples=120, deadline=None)
@@ -213,7 +213,7 @@ def test_factorization_record():
 RING_FIELDS = (
     (F2, 40, 8),
     (F3, 40, 8),
-    (F7, 24, 16),
+    (make_field(7), 24, 16),
     (make_field(251), 12, 32),
     (make_field(65521), 10, 64),
     (make_field(2**61 - 1), 5, None),
@@ -365,7 +365,7 @@ def _seed_by_horner(q, coeffs):
 
 
 @settings(max_examples=60, deadline=None)
-@given(data=st.data(), spec=st.sampled_from((F2, F3, F4, F7, make_field(3, 6), make_field(2**61 - 1))))
+@given(data=st.data(), spec=st.sampled_from((F2, F3, F4, make_field(7), make_field(3, 6), make_field(2**61 - 1))))
 def test_default_seed_is_the_horner_value(data, spec):
     coeffs = data.draw(st.lists(st.integers(0, spec.q - 1), max_size=300))
     assert factor._default_seed(spec, tuple(coeffs)) == _seed_by_horner(spec.q, coeffs)
