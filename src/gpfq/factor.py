@@ -14,24 +14,23 @@ The pipeline is the standard one, complete in every characteristic:
      the trace construction in characteristic 2.
 
 Steps 2 and 3 and is_irreducible run in a residue ring GF(q)[x]/(f), q = p^k:
-_Packed, on polyring's 2-D packed ints (1-D at k = 1), with Barrett reduction in
-x by x^(2n) // f and in y by y^(2k) // m, m the field modulus (von zur Gathen and
-Gerhard, Modern Computer Algebra, 8.4 and 9.1). Its gcds keep both operands
-packed over GF(p) and are one tuple Euclid per block over GF(p^k). As h -> h^q
-is GF(q)-linear, where q > n the ring builds the matrix of the x^(iq) mod f by
-n - 1 ring products, and a step costs 0.5 to 2.7 ring products (measured, 16 <=
-n <= 256) against log2(q) to 2 log2(q) for square and multiply, which it keeps
-where q <= n: whole walks are within 12% either way near q = n (q = 4 to 16),
-powering wins by 15-20% for q well below n, and at GF(4), n = 4096, a step
-costs 2.2 ring products against 2. Primes whose lane bound fits no 64-bit lane
-use _Residues on code tuples, one gcd per degree in step 2. No other layer
-builds either ring.
+_Packed, on polyring's 2-D packed ints (1-D at k = 1) in lanes as wide as the
+prime needs, with Barrett reduction in x by x^(2n) // f and in y by
+y^(2k) // m, m the field modulus (von zur Gathen and Gerhard, Modern Computer
+Algebra, 8.4 and 9.1). Its gcds keep both operands packed over GF(p) and are
+one tuple Euclid per block over GF(p^k). As h -> h^q is GF(q)-linear, where
+q > n the ring builds the matrix of the x^(iq) mod f by n - 1 ring products,
+and a step costs 0.5 to 2.7 ring products (measured, 16 <= n <= 256) against
+log2(q) to 2 log2(q) for square and multiply, which it keeps where q <= n:
+whole walks are within 12% either way near q = n (q = 4 to 16), powering wins
+by 15-20% for q well below n, and at GF(4), n = 4096, a step costs 2.2 ring
+products against 2. No other layer builds the ring.
 
-factorize counts its work (_Work): every Euclid or division step and every ring
-product costs the degree of its modulus, and past MAX_FACTOR_WORK it raises
-BudgetExceeded. The randomized stage draws from a generator seeded by
-(q, encoding of f), so factorizations are bit-reproducible unless a caller
-overrides the seed.
+factorize counts its work (_Work): every Euclid or division step (_divide)
+and every ring product costs the degree of its modulus, and past
+MAX_FACTOR_WORK it raises BudgetExceeded. The randomized stage draws from a
+generator seeded by (q, encoding of f), so factorizations are bit-reproducible
+unless a caller overrides the seed.
 """
 
 from __future__ import annotations
@@ -44,7 +43,6 @@ from .errors import MAX_FACTOR_WORK, BudgetExceeded, ZeroPolynomial
 from .ff import FieldElem, FieldSpec
 from .polyring import (
     Poly,
-    _add,
     _byte_mod,
     _deriv,
     _divmod,
@@ -52,16 +50,14 @@ from .polyring import (
     _lane,
     _mod,
     _monic,
-    _mul,
     _pack,
-    _sub,
     _trim,
     _unpack,
     canonical_key,
     enumerate_monic,
 )
 
-#: Degrees per gcd in the distinct-degree split over a packed ring.
+#: Degrees per gcd in the distinct-degree split.
 _BLOCK = 8
 #: The largest Frobenius matrix a packed ring keeps, in bits (32 MiB: n = 2048 at 64-bit lanes).
 _MATRIX_BITS = 1 << 28
@@ -114,7 +110,7 @@ _UNMETERED = _Work(float("inf"))
 # ---------------------------------------------------------------------------
 
 def _lane_for(spec, n):
-    """polyring's packed lane for products of residues of degree < n in the 2-D form, or None."""
+    """polyring's packed lane for products of residues of degree < n in the 2-D form."""
     p, k = spec.p, spec.k
     return _lane(max(max(n, 2) * k * (p - 1) ** 2, (k - 1) ** 2 * (p - 1) ** 3 + p - 1))
 
@@ -200,9 +196,9 @@ def _bits(n, bits):
 
 
 def _gcd(spec, a, b, work):
-    """Monic gcd of code tuples, packed (_euclid) over GF(p) when a lane holds it."""
-    lane = spec.k == 1 and _lane_for(spec, max(len(a), len(b)))
-    if lane:
+    """Monic gcd of code tuples: packed (_euclid) over GF(p), a tuple Euclid over GF(p^k)."""
+    if spec.k == 1:
+        lane = _lane_for(spec, max(len(a), len(b)))
         return _euclid(spec.p, lane, _pack(a, lane[1]), _pack(b, lane[1]), work)
     weight = max(len(a), len(b)) - 1
     while b:
@@ -211,76 +207,17 @@ def _gcd(spec, a, b, work):
     return _monic(spec, a)[1] if a else ()
 
 
-def _quotient(spec, a, b, work):
-    """a // b, charged its division steps at the degree of a."""
+def _divide(spec, a, b, work):
+    """divmod(a, b) on code tuples, charged its division steps at the degree of a."""
     work.charge(max(len(a) - len(b) + 1, 0) * (len(a) - 1))
-    return _divmod(spec, a, b)[0]
+    return _divmod(spec, a, b)
 
 
 # ---------------------------------------------------------------------------
-# residue rings modulo a monic f of degree n >= 1
+# the residue ring modulo a monic f of degree n >= 1
 # ---------------------------------------------------------------------------
 
-def _residues(spec, f, work=_UNMETERED):
-    """The ring GF(q)[x]/(f): packed when f's products fit a lane, on code tuples otherwise."""
-    return (_Packed if _lane_for(spec, len(f) - 1) else _Residues)(spec, f, work)
-
-
-class _Residues:
-    """GF(q)[x]/(f) on code tuples of length at most n, through polyring's _mul and _mod.
-
-    Elements are canonical, so equal residues compare equal. Every product is
-    charged n units of `work`, and every gcd its Euclid steps.
-    """
-
-    block = 1  # degrees per gcd in _distinct_degree
-
-    def __init__(self, spec, f, work):
-        self.spec, self.f, self.n, self.work = spec, f, len(f) - 1, work
-        self.one = self.elem((1,))
-        self.x = self.elem((0, 1))
-
-    def over(self, g):
-        """The same kind of ring modulo g."""
-        return type(self)(self.spec, g, self.work)
-
-    def elem(self, cs):
-        """The residue of the code tuple cs."""
-        return _mod(self.spec, cs, self.f)
-
-    def codes(self, a):
-        return a
-
-    def add(self, a, b):
-        return _add(self.spec, a, b)
-
-    def sub(self, a, b):
-        return _sub(self.spec, a, b)
-
-    def mul(self, a, b):
-        self.work.charge(self.n)
-        return _mod(self.spec, _mul(self.spec, a, b), self.f)
-
-    def pow(self, a, e):
-        """a^e for e >= 1, by square and multiply."""
-        result = None
-        while True:
-            if e & 1:
-                result = a if result is None else self.mul(result, a)
-            e >>= 1
-            if not e:
-                return result
-            a = self.mul(a, a)
-
-    def frobenius(self, a):
-        return self.pow(a, self.spec.q)
-
-    def gcd(self, a):
-        """Monic gcd(a, f) as a code tuple."""
-        return _gcd(self.spec, self.f, self.codes(a), self.work)
-
-
-class _Packed(_Residues):
+class _Packed:
     """GF(q)[x]/(f) on polyring's 2-D packed ints: digit j of coefficient i in lane i*w + j, w = 2k - 1.
 
     A product c = a*b (degree < 2n) has quotient (c >> n coefficients) * mu >> n coefficients
@@ -288,14 +225,14 @@ class _Packed(_Residues):
     Each of the three products is folded: lanes reduced mod p and, at k > 1, each coefficient
     (degree < 2k - 1 in y) by m(y) the same way, mu_y = y^(2k) // m, its quotient unreduced. A
     lane holds max(n, 2) * k * (p-1)^2 (at k = 1 also an _euclid step) and (k-1)^2 (p-1)^3 + p - 1.
+    Elements are canonical, so equal residues compare equal. Every product is charged n units
+    of `work`, and every gcd and division its steps.
     """
 
-    block = _BLOCK
-
-    def __init__(self, spec, f, work):
+    def __init__(self, spec, f, work=_UNMETERED):
         p, k, n, w = spec.p, spec.k, len(f) - 1, 2 * spec.k - 1
-        self.spec, self.p, self.lane, self.matrix = spec, p, _lane_for(spec, n), None
-        bits, typecode = self.lane
+        self.spec, self.f, self.n, self.work, self.p, self.matrix = spec, f, n, work, p, None
+        self.lane = bits, typecode = _lane_for(spec, n)
         self.width = w * bits  # bits per coefficient
         self.shift, self.low = n * self.width, (1 << n * self.width) - 1
         self.reduce = self.fold = _reducer(p, bits, typecode, 2 * n * w)
@@ -310,10 +247,14 @@ class _Packed(_Residues):
                 return reduce(c + ((c >> shift & top) * mu_y >> shift & top) * tail_y & below)
 
             self.fold = fold
-        self.mu = self.pack(_divmod(spec, (0,) * 2 * n + (1,), f)[0])
+        self.mu = self.pack(_divide(spec, (0,) * 2 * n + (1,), f, work)[0])
         self.tail = self.reduce((p - 1) * self.pack(f[:n]))  # x^n - f, as -d = (p - 1) * d
         self.packed = self.pack(f)
-        super().__init__(spec, f, work)
+        self.one, self.x = self.elem((1,)), self.elem((0, 1))
+
+    def over(self, g):
+        """The same ring modulo g."""
+        return _Packed(self.spec, g, self.work)
 
     def pack(self, cs):
         """The packed int of the code tuple cs."""
@@ -326,7 +267,8 @@ class _Packed(_Residues):
         return _pack(lanes, self.lane[1])
 
     def elem(self, cs):
-        return self.pack(_mod(self.spec, cs, self.f))
+        """The residue of the code tuple cs."""
+        return self.pack(_divide(self.spec, cs, self.f, self.work)[1])
 
     def codes(self, a):
         (bits, typecode), p, k, w = self.lane, self.p, self.spec.k, 2 * self.spec.k - 1
@@ -350,6 +292,17 @@ class _Packed(_Residues):
             return c
         return fold(c + (fold((c >> shift) * self.mu) >> shift) * self.tail & self.low)
 
+    def pow(self, a, e):
+        """a^e for e >= 1, by square and multiply."""
+        result = None
+        while True:
+            if e & 1:
+                result = a if result is None else self.mul(result, a)
+            e >>= 1
+            if not e:
+                return result
+            a = self.mul(a, a)
+
     def frobenius(self, a):
         """a^q, through the matrix where q > n (module docstring) and it fits in _MATRIX_BITS."""
         q, n = self.spec.q, self.n
@@ -365,8 +318,11 @@ class _Packed(_Residues):
         raw = a.to_bytes(n * size, "little")
         return self.fold(sum(int.from_bytes(raw[i * size:i * size + digits], "little") * x for i, x in enumerate(self.matrix)))
 
-    def gcd(self, a):  # over GF(p^k), the tuple Euclid
-        return _euclid(self.p, self.lane, self.packed, a, self.work) if self.spec.k == 1 else super().gcd(a)
+    def gcd(self, a):
+        """Monic gcd(a, f) as a code tuple: _euclid on packed operands over GF(p), the tuple Euclid over GF(p^k)."""
+        if self.spec.k == 1:
+            return _euclid(self.p, self.lane, self.packed, a, self.work)
+        return _gcd(self.spec, self.f, self.codes(a), self.work)
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +343,7 @@ def is_irreducible(f: Poly) -> bool:
     m = _monic(spec, f.coeffs)[1]
     if len(m) <= 2:
         return len(m) == 2
-    return _irreducible(_residues(spec, m))
+    return _irreducible(_Packed(spec, m))
 
 
 def _irreducible(ring):
@@ -418,16 +374,16 @@ def _squarefree_decomposition(spec, f, work=_UNMETERED):
     if len(f) - 1 == 0:
         return out
     c = _gcd(spec, f, _deriv(spec, f), work)  # f itself when f' = 0
-    w = _quotient(spec, f, c, work)
+    w = _divide(spec, f, c, work)[0]
     i = 1
     while len(w) > 1:
         y = _gcd(spec, w, c, work)
-        z = _quotient(spec, w, y, work)
+        z = _divide(spec, w, y, work)[0]
         if len(z) > 1:
             out[i] = z
         i += 1
         w = y
-        c = _quotient(spec, c, y, work)
+        c = _divide(spec, c, y, work)[0]
     if len(c) > 1:
         # exponents divisible by p live entirely in c, itself a p-th power
         for e, g in _squarefree_decomposition(spec, _pth_root(spec, c), work).items():
@@ -442,7 +398,7 @@ def _squarefree_decomposition(spec, f, work=_UNMETERED):
 def _distinct_degree(ring):
     """[(d, product of the irreducible factors of degree d)] ascending in d, for the ring's modulus.
 
-    Degrees come in blocks of ring.block: the product of h_d - x over a block
+    Degrees come in blocks of _BLOCK: the product of h_d - x over a block
     takes one gcd with f, and every factor of degree below the block is gone
     from f by then. A degree past n/2 is never walked: what is left of f then
     is irreducible. Taking out a block's factors moves the walk to a smaller ring.
@@ -455,7 +411,7 @@ def _distinct_degree(ring):
         g = ring.gcd(acc)
         if len(g) > 1:
             out += _split_block(ring, g, hs, first)
-            f = _quotient(ring.spec, ring.f, g, ring.work)
+            f = _divide(ring.spec, ring.f, g, ring.work)[0]
             if len(f) == 1:
                 return out
             h, ring = ring.codes(h), ring.over(f)
@@ -468,7 +424,7 @@ def _block(ring, h, d):
     """The next block of degrees d+1, d+2, ..., none past n/2, walked from h = h_d: the
     list of their h_e = x^(q^e) mod f and the product of the h_e - x, all in the ring."""
     hs = []
-    for _ in range(min(ring.block, ring.n // 2 - d)):
+    for _ in range(min(_BLOCK, ring.n // 2 - d)):
         h = ring.frobenius(h)
         hs.append(h)
     acc = ring.sub(hs[0], ring.x)
@@ -489,10 +445,10 @@ def _split_block(ring, g, hs, first):
     for d, h in enumerate(hs[:-1], first):
         if len(g) == 1:
             return out
-        part = _gcd(spec, g, _mod(spec, ring.codes(ring.sub(h, ring.x)), g), work)
+        part = _gcd(spec, g, _divide(spec, ring.codes(ring.sub(h, ring.x)), g, work)[1], work)
         if len(part) > 1:
             out.append((d, part))
-            g = _quotient(spec, g, part, work)
+            g = _divide(spec, g, part, work)[0]
     if len(g) > 1:
         out.append((first + len(hs) - 1, g))
     return out
@@ -503,7 +459,7 @@ def _equal_degree(spec, f, d, rng, work=_UNMETERED):
     n = len(f) - 1
     if n == d:
         return [f]
-    ring = _residues(spec, f, work)
+    ring = _Packed(spec, f, work)
     q = spec.q
     while True:
         a = _trim(tuple(rng.randrange(q) for _ in range(n)))
@@ -523,7 +479,7 @@ def _equal_degree(spec, f, d, rng, work=_UNMETERED):
             c = ring.gcd(b)
             if not 1 < len(c) < len(f):
                 continue
-        rest = _quotient(spec, f, c, work)
+        rest = _divide(spec, f, c, work)[0]
         return _equal_degree(spec, c, d, rng, work) + _equal_degree(spec, rest, d, rng, work)
 
 
@@ -563,7 +519,7 @@ def factorize(f: Poly, seed: int | None = None) -> Factorization:
     work = _Work(MAX_FACTOR_WORK)
     found = []
     for e, part in _squarefree_decomposition(spec, m, work).items():
-        for d, block in _distinct_degree(_residues(spec, part, work)):
+        for d, block in _distinct_degree(_Packed(spec, part, work)):
             for prime in _equal_degree(spec, block, d, rng, work):
                 found.append((Poly._raw(spec, prime), e))
     found.sort(key=lambda pe: canonical_key(pe[0]))

@@ -10,18 +10,18 @@ field, factor keeps its Frobenius walks in a residue ring modulo f on the 2-D
 packed form below, with its own reduction in y (_lane, _pack, _unpack, _byte_mod,
 _divmod_packed; see the factor module docstring), so only factoring compiles it.
 
-Over a prime field, _mul and _divmod pack the codes into the 8-, 16-, 32- or
-64-bit lanes of one int (Kronecker substitution; von zur Gathen and Gerhard,
-Modern Computer Algebra, section 8.4) and reduce each lane mod p only when
-unpacking (8-bit lanes by one bytes.translate through the table of i mod p).
-A product's lanes stay below min(len) * (p-1)^2; a division keeps the
-remainder as one int and adds (p - t) * b at each step, so its lanes never
-borrow and must hold (p-1) + steps * (p-1)^2. Operands of every length pack
-into the narrowest lane that holds that bound; a bound that no 64-bit lane
-holds keeps the loop. Over an extension field with log tables (q <= 4096,
-see ff), _mul_log and _divmod_log run that loop in the log domain with no ff
-call: each product is one exp lookup, added by XOR at p = 2 and through the
-Zech table.
+Over a prime field, _mul and _divmod pack the codes into the lanes of one int
+(Kronecker substitution; von zur Gathen and Gerhard, Modern Computer Algebra,
+section 8.4) and reduce each lane mod p only when unpacking (8-bit lanes by
+one bytes.translate through the table of i mod p). A product's lanes stay
+below min(len) * (p-1)^2; a division keeps the remainder as one int and adds
+(p - t) * b at each step, so its lanes never borrow and must hold
+(p-1) + steps * (p-1)^2. Operands of every length pack into the narrowest
+lane that holds that bound: 8, 16, 32 or 64 bits, and past that as many whole
+bytes as it takes, since a lane need not be an array width. Over an extension
+field the coefficient loops run, and with log tables (q <= 4096, see ff)
+_mul_log and _divmod_log run them in the log domain with no ff call: each
+product is one exp lookup, added by XOR at p = 2 and through the Zech table.
 
 The progression searches and greedy builds in progfree keep every operand in
 a 2-D packed form over every field (_packer): digit j of code i sits in lane
@@ -97,11 +97,14 @@ def _scale(spec, a, c):
 
 
 def _lane(bound):
-    """(bits, typecode) of the narrowest packed lane that holds `bound`, or None."""
+    """(bits, typecode) of the narrowest packed lane that holds `bound`: an 8-, 16-, 32- or
+    64-bit lane with its array typecode, and past 64 bits the fewest whole bytes that hold
+    `bound`, with that byte count as its typecode (read and written by int.to_bytes)."""
     for bits, typecode in _LANES:
         if bound >> bits == 0:
             return bits, typecode
-    return None
+    size = -(-bound.bit_length() // 8)
+    return 8 * size, size
 
 
 @lru_cache(maxsize=None)
@@ -114,6 +117,8 @@ def _pack(cs, typecode):
     """The int whose lanes, lowest first, are the codes `cs`."""
     if typecode == "B":
         return int.from_bytes(bytes(cs), "little")
+    if type(typecode) is int:
+        return int.from_bytes(b"".join([c.to_bytes(typecode, "little") for c in cs]), "little")
     lanes = array(typecode, cs)
     if _BIG_ENDIAN:
         lanes.byteswap()
@@ -125,6 +130,8 @@ def _unpack(n, count, bits, typecode, p):
     raw = (n & ((1 << count * bits) - 1)).to_bytes(count * bits // 8, "little")
     if typecode == "B":
         return raw.translate(_byte_mod(p))
+    if type(typecode) is int:
+        return [int.from_bytes(raw[i:i + typecode], "little") % p for i in range(0, len(raw), typecode)]
     lanes = array(typecode)
     lanes.frombytes(raw)
     if _BIG_ENDIAN:
@@ -137,15 +144,11 @@ def _mul(spec, a, b):
         return ()
     if spec.k == 1:
         p = spec.p
-        short = min(len(a), len(b))
-        # a product coefficient is a sum of at most `short` products of codes < p
-        lane = _lane(short * (p - 1) ** 2)
-        if lane:
-            bits, typecode = lane
-            packed_a = _pack(a, typecode)
-            packed_b = packed_a if b is a else _pack(b, typecode)
-            n = len(a) + len(b) - 1
-            return tuple(_unpack(packed_a * packed_b, n, bits, typecode, p))
+        # a product coefficient is a sum of at most min(len) products of codes < p
+        bits, typecode = _lane(min(len(a), len(b)) * (p - 1) ** 2)
+        packed_a = _pack(a, typecode)
+        packed_b = packed_a if b is a else _pack(b, typecode)
+        return tuple(_unpack(packed_a * packed_b, len(a) + len(b) - 1, bits, typecode, p))
     if spec.log is not None:
         return _mul_log(spec, a, b)
     add = spec.add_c
@@ -197,9 +200,7 @@ def _divmod(spec, a, b):
     if spec.k == 1:
         p = spec.p
         # every step adds at most (p-1)^2 to a lane that starts below p
-        lane = _lane((p - 1) + (len(a) - db) * (p - 1) ** 2)
-        if lane:
-            return _divmod_packed(p, spec.inv_c(b[-1]), a, b, *lane)
+        return _divmod_packed(p, spec.inv_c(b[-1]), a, b, *_lane((p - 1) + (len(a) - db) * (p - 1) ** 2))
     if spec.log is not None:
         return _divmod_log(spec, a, b)
     add = spec.add_c
@@ -279,10 +280,8 @@ def _divmod_packed(p, inv_lead, a, b, bits, typecode):
 def _packer(spec, length):
     """(pack, mul, unpack) of the 2-D packed form over `spec` (module docstring) for polynomials
     and products of at most `length` coefficients; unpack is pack's inverse on reduced forms."""
-    p, k, q, w = spec.p, spec.k, spec.q, 2 * spec.k - 1  # w lanes per coefficient: 2k-1 digit slots
-    bits, typecode = _lane(length * k * (p - 1) ** 2 * (1 + (k - 1) * (p - 1))) or (0, "")
-    if not bits:
-        raise BudgetExceeded(f"products of {length} coefficients over GF({q}) overflow a 64-bit lane")
+    p, k, w = spec.p, spec.k, 2 * spec.k - 1  # w lanes per coefficient: 2k-1 digit slots
+    bits, typecode = _lane(length * k * (p - 1) ** 2 * (1 + (k - 1) * (p - 1)))
     size = w * bits // 8  # bytes per coefficient
     ones = int.from_bytes((b"\1" + bytes(size - 1)) * length, "little")  # each coefficient's lowest lane
     slot, low, table = ones * ((1 << bits) - 1), ones * ((1 << k * bits) - 1), _byte_mod(p)

@@ -801,6 +801,49 @@ def _run_cli(*argv):
     )
 
 
+_X128_FACTORS = (  # the last line of `factor --q 2305843009213693951 x^128+x+1`
+    "1 * (x+636260618972345636) * (x+1016634111715272649) * (x+1669582390241348316) * (x^3+"
+    "1019173128636244942*x^2+236054174946168096*x+1765897767956323268) * (x^4+"
+    "1033809242659444958*x^3+944609742504693161*x^2+1286668962108071434*x+514976156579066065) * (x^4+"
+    "876318852675929943*x^3+1433390080493248985*x^2+240554210833938275*x+1030418013474571159) * (x^9+"
+    "1168825194697142319*x^8+43997433919425365*x^7+494082761828169562*x^6+606869409619018065*x^5+"
+    "56312414642979829*x^4+1540840658764953554*x^3+1195758070137548791*x^2+572597810585068980*x+"
+    "1427167159757470025) * (x^23+588464932000118202*x^22+935806896597722509*x^21+"
+    "1919712767074385344*x^20+905596135974140320*x^19+2076635188671331768*x^18+"
+    "2293523905138473780*x^17+1560268781587632469*x^16+96206021072435155*x^15+"
+    "858972748036625887*x^14+412475993964015443*x^13+1687257832711537099*x^12+"
+    "1920331912071442745*x^11+1646538391246270914*x^10+50574968998802045*x^9+1282233860924036330*x^8+"
+    "1503999151732697976*x^7+727192190341802421*x^6+1110693260388528310*x^5+1042523613355149059*x^4+"
+    "2230792126752756264*x^3+2046473530980610888*x^2+684766130936881410*x+894518076858842095) * "
+    "(x^82+1214303565256928839*x^81+1119115131459602366*x^80+169807116054953846*x^79+"
+    "871394499930434959*x^78+593675579616430941*x^77+616296397254114038*x^76+"
+    "1803987652057069121*x^75+1939619004148504233*x^74+2071510972416090020*x^73+"
+    "1170744682094869908*x^72+1365751554040842458*x^71+959980754507066673*x^70+"
+    "677637614821226318*x^69+1692710494800090336*x^68+219784625616697755*x^67+"
+    "1647945861453435523*x^66+1760177913393521558*x^65+402196712084165097*x^64+"
+    "27657061883808401*x^63+1708544256546537043*x^62+659143776997546147*x^61+"
+    "1200025222341675151*x^60+331917371769952591*x^59+1555752533811930635*x^58+"
+    "1062004076383268953*x^57+182960847421276756*x^56+1305570151130341069*x^55+"
+    "1220830616812481287*x^54+753079493892249693*x^53+2075520339286920847*x^52+"
+    "1393787218911534650*x^51+672593771418556789*x^50+1493930240532813483*x^49+"
+    "583896733382212694*x^48+324086651192028844*x^47+858898573919833442*x^46+859110491850137937*x^45+"
+    "178702820225816074*x^44+636392985103522354*x^43+1693441302381716909*x^42+91894694002286065*x^41+"
+    "251603085646404271*x^40+1805816541404386277*x^39+674020561472052868*x^38+"
+    "454573195982434775*x^37+809351482608291222*x^36+508756222239093439*x^35+156004511478822354*x^34+"
+    "100920387011075230*x^33+255016084397384606*x^32+446525906158081823*x^31+"
+    "1284486728286140633*x^30+1806061723543885439*x^29+734127127349648675*x^28+"
+    "1867535334243684651*x^27+1365524170677370830*x^26+1901354007193597710*x^25+"
+    "331180770972400907*x^24+624415033414829803*x^23+827312725680938721*x^22+759174040158011692*x^21+"
+    "1037109978005331004*x^20+145874427873506962*x^19+340562655570138402*x^18+"
+    "133066884066194444*x^17+1911489492798242944*x^16+2209175683488189758*x^15+"
+    "1265504442329455419*x^14+32433175307154708*x^13+1908824484395098696*x^12+"
+    "940744608903632174*x^11+2225601579710736556*x^10+1376300018809564328*x^9+"
+    "2074253503121274708*x^8+207208178533519746*x^7+1465346964524556827*x^6+679430780676724583*x^5+"
+    "502037951318035313*x^4+70830828066786429*x^3+882328891317826406*x^2+2143393965343945789*x+"
+    "722937954510623888)"
+)
+
+
 @pytest.mark.parametrize(
     "argv, code",
     [
@@ -826,6 +869,7 @@ def _run_cli(*argv):
         (["factor", "--q", "2", f"x^{MAX_TEXT_DEGREE}+x+1"], 1),
         (["factor", "--q", "2", f"x^{MAX_TEXT_DEGREE}+1"], 0),
         (["factor", "--q", "3", f"x^{MAX_TEXT_DEGREE}+x+1"], 1),
+        (["factor", "--q", "2305843009213693951", "x^128+x+1"], 0),
     ],
 )
 def test_large_arguments_end_at_once(argv, code):
@@ -848,6 +892,7 @@ def test_large_arguments_end_at_once(argv, code):
             "40 712880545712",
             f"1 {(3**300 - 1) * 3**300}",  # every polynomial of degree 1
             f"1 * (x+1)^{MAX_TEXT_DEGREE}",
+            "".join(_X128_FACTORS),
         )
 
 

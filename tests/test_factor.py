@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from _oracles import naive_is_irreducible, trial_division_factorize
+from _oracles import distinct_degree_brute, naive_is_irreducible, trial_division_factorize
 from gpfq import (
     Poly,
     ZeroPolynomial,
@@ -206,17 +206,18 @@ def test_factorization_record():
 
 
 # ---------------------------------------------------------------------------
-# the packed residue ring against the tuple path
+# the packed residue ring against the textbook split on coefficient lists
 # ---------------------------------------------------------------------------
 
-# (field, largest degree drawn, lane bits of its packed ring at that degree; None: tuple path only)
+# (field, largest degree drawn, lane bits of its packed ring at that degree): past 64 bits a
+# lane is as many whole bytes as its bound needs
 RING_FIELDS = (
     (F2, 40, 8),
     (F3, 40, 8),
     (make_field(7), 24, 16),
     (make_field(251), 12, 32),
     (make_field(65521), 10, 64),
-    (make_field(2**61 - 1), 5, None),
+    (make_field(2**61 - 1), 5, 128),
     (F4, 24, 8),
     (F9, 16, 8),
     (make_field(2, 4), 12, 8),
@@ -225,6 +226,7 @@ RING_FIELDS = (
     (make_field(3, 6), 12, 16),
     (make_field(2, 13), 6, 8),  # above ff._LOG_MAX: no log tables
     (make_field(3, 2, (2, 1, 1)), 40, 16),  # GF(9) by x^2+x+2, not the default x^2+1
+    (make_field(2**31 - 1), 8, 72),
 )
 
 
@@ -236,26 +238,26 @@ def _squarefree(data, spec, dmax):
     return f
 
 
-def _both_rings(spec, f):
-    packed = factor._residues(spec, f.coeffs)
-    return packed, factor._Residues(spec, f.coeffs, factor._UNMETERED)
+def _oracle_split(spec, f):
+    """The textbook distinct-degree split of the monic squarefree f."""
+    return distinct_degree_brute(spec.p, spec.modulus, f.coeffs)
 
 
 @pytest.mark.parametrize("spec, dmax, bits", RING_FIELDS)
 def test_ring_lanes(spec, dmax, bits):
-    ring = factor._residues(spec, Poly(spec, [1] * dmax + [1]).coeffs)
-    assert (ring.lane[0] if isinstance(ring, factor._Packed) else None) == bits
+    assert factor._Packed(spec, Poly(spec, [1] * dmax + [1]).coeffs).lane[0] == bits
 
 
 @settings(max_examples=250, deadline=None)
 @given(data=st.data(), field=st.sampled_from(RING_FIELDS))
 def test_ring_matches_tuple_path(data, field):
+    # the blocked split on the packed ring against one gcd per degree on coefficient lists
     spec, dmax, _ = field
     f = _squarefree(data, spec, dmax)
-    packed, plain = _both_rings(spec, f)
-    assert factor._distinct_degree(packed) == factor._distinct_degree(plain)
+    ring, expected = factor._Packed(spec, f.coeffs), _oracle_split(spec, f)
+    assert factor._distinct_degree(ring) == expected
     if f.degree >= 2:
-        assert factor._irreducible(packed) == factor._irreducible(plain)
+        assert factor._irreducible(ring) == (expected == [(f.degree, f.coeffs)])
     assert factorize(f).expand() == f
 
 
@@ -273,11 +275,10 @@ def test_packed_gcd_matches_tuple_gcd(data, field):
 
 def _random_irreducible(spec, degree, rng):
     """A monic irreducible of the degree, by the trial-division oracle over GF(2) and GF(3)
-    and by the tuple path's test elsewhere."""
+    and by the textbook split elsewhere."""
     while True:
         f = Poly(spec, [rng.randrange(spec.q) for _ in range(degree)] + [1])
-        if degree == 1 or (naive_is_irreducible(f) if spec.q <= 3 else
-                           factor._irreducible(factor._Residues(spec, f.coeffs, factor._UNMETERED))):
+        if degree == 1 or (naive_is_irreducible(f) if spec.q <= 3 else _oracle_split(spec, f) == [(degree, f.coeffs)]):
             return f
 
 
@@ -308,12 +309,46 @@ def test_distinct_degree_at_block_edges(spec, degrees, seed):
             if prime.degree == d:
                 part = part * prime
         expected.append((d, part.coeffs))
-    for ring in _both_rings(spec, f):
-        assert factor._distinct_degree(ring) == expected
+    assert factor._distinct_degree(factor._Packed(spec, f.coeffs)) == expected == _oracle_split(spec, f)
     if len(primes) == 1 and f.degree >= 2:
-        assert all(factor._irreducible(ring) for ring in _both_rings(spec, f))
+        assert factor._irreducible(factor._Packed(spec, f.coeffs))
     fac = factorize(f)
     assert fac.expand() == f and sorted(p.coeffs for p, _ in fac.parts) == sorted(p.coeffs for p in primes)
+
+
+def _charged(run):
+    """(what run(work) returns, the units of work it charged)."""
+    work = factor._Work(factor.MAX_FACTOR_WORK)
+    return run(work), factor.MAX_FACTOR_WORK - work.left
+
+
+@pytest.mark.parametrize("spec, n", [(F2, 2), (F3, 9), (F4, 16), (make_field(2**61 - 1), 5)])
+def test_ring_charges_its_barrett_quotient(spec, n):
+    # mu = x^(2n) // f takes n + 1 division steps at degree 2n; 1 and x are already reduced
+    f = tuple(random.Random(n).randrange(spec.q) for _ in range(n)) + (1,)
+    assert _charged(lambda work: factor._Packed(spec, f, work))[1] == (n + 1) * 2 * n
+
+
+@pytest.mark.parametrize("spec", [F2, F3, F7, F4, F9])
+def test_split_block_charges_its_reduction(spec):
+    # the block gcd g has degree 3 < n = 10, so each h_d - x is reduced mod g before its gcd;
+    # with every h_d reduced beforehand the split finds the same parts and is charged less
+    rng = random.Random(spec.q)
+    low, prime = _random_irreducible(spec, 1, rng) * _random_irreducible(spec, 2, rng), _random_irreducible(spec, 7, rng)
+    ring = factor._Packed(spec, (low * prime).coeffs)
+    hs, acc = factor._block(ring, ring.x, 0)
+    g = ring.gcd(acc)
+    assert g == low.coeffs and len(hs) == 5
+
+    def split(hs):
+        def run(work):
+            ring.work = work
+            return factor._split_block(ring, g, hs, 1)
+        return _charged(run)
+
+    reduced = [ring.pack((Poly(spec, ring.codes(h)) % low).coeffs) for h in hs]
+    (parts, units), (same, fewer) = split(hs), split(reduced)
+    assert parts == same and [d for d, _ in parts] == [1, 2] and units > fewer
 
 
 # (field, modulus degree): q > n takes the Frobenius matrix, q <= n square and multiply
@@ -324,7 +359,7 @@ FROBENIUS_CASES = ((F7, 6), (F7, 8), (make_field(2, 9), 16), (F4, 40))
 def test_frobenius_matrix_matches_powering(spec, n):
     rng = random.Random(n)
     work = factor._Work(factor.MAX_FACTOR_WORK)
-    ring = factor._residues(spec, tuple(rng.randrange(spec.q) for _ in range(n)) + (1,), work)
+    ring = factor._Packed(spec, tuple(rng.randrange(spec.q) for _ in range(n)) + (1,), work)
     ring.frobenius_by_matrix(ring.x)
     assert factor.MAX_FACTOR_WORK - work.left >= n * n  # the build's n - 1 products and the step
     for _ in range(20):
@@ -341,7 +376,7 @@ def test_frobenius_matrix_matches_powering(spec, n):
 def test_frobenius_matrix_past_the_cap_is_not_built(monkeypatch):
     # a matrix of n residues of n coefficients is refused past _MATRIX_BITS, for memory
     spec = make_field(2, 9)
-    ring = factor._residues(spec, tuple(range(1, 17)) + (1,))
+    ring = factor._Packed(spec, tuple(range(1, 17)) + (1,))
     monkeypatch.setattr(factor, "_MATRIX_BITS", 16 * ring.shift - 1)
     h = ring.elem(tuple(range(16)))
     assert ring.frobenius(h) == ring.pow(h, spec.q) and ring.matrix is None

@@ -296,8 +296,8 @@ def test_canonical_order_constant_first():
 # ---------------------------------------------------------------------------
 
 # 2, 3, 5, 7: 8-bit lanes on short operands, then 16-bit ones; 251: 32-bit
-# lanes; 65521: 64-bit lanes; 2^31 - 1 and 2^61 - 1: no lane fits, the
-# per-coefficient loop runs
+# lanes; 65521: 64-bit lanes; 2^31 - 1: 64-bit lanes on short operands, then
+# lanes of 9 or more bytes; 2^61 - 1: lanes of 16 or more bytes
 KERNEL_PRIMES = (2, 3, 5, 7, 251, 65521, 2**31 - 1, 2**61 - 1)
 
 
@@ -329,12 +329,14 @@ def test_lane_widths():
     assert _lane(2**16 - 1)[0] == 16
     assert _lane(2**16)[0] == 32
     assert _lane(2**64 - 1)[0] == 64
-    assert _lane(2**64) is None
+    # past 64 bits, the fewest whole bytes: a product coefficient of 5 terms over GF(2^61 - 1)
+    assert _lane(2**64) == (72, 9)
+    assert _lane(5 * (2**61 - 2) ** 2) == (128, 16)
 
 
-@pytest.mark.parametrize("p", [2, 3, 65521])
+@pytest.mark.parametrize("p", [2, 3, 65521, 2**31 - 1, 2**61 - 1])
 def test_kernel_makes_no_coefficient_calls(p):
-    # over a prime field whose bound a 64-bit lane holds no per-coefficient ff operation runs
+    # over every prime field no per-coefficient ff operation runs, past 64-bit lanes too
     spec = make_field(p)
 
     def refuse(*args):
@@ -495,11 +497,15 @@ def test_packer_lanes_hold_products_only():
     assert pack((0, 1)) == 1 << 8 * 19
 
 
-def test_packer_refuses_products_past_64_bit_lanes():
-    # a product coefficient of GF(2^61 - 1) can reach 2^122: no lane holds it
-    with pytest.raises(BudgetExceeded):
-        _packer(make_field(2**61 - 1), 1)
-    assert _packer(make_field(2**31 - 1), 1)[1](5, 7) == 35  # (p-1)^2 < 2^62 fits
+@pytest.mark.parametrize("p", [2**31 - 1, 2**61 - 1])
+def test_packer_multiplies_past_64_bit_lanes(p):
+    # a product coefficient of GF(2^61 - 1) reaches 2^122 times the length: lanes of 16 or more bytes
+    spec, rng = make_field(p), random.Random(p)
+    for length in (1, 2, 9, 40):
+        pack, mul, unpack = _packer(spec, length)
+        a = tuple(rng.randrange(p) for _ in range(length // 2)) + (p - 1,)
+        b = tuple(rng.randrange(p) for _ in range(length - len(a))) + (rng.randrange(1, p),)
+        assert unpack(mul(pack(a), pack(b))) == tuple(fp_mul(p, list(a), list(b)))
 
 
 # ---------------------------------------------------------------------------
