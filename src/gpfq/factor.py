@@ -14,23 +14,25 @@ The pipeline is the standard one, complete in every characteristic:
      the trace construction in characteristic 2.
 
 Steps 2 and 3 and is_irreducible run in a residue ring GF(q)[x]/(f), q = p^k:
-_Packed, on polyring's 2-D packed ints (1-D at k = 1) in lanes as wide as the
-prime needs, with Barrett reduction in x by x^(2n) // f and in y by
-y^(2k) // m, m the field modulus (von zur Gathen and Gerhard, Modern Computer
-Algebra, 8.4 and 9.1). Its gcds keep both operands packed over GF(p) and are
-one tuple Euclid per block over GF(p^k). As h -> h^q is GF(q)-linear, where
-q > n the ring builds the matrix of the x^(iq) mod f by n - 1 ring products,
-and a step costs 0.5 to 2.7 ring products (measured, 16 <= n <= 256) against
-log2(q) to 2 log2(q) for square and multiply, which it keeps where q <= n:
-whole walks are within 12% either way near q = n (q = 4 to 16), powering wins
-by 15-20% for q well below n, and at GF(4), n = 4096, a step costs 2.2 ring
-products against 2. No other layer builds the ring.
+_Packed, on polyring's 2-D packed ints (1-D at k = 1), packed, unpacked and
+lane-reduced by polyring's _codec and _reducer. The ring sizes its lanes as
+wide as the prime needs (_lane_for) and reduces by Barrett in x by x^(2n) // f
+and in y by y^(2k) // m, m the field modulus (von zur Gathen and Gerhard,
+Modern Computer Algebra, 8.4 and 9.1). Its gcds are polyring's: _euclid on
+packed operands over GF(p), one tuple Euclid (_gcd) per block over GF(p^k).
+As h -> h^q is GF(q)-linear, where q > n the ring builds the matrix of the
+x^(iq) mod f by n - 1 ring products, and a step costs 0.5 to 2.7 ring products
+(measured, 16 <= n <= 256) against log2(q) to 2 log2(q) for square and
+multiply, which it keeps where q <= n: whole walks are within 12% either way
+near q = n (q = 4 to 16), powering wins by 15-20% for q well below n, and at
+GF(4), n = 4096, a step costs 2.2 ring products against 2. No other layer
+builds the ring.
 
-factorize counts its work (_Work): every Euclid or division step (_divide)
-and every ring product costs the degree of its modulus, and past
-MAX_FACTOR_WORK it raises BudgetExceeded. The randomized stage draws from a
-generator seeded by (q, encoding of f), so factorizations are bit-reproducible
-unless a caller overrides the seed.
+factorize counts its work (polyring's _Work): every Euclid or division step
+(_divide and polyring's _gcd) and every ring product costs the degree of its
+modulus, and past MAX_FACTOR_WORK it raises BudgetExceeded. The randomized
+stage draws from a generator seeded by (q, encoding of f), so factorizations
+are bit-reproducible unless a caller overrides the seed.
 """
 
 from __future__ import annotations
@@ -39,20 +41,23 @@ import random
 from itertools import accumulate, repeat
 from typing import NamedTuple, Tuple
 
-from .errors import MAX_FACTOR_WORK, BudgetExceeded, ZeroPolynomial
+from .errors import MAX_FACTOR_WORK, ZeroPolynomial
 from .ff import FieldElem, FieldSpec
 from .polyring import (
+    _UNMETERED,
     Poly,
-    _byte_mod,
+    _codec,
     _deriv,
     _divmod,
     _divmod_packed,
+    _euclid,
+    _gcd,
     _lane,
-    _mod,
     _monic,
     _pack,
+    _reducer,
     _trim,
-    _unpack,
+    _Work,
     canonical_key,
     enumerate_monic,
 )
@@ -61,9 +66,6 @@ from .polyring import (
 _BLOCK = 8
 #: The largest Frobenius matrix a packed ring keeps, in bits (32 MiB: n = 2048 at 64-bit lanes).
 _MATRIX_BITS = 1 << 28
-
-_TO_DIGITS = bytes.maketrans(b"\0\1", b"01")
-_FROM_DIGITS = bytes.maketrans(b"01", b"\0\1")
 
 
 class Factorization(NamedTuple):
@@ -85,126 +87,13 @@ class Factorization(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# work budget
-# ---------------------------------------------------------------------------
-
-class _Work:
-    """The work one factorization may still do, in steps weighted by the degree of their modulus."""
-
-    __slots__ = ("left",)
-
-    def __init__(self, budget):
-        self.left = budget
-
-    def charge(self, units):
-        self.left -= units
-        if self.left < 0:
-            raise BudgetExceeded(f"factoring needs more than the work budget of {MAX_FACTOR_WORK} degree-weighted steps")
-
-
-_UNMETERED = _Work(float("inf"))
-
-
-# ---------------------------------------------------------------------------
-# packed lanes, and metered gcd and exact division
+# packed lanes, and metered exact division
 # ---------------------------------------------------------------------------
 
 def _lane_for(spec, n):
     """polyring's packed lane for products of residues of degree < n in the 2-D form."""
     p, k = spec.p, spec.k
     return _lane(max(max(n, 2) * k * (p - 1) ** 2, (k - 1) ** 2 * (p - 1) ** 3 + p - 1))
-
-
-def _reducer(p, bits, typecode, lanes):
-    """The function reducing every lane of a packed int mod p (at p = 2, of at most `lanes` lanes).
-    A 16-bit lane 256*h + l at p < 128 is (256*h mod p) + (l mod p) mod p, read by byte tables."""
-    if p == 2:  # a lane's parity is its lowest bit
-        return int.from_bytes((b"\1" + bytes(bits // 8 - 1)) * lanes, "little").__and__
-    mod = _byte_mod(p)
-    if bits == 8:
-        return lambda n: int.from_bytes(n.to_bytes(n.bit_length() + 7 >> 3, "little").translate(mod), "little")
-    if bits == 16 and p < 128:
-        high = bytes(256 * b % p for b in range(256))
-
-        def reduce(n):
-            raw = n.to_bytes(n.bit_length() + 15 >> 4 << 1, "little")
-            out, low = bytearray(len(raw)), int.from_bytes(raw[::2].translate(mod), "little")
-            out[::2] = (low + int.from_bytes(raw[1::2].translate(high), "little")).to_bytes(len(raw) >> 1, "little").translate(mod)
-            return int.from_bytes(out, "little")
-
-        return reduce
-    return lambda n: _pack(_unpack(n, -(-n.bit_length() // bits), bits, typecode, p), typecode)
-
-
-def _euclid(p, lane, a, b, work):
-    """Monic gcd of two packed polynomials whose lanes are below p, as a code tuple.
-
-    A division step adds (p - t) * b, shifted, to a, so lanes only grow and never
-    borrow: the lead is read mod p, and an operand's lanes are all reduced only
-    when the next step could overflow one. At p = 2 both operands move to one bit
-    per coefficient, and a step is one XOR. Each division is charged its steps.
-    """
-    bits, typecode = lane
-    weight = (max(a.bit_length(), b.bit_length()) - 1) // bits
-    if p == 2:
-        a, b = _bits(a, bits), _bits(b, bits)
-        while b:
-            la, lb = a.bit_length(), b.bit_length()
-            if la >= lb:
-                work.charge((la - lb + 1) * weight)
-                while la >= lb:
-                    a ^= b << la - lb
-                    la = a.bit_length()
-            a, b = b, a
-        return tuple(bin(a)[:1:-1].encode().translate(_FROM_DIGITS)) if a else ()
-    mask = (1 << bits) - 1
-    reduce = _reducer(p, bits, typecode, 0)
-    da, db = (a.bit_length() - 1) // bits, (b.bit_length() - 1) // bits
-    ba = bb = p - 1  # bounds on the lanes of a and b
-    while db >= 0:
-        inv = pow((b >> db * bits) % p, p - 2, p)
-        if da >= db:
-            work.charge((da - db + 1) * weight)
-        while da >= db:
-            t = (a >> da * bits & mask) * inv % p
-            if t:
-                m = p - t
-                if ba + m * bb > mask:
-                    a, ba = reduce(a), p - 1
-                    if ba + m * bb > mask:
-                        b, bb = reduce(b), p - 1
-                a += m * b << (da - db) * bits
-                ba += m * bb
-            da -= 1
-        a &= (1 << db * bits) - 1  # the remainder, without the cancelled lanes
-        if a and (a >> (a.bit_length() - 1) // bits * bits) % p == 0:
-            a, ba = reduce(a), p - 1  # its top lane is 0 mod p, so reduce before reading the degree
-        da = (a.bit_length() - 1) // bits
-        a, b, da, db, ba, bb = b, a, db, da, bb, ba
-    if da < 0:
-        return ()
-    cs = _unpack(a, da + 1, bits, typecode, p)
-    inv = pow(cs[-1], p - 2, p)
-    return tuple(c * inv % p for c in cs)
-
-
-def _bits(n, bits):
-    """The 1-bit form of a packed GF(2) polynomial whose lanes are 0 or 1: bit i is the coefficient of x^i."""
-    step = bits // 8
-    raw = n.to_bytes(-(-n.bit_length() // bits) * step, "little")[::step]
-    return int(raw[::-1].translate(_TO_DIGITS), 2) if raw else 0
-
-
-def _gcd(spec, a, b, work):
-    """Monic gcd of code tuples: packed (_euclid) over GF(p), a tuple Euclid over GF(p^k)."""
-    if spec.k == 1:
-        lane = _lane_for(spec, max(len(a), len(b)))
-        return _euclid(spec.p, lane, _pack(a, lane[1]), _pack(b, lane[1]), work)
-    weight = max(len(a), len(b)) - 1
-    while b:
-        work.charge(max(len(a) - len(b) + 1, 0) * weight)
-        a, b = b, _mod(spec, a, b)
-    return _monic(spec, a)[1] if a else ()
 
 
 def _divide(spec, a, b, work):
@@ -222,17 +111,19 @@ class _Packed:
 
     A product c = a*b (degree < 2n) has quotient (c >> n coefficients) * mu >> n coefficients
     by f, mu = x^(2n) // f, and residue the low n coefficients of c + quotient * (x^n - f).
-    Each of the three products is folded: lanes reduced mod p and, at k > 1, each coefficient
-    (degree < 2k - 1 in y) by m(y) the same way, mu_y = y^(2k) // m, its quotient unreduced. A
-    lane holds max(n, 2) * k * (p-1)^2 (at k = 1 also an _euclid step) and (k-1)^2 (p-1)^3 + p - 1.
-    Elements are canonical, so equal residues compare equal. Every product is charged n units
-    of `work`, and every gcd and division its steps.
+    Each of the three products is folded: lanes reduced mod p by polyring's _reducer and, at
+    k > 1, each coefficient (degree < 2k - 1 in y) by m(y) the same way, mu_y = y^(2k) // m, its
+    quotient unreduced. A lane holds max(n, 2) * k * (p-1)^2 (at k = 1 also an _euclid step) and
+    (k-1)^2 (p-1)^3 + p - 1; pack and codes are polyring's _codec in that lane. Elements are
+    canonical, so equal residues compare equal. Every product is charged n units of `work`, and
+    every gcd and division its steps.
     """
 
     def __init__(self, spec, f, work=_UNMETERED):
         p, k, n, w = spec.p, spec.k, len(f) - 1, 2 * spec.k - 1
         self.spec, self.f, self.n, self.work, self.p, self.matrix = spec, f, n, work, p, None
         self.lane = bits, typecode = _lane_for(spec, n)
+        self.pack, self.codes = _codec(spec, self.lane)
         self.width = w * bits  # bits per coefficient
         self.shift, self.low = n * self.width, (1 << n * self.width) - 1
         self.reduce = self.fold = _reducer(p, bits, typecode, 2 * n * w)
@@ -256,27 +147,9 @@ class _Packed:
         """The same ring modulo g."""
         return _Packed(self.spec, g, self.work)
 
-    def pack(self, cs):
-        """The packed int of the code tuple cs."""
-        p, k = self.p, self.spec.k
-        if k == 1:
-            return _pack(cs, self.lane[1])
-        lanes = [0] * (len(cs) * (2 * k - 1))
-        for j in range(k):
-            lanes[j::2 * k - 1] = [c // p**j % p for c in cs]
-        return _pack(lanes, self.lane[1])
-
     def elem(self, cs):
         """The residue of the code tuple cs."""
         return self.pack(_divide(self.spec, cs, self.f, self.work)[1])
-
-    def codes(self, a):
-        (bits, typecode), p, k, w = self.lane, self.p, self.spec.k, 2 * self.spec.k - 1
-        lanes = _unpack(a, -(-a.bit_length() // self.width) * w, bits, typecode, p)
-        cs = lanes[k - 1::w]
-        for j in range(k - 2, -1, -1):
-            cs = [c * p + d for c, d in zip(cs, lanes[j::w])]
-        return tuple(cs)
 
     def add(self, a, b):
         return a ^ b if self.p == 2 else self.reduce(a + b)

@@ -5,10 +5,7 @@ with no trailing zero (the empty tuple is the zero polynomial). The canonical
 order used everywhere for enumeration and reporting is (degree, then
 constant-first lexicographic on the code tuple). The private tuple-level
 helpers (_mul, _divmod, _gcd, ...) are what the Poly class wraps for the
-public API and operator syntax, and factor runs on _mul and _divmod. Over every
-field, factor keeps its Frobenius walks in a residue ring modulo f on the 2-D
-packed form below, with its own reduction in y (_lane, _pack, _unpack, _byte_mod,
-_divmod_packed; see the factor module docstring), so only factoring compiles it.
+public API and operator syntax, and factor runs on them.
 
 Over a prime field, _mul and _divmod pack the codes into the lanes of one int
 (Kronecker substitution; von zur Gathen and Gerhard, Modern Computer Algebra,
@@ -23,15 +20,20 @@ field the coefficient loops run, and with log tables (q <= 4096, see ff)
 _mul_log and _divmod_log run them in the log domain with no ff call: each
 product is one exp lookup, added by XOR at p = 2 and through the Zech table.
 
-The progression searches and greedy builds in progfree keep every operand in
-a 2-D packed form over every field (_packer): digit j of code i sits in lane
-i*(2k-1) + j, so one int product is the product in GF(p)[x, y]. Slots k..2k-2
-fold back through y^(k+j) = ff's _red[j], one shift, mask and multiply each,
-and each lane is reduced mod p, so equal polynomials pack to equal ints. A
-lane is sized for a digit of a product, not for a code: unpacking reads each
-coefficient's k digits back into its code. _mul keeps its loops: a GF(4)
-product that packs and unpacks took 6.2 us against 3.7 us for _mul_log, while
-a search packs each operand once.
+_gcd is the one gcd, for the public gcd and factor alike: over GF(p) _euclid
+on packed operands (one XOR per step at p = 2), over GF(p^k) a Euclid on code
+tuples, each division charged its steps to a _Work budget.
+
+The searches and greedy builds in progfree (_packer) and factor's residue ring
+share one 2-D packed form over every field, packed and unpacked by _codec and
+lane-reduced mod p by _reducer: digit j of code i sits in lane i*(2k-1) + j,
+so one int product is the product in GF(p)[x, y], and a lane is sized for a
+digit of a product, not for a code. _packer folds slots k..2k-2 back through
+y^(k+j) = ff's _red[j], one shift, mask and multiply each, so equal
+polynomials pack to equal ints; factor's ring has its own lane bound and folds
+(see its module docstring). _mul keeps its loops: a GF(4) product that packs
+and unpacks took 6.2 us against 3.7 us for _mul_log, while a search packs
+each operand once.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from array import array
 from functools import lru_cache, partial
 
 from .errors import (
+    MAX_FACTOR_WORK,
     BudgetExceeded,
     CoefficientOutOfRange,
     DivisionByZero,
@@ -59,6 +62,8 @@ MAX_TEXT_DEGREE = 2**20
 # (bits, array typecode) of the unsigned 8-, 16-, 32- and 64-bit lanes
 _LANES = tuple((array(t).itemsize * 8, t) for t in "BHIQ")
 _BIG_ENDIAN = sys.byteorder == "big"  # packed ints are little-endian lanes
+_TO_DIGITS = bytes.maketrans(b"\0\1", b"01")
+_FROM_DIGITS = bytes.maketrans(b"01", b"\0\1")
 
 
 # ---------------------------------------------------------------------------
@@ -277,33 +282,63 @@ def _divmod_packed(p, inv_lead, a, b, bits, typecode):
     return tuple(quot), _trim(_unpack(rem, db, bits, typecode, p))
 
 
+def _reducer(p, bits, typecode, lanes):
+    """The function reducing every lane of a packed int mod p (at p = 2, of at most `lanes` lanes).
+    A 16-bit lane 256*h + l at p < 128 is (256*h mod p) + (l mod p) mod p, read by byte tables."""
+    if p == 2:  # a lane's parity is its lowest bit
+        return int.from_bytes((b"\1" + bytes(bits // 8 - 1)) * lanes, "little").__and__
+    mod = _byte_mod(p)
+    if bits == 8:
+        return lambda n: int.from_bytes(n.to_bytes(n.bit_length() + 7 >> 3, "little").translate(mod), "little")
+    if bits == 16 and p < 128:
+        high = bytes(256 * b % p for b in range(256))
+
+        def reduce(n):
+            raw = n.to_bytes(n.bit_length() + 15 >> 4 << 1, "little")
+            out, low = bytearray(len(raw)), int.from_bytes(raw[::2].translate(mod), "little")
+            out[::2] = (low + int.from_bytes(raw[1::2].translate(high), "little")).to_bytes(len(raw) >> 1, "little").translate(mod)
+            return int.from_bytes(out, "little")
+
+        return reduce
+    return lambda n: _pack(_unpack(n, -(-n.bit_length() // bits), bits, typecode, p), typecode)
+
+
+def _codec(spec, lane):
+    """(pack, unpack) of the 2-D packed form over `spec` (module docstring) in `lane`, a (bits,
+    typecode) of _lane: pack takes a code tuple to its int, and unpack reads the codes of an int
+    back, each lane reduced mod p, so it is pack's inverse on reduced forms."""
+    p, k, w = spec.p, spec.k, 2 * spec.k - 1  # w lanes per coefficient: 2k-1 digit slots
+    bits, typecode = lane
+    size = w * bits // 8  # bytes per coefficient
+    chunk = lru_cache(maxsize=None)(lambda c: _pack(spec.digits_of(c), typecode).to_bytes(size, "little"))
+    pack = partial(_pack, typecode=typecode) if k == 1 else lambda cs: int.from_bytes(b"".join(map(chunk, cs)), "little")
+
+    def unpack(n):
+        lanes = _unpack(n, -(-n.bit_length() // (8 * size)) * w, bits, typecode, p)
+        cs = lanes[k - 1::w]  # each code's top digit, then the lower digits by Horner
+        for j in range(k - 2, -1, -1):
+            cs = [c * p + d for c, d in zip(cs, lanes[j::w])]
+        return tuple(cs)
+
+    return pack, unpack
+
+
 def _packer(spec, length):
     """(pack, mul, unpack) of the 2-D packed form over `spec` (module docstring) for polynomials
     and products of at most `length` coefficients; unpack is pack's inverse on reduced forms."""
-    p, k, w = spec.p, spec.k, 2 * spec.k - 1  # w lanes per coefficient: 2k-1 digit slots
-    bits, typecode = _lane(length * k * (p - 1) ** 2 * (1 + (k - 1) * (p - 1)))
-    size = w * bits // 8  # bytes per coefficient
-    ones = int.from_bytes((b"\1" + bytes(size - 1)) * length, "little")  # each coefficient's lowest lane
-    slot, low, table = ones * ((1 << bits) - 1), ones * ((1 << k * bits) - 1), _byte_mod(p)
+    p, k, w = spec.p, spec.k, 2 * spec.k - 1
+    lane = bits, typecode = _lane(length * k * (p - 1) ** 2 * (1 + (k - 1) * (p - 1)))
+    ones = int.from_bytes((b"\1" + bytes(w * bits // 8 - 1)) * length, "little")  # each coefficient's lowest lane
+    slot, low = ones * ((1 << bits) - 1), ones * ((1 << k * bits) - 1)
     folds = [((k + j) * bits, _pack(red, typecode)) for j, red in enumerate(spec._red)] if k > 1 else ()
-    if p == 2:  # a lane's parity is its lowest bit
-        reduce = (ones * sum(1 << j * bits for j in range(k))).__and__
-    elif bits == 8:
-        reduce = lambda n: int.from_bytes((n & low).to_bytes(n.bit_length() + 7 >> 3, "little").translate(table), "little")
-    else:
-        reduce = lambda n: _pack(_unpack(n & low, -(-n.bit_length() // bits), bits, typecode, p), typecode)
-    chunk = lru_cache(maxsize=None)(lambda c: _pack(spec.digits_of(c), typecode).to_bytes(size, "little"))
-    pack = partial(_pack, typecode=typecode) if k == 1 else lambda cs: int.from_bytes(b"".join(map(chunk, cs)), "little")
+    reduce = _reducer(p, bits, typecode, length * w)
+    pack, unpack = _codec(spec, lane)
 
     def mul(a, b):
         n = a * b
         for shift, c in folds:
             n += (n >> shift & slot) * c
-        return reduce(n)
-
-    def unpack(n):
-        lanes = _unpack(n, -(-n.bit_length() // (8 * size)) * w, bits, typecode, p)
-        return tuple(lanes) if k == 1 else tuple(map(spec._code_of, (lanes[i:i + k] for i in range(0, len(lanes), w))))
+        return reduce(n & low)  # clears the folded high slots; a mask of whole lanes commutes with reduce
 
     return pack, mul, unpack
 
@@ -332,11 +367,95 @@ def _monic(spec, a):
     return lead, _scale(spec, a, spec.inv_c(lead))
 
 
-def _gcd(spec, a, b):
-    """Monic gcd; (0, 0) is the caller's error to raise."""
+class _Work:
+    """The work one factorization may still do, in steps weighted by the degree of their modulus."""
+
+    __slots__ = ("left",)
+
+    def __init__(self, budget):
+        self.left = budget
+
+    def charge(self, units):
+        self.left -= units
+        if self.left < 0:
+            raise BudgetExceeded(f"factoring needs more than the work budget of {MAX_FACTOR_WORK} degree-weighted steps")
+
+
+_UNMETERED = _Work(float("inf"))
+
+
+def _gcd(spec, a, b, work=_UNMETERED):
+    """Monic gcd of code tuples, each division charged its steps to `work`: packed (_euclid) over
+    GF(p), a tuple Euclid over GF(p^k). (0, 0) is the caller's error to raise."""
+    if spec.k == 1:
+        p = spec.p
+        lane = _lane(max(len(a), len(b), 2) * (p - 1) ** 2)  # room for about max(len) steps between reductions
+        return _euclid(p, lane, _pack(a, lane[1]), _pack(b, lane[1]), work)
+    weight = max(len(a), len(b)) - 1
     while b:
+        work.charge(max(len(a) - len(b) + 1, 0) * weight)
         a, b = b, _mod(spec, a, b)
     return _monic(spec, a)[1] if a else ()
+
+
+def _euclid(p, lane, a, b, work):
+    """Monic gcd of two packed polynomials whose lanes are below p, as a code tuple; a lane
+    must hold p (p-1), the largest lane after one step on reduced operands.
+
+    A division step adds (p - t) * b, shifted, to a, so lanes only grow and never
+    borrow: the lead is read mod p, and an operand's lanes are all reduced only
+    when the next step could overflow one. At p = 2 both operands move to one bit
+    per coefficient, and a step is one XOR. Each division is charged its steps.
+    """
+    bits, typecode = lane
+    weight = (max(a.bit_length(), b.bit_length()) - 1) // bits
+    if p == 2:
+        a, b = _bits(a, bits), _bits(b, bits)
+        while b:
+            la, lb = a.bit_length(), b.bit_length()
+            if la >= lb:
+                work.charge((la - lb + 1) * weight)
+                while la >= lb:
+                    a ^= b << la - lb
+                    la = a.bit_length()
+            a, b = b, a
+        return tuple(bin(a)[:1:-1].encode().translate(_FROM_DIGITS)) if a else ()
+    mask = (1 << bits) - 1
+    reduce = _reducer(p, bits, typecode, 0)
+    da, db = (a.bit_length() - 1) // bits, (b.bit_length() - 1) // bits
+    ba = bb = p - 1  # bounds on the lanes of a and b
+    while db >= 0:
+        inv = pow((b >> db * bits) % p, p - 2, p)
+        if da >= db:
+            work.charge((da - db + 1) * weight)
+        while da >= db:
+            t = (a >> da * bits & mask) * inv % p
+            if t:
+                m = p - t
+                if ba + m * bb > mask:
+                    a, ba = reduce(a), p - 1
+                    if ba + m * bb > mask:
+                        b, bb = reduce(b), p - 1
+                a += m * b << (da - db) * bits
+                ba += m * bb
+            da -= 1
+        a &= (1 << db * bits) - 1  # the remainder, without the cancelled lanes
+        if a and (a >> (a.bit_length() - 1) // bits * bits) % p == 0:
+            a, ba = reduce(a), p - 1  # its top lane is 0 mod p, so reduce before reading the degree
+        da = (a.bit_length() - 1) // bits
+        a, b, da, db, ba, bb = b, a, db, da, bb, ba
+    if da < 0:
+        return ()
+    cs = _unpack(a, da + 1, bits, typecode, p)
+    inv = pow(cs[-1], p - 2, p)
+    return tuple(c * inv % p for c in cs)
+
+
+def _bits(n, bits):
+    """The 1-bit form of a packed GF(2) polynomial whose lanes are 0 or 1: bit i is the coefficient of x^i."""
+    step = bits // 8
+    raw = n.to_bytes(-(-n.bit_length() // bits) * step, "little")[::step]
+    return int(raw[::-1].translate(_TO_DIGITS), 2) if raw else 0
 
 
 def _deriv(spec, a):

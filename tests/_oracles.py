@@ -3,8 +3,8 @@
 Nothing here shares code with the package's own factorization, counting or
 search paths: schoolbook multiplication and long division of F_p coefficient
 lists, the same over GF(p^k) with each element product taken through its
-digit polynomial, the distinct-degree split by the textbook one gcd per degree
-on that list arithmetic, irreducibility and factorization by literal trial
+digit polynomial, the monic gcd by the textbook Euclid and the distinct-degree
+split by the textbook one gcd per degree on that list arithmetic, irreducibility and factorization by literal trial
 division over the monic enumeration, the default field modulus by a search
 over every candidate, greedy-set member counts by factoring every monic polynomial,
 integer factorization by trial division, the AP-free integer set by its
@@ -126,24 +126,44 @@ def gfq_divmod(field, a, b):
     return _trim_list(quot), _trim_list(rem[: len(b) - 1])
 
 
-def distinct_degree_brute(p, modulus, f):
-    """[(d, product of the irreducible factors of degree d)] ascending in d, of a monic
-    squarefree code sequence f over GF(p^k), k = len(modulus) - 1, by the textbook split
-    (von zur Gathen and Gerhard, Modern Computer Algebra, Algorithm 14.3): for each degree
-    d <= deg f / 2 in turn, h = x^(q^d) mod f by q-th powering of the last h, one monic
-    gcd(h - x, f), and the part found divided out of f; what is left is one irreducible.
-    Over GF(p) the lists run on fp_mul and fp_divmod, over GF(p^k) on gfq_mul and gfq_divmod.
-    """
+def field_ops(p, modulus):
+    """(mul, div, times, minus, inv) over GF(p^k), k = len(modulus) - 1: the product and long
+    division of code lists, and the product, difference and inverse of codes. Over GF(p) the
+    lists run on fp_mul and fp_divmod, over GF(p^k) on gfq_mul and gfq_divmod."""
     k = len(modulus) - 1
     if k == 1:
         mul, div = (lambda a, b: fp_mul(p, a, b)), (lambda a, b: fp_divmod(p, a, b))
         times, minus, inv = (lambda a, b: a * b % p), (lambda a, b: (a - b) % p), (lambda a: pow(a, p - 2, p))
     else:
         field = DigitField(p, modulus)
-        for name in ("add", "neg", "mul"):  # memoized: each code pair recurs across the powering
+        for name in ("add", "neg", "mul"):  # memoized: each code pair recurs across a powering
             setattr(field, name, lru_cache(maxsize=None)(getattr(field, name)))
         mul, div = (lambda a, b: gfq_mul(field, a, b)), (lambda a, b: gfq_divmod(field, a, b))
         times, minus, inv = field.mul, (lambda a, b: field.add(a, field.neg(b))), field.inv
+    return mul, div, times, minus, inv
+
+
+def monic_gcd(ops, a, b):
+    """The monic gcd, as a tuple, of two code sequences not both zero, by the textbook Euclid
+    on the list arithmetic `ops` of field_ops."""
+    _, div, times, _, inv = ops
+    a, b = _trim_list(list(a)), _trim_list(list(b))
+    while b:
+        a, b = b, div(a, b)[1]
+    c = inv(a[-1])
+    return tuple(times(c, x) for x in a)
+
+
+def distinct_degree_brute(p, modulus, f):
+    """[(d, product of the irreducible factors of degree d)] ascending in d, of a monic
+    squarefree code sequence f over GF(p^k), k = len(modulus) - 1, by the textbook split
+    (von zur Gathen and Gerhard, Modern Computer Algebra, Algorithm 14.3): for each degree
+    d <= deg f / 2 in turn, h = x^(q^d) mod f by q-th powering of the last h, one monic
+    gcd(h - x, f), and the part found divided out of f; what is left is one irreducible.
+    The lists run on field_ops.
+    """
+    k = len(modulus) - 1
+    ops = mul, div, _, minus, _ = field_ops(p, modulus)
 
     def power(a, e, m):
         result = [1]
@@ -155,12 +175,6 @@ def distinct_degree_brute(p, modulus, f):
                 a = div(mul(a, a), m)[1]
         return result
 
-    def monic_gcd(a, b):
-        while b:
-            a, b = b, div(a, b)[1]
-        c = inv(a[-1])
-        return [times(c, x) for x in a]
-
     f, h, out = list(f), [0, 1], []
     d = 0
     while 2 * (d + 1) <= len(f) - 1:
@@ -168,9 +182,9 @@ def distinct_degree_brute(p, modulus, f):
         h = power(h, p**k, f)
         h_minus_x = h + [0] * (2 - len(h))
         h_minus_x[1] = minus(h_minus_x[1], 1)
-        g = monic_gcd(f, _trim_list(h_minus_x))
+        g = monic_gcd(ops, f, h_minus_x)
         if len(g) > 1:
-            out.append((d, tuple(g)))
+            out.append((d, g))
             f = div(f, g)[0]
             h = div(h, f)[1]
     if len(f) > 1:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from _oracles import distinct_degree_brute, naive_is_irreducible, trial_division_factorize
+from _oracles import distinct_degree_brute, field_ops, monic_gcd, naive_is_irreducible, trial_division_factorize
 from gpfq import (
     Poly,
     ZeroPolynomial,
@@ -24,7 +24,7 @@ from gpfq import (
     zero,
 )
 from gpfq import factor
-from gpfq.polyring import _pack, _trim, _unpack
+from gpfq.polyring import _gcd, _trim, _Work
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -263,14 +263,18 @@ def test_ring_matches_tuple_path(data, field):
 
 @settings(max_examples=100, deadline=None)
 @given(data=st.data(), field=st.sampled_from(RING_FIELDS))
-def test_packed_gcd_matches_tuple_gcd(data, field):
-    # long Euclids over small primes overflow narrow lanes unless reduced in time
+def test_gcd_matches_oracle(data, field):
+    # the packed Euclid over GF(p) and the tuple Euclid over GF(p^k), unmetered, metered and
+    # through the public gcd, against the textbook Euclid; long Euclids over small primes
+    # overflow narrow lanes unless reduced in time
     spec, dmax, _ = field
-    codes = st.integers(0, spec.q - 1)
+    ops, codes = field_ops(spec.p, spec.modulus), st.integers(0, spec.q - 1)
     a, b, c = (Poly(spec, data.draw(st.lists(codes, max_size=dmax + 1))) for _ in range(3))
     assume(not (a.is_zero() and b.is_zero()))
     for u, v in ((a, b), (a * c, b * c)) if not c.is_zero() else ((a, b),):
-        assert factor._gcd(spec, u.coeffs, v.coeffs, factor._UNMETERED) == gcd(u, v).coeffs
+        expected = monic_gcd(ops, u.coeffs, v.coeffs)
+        metered = _gcd(spec, u.coeffs, v.coeffs, _Work(factor.MAX_FACTOR_WORK))
+        assert _gcd(spec, u.coeffs, v.coeffs) == metered == gcd(u, v).coeffs == expected
 
 
 def _random_irreducible(spec, degree, rng):
@@ -318,7 +322,7 @@ def test_distinct_degree_at_block_edges(spec, degrees, seed):
 
 def _charged(run):
     """(what run(work) returns, the units of work it charged)."""
-    work = factor._Work(factor.MAX_FACTOR_WORK)
+    work = _Work(factor.MAX_FACTOR_WORK)
     return run(work), factor.MAX_FACTOR_WORK - work.left
 
 
@@ -351,6 +355,31 @@ def test_split_block_charges_its_reduction(spec):
     assert parts == same and [d for d, _ in parts] == [1, 2] and units > fewer
 
 
+# (field, degrees of seeded random monic factors taken to the powers 1, 2, ..., seed, the units
+# factorize charges for their product): the GF(4) product has factors of exponent 2, 3 and 5,
+# so its squarefree split takes a p-th root
+FACTORIZE_CHARGES = ((F2, (96,), 2, 139_088), (F3, (48,), 3, 37_055), (F4, (5, 4, 3), 9, 1_719),
+                     (make_field(2**61 - 1), (12,), 61, 5_802))
+
+
+@pytest.mark.parametrize("spec, degrees, seed, units", FACTORIZE_CHARGES)
+def test_factorize_charge_is_pinned(monkeypatch, spec, degrees, seed, units):
+    # the counts are literals, so moving a gcd or a division to another layer can neither
+    # charge a step twice nor leave one uncharged
+    rng, f, made = random.Random(seed), Poly(spec, (1,)), []
+    for e, d in enumerate(degrees, 1):
+        f = f * Poly(spec, [rng.randrange(spec.q) for _ in range(d)] + [1]) ** e
+
+    class Recorded(_Work):
+        def __init__(self, budget):
+            super().__init__(budget)
+            made.append(self)
+
+    monkeypatch.setattr(factor, "_Work", Recorded)
+    assert factorize(f).expand() == f
+    assert [factor.MAX_FACTOR_WORK - work.left for work in made] == [units]
+
+
 # (field, modulus degree): q > n takes the Frobenius matrix, q <= n square and multiply
 FROBENIUS_CASES = ((F7, 6), (F7, 8), (make_field(2, 9), 16), (F4, 40))
 
@@ -358,7 +387,7 @@ FROBENIUS_CASES = ((F7, 6), (F7, 8), (make_field(2, 9), 16), (F4, 40))
 @pytest.mark.parametrize("spec, n", FROBENIUS_CASES)
 def test_frobenius_matrix_matches_powering(spec, n):
     rng = random.Random(n)
-    work = factor._Work(factor.MAX_FACTOR_WORK)
+    work = _Work(factor.MAX_FACTOR_WORK)
     ring = factor._Packed(spec, tuple(rng.randrange(spec.q) for _ in range(n)) + (1,), work)
     ring.frobenius_by_matrix(ring.x)
     assert factor.MAX_FACTOR_WORK - work.left >= n * n  # the build's n - 1 products and the step
@@ -380,16 +409,6 @@ def test_frobenius_matrix_past_the_cap_is_not_built(monkeypatch):
     monkeypatch.setattr(factor, "_MATRIX_BITS", 16 * ring.shift - 1)
     h = ring.elem(tuple(range(16)))
     assert ring.frobenius(h) == ring.pow(h, spec.q) and ring.matrix is None
-
-
-def test_byte_reducer_matches_unpacking():
-    # 16-bit lanes at p < 128 reduce by byte tables; the widest lane value is 0xFFFF
-    rng = random.Random(16)
-    for p in (c for c in range(2, 128) if all(c % d for d in range(2, c))):
-        for count in (1, 2, 7, 64, 301):
-            lanes = [rng.choice((0, 0xFFFF, p, p - 1, rng.randrange(1 << 16))) for _ in range(count)]
-            n = _pack(lanes, "H")
-            assert factor._reducer(p, 16, "H", count)(n) == _pack(_unpack(n, count, 16, "H", p), "H"), (p, lanes)
 
 
 def _seed_by_horner(q, coeffs):

@@ -1,6 +1,7 @@
 """The package's layers import only downward: each module's module-level
 `from .x import` set is pinned, so a layer that grows an upward import fails here.
-The package's public names (`gpfq.__all__`) are pinned too, so adding or removing one
+The packed form's codec, lane reducer, Euclid and gcd are each pinned to one definition, in
+polyring. The package's public names (`gpfq.__all__`) are pinned too, so adding or removing one
 shows in a diff.
 
 Imports made inside a function (`ff` reaches `factor` and `polyring` that way
@@ -70,3 +71,24 @@ def test_public_names_are_pinned():
     assert set(gpfq.__all__) == PUBLIC
     assert {name for name in PUBLIC if hasattr(gpfq, name)} == PUBLIC
     assert PUBLIC <= set(dir(gpfq))
+
+
+# the packed form's mechanics, each defined in exactly one module
+SHARED = {"_codec": "polyring", "_reducer": "polyring", "_euclid": "polyring", "_gcd": "polyring"}
+
+
+def test_packed_mechanics_are_defined_once():
+    # a second codec, lane reducer, Euclid or gcd anywhere in the package (nested ones too) fails here
+    found = {name: [] for name in SHARED}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=path.name)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [leaf.id for target in targets for leaf in ast.walk(target) if isinstance(leaf, ast.Name)]
+            else:
+                continue
+            for name in set(names) & set(SHARED):
+                found[name].append(path.stem)
+    assert found == {name: [module] for name, module in SHARED.items()}

@@ -31,7 +31,19 @@ from gpfq import (
     x,
     zero,
 )
-from gpfq.polyring import MAX_TEXT_DEGREE, _divmod, _format_codes, _lane, _mul, _packer, _parse_term, _unit_ops
+from gpfq.polyring import (
+    MAX_TEXT_DEGREE,
+    _divmod,
+    _format_codes,
+    _lane,
+    _mul,
+    _pack,
+    _packer,
+    _parse_term,
+    _reducer,
+    _unit_ops,
+    _unpack,
+)
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -506,6 +518,24 @@ def test_packer_multiplies_past_64_bit_lanes(p):
         a = tuple(rng.randrange(p) for _ in range(length // 2)) + (p - 1,)
         b = tuple(rng.randrange(p) for _ in range(length - len(a))) + (rng.randrange(1, p),)
         assert unpack(mul(pack(a), pack(b))) == tuple(fp_mul(p, list(a), list(b)))
+
+
+SMALL_PRIMES = [c for c in range(2, 128) if all(c % d for d in range(2, c))]
+# (p, bits, typecode): 8-bit lanes by one byte table, 16-bit lanes at p < 128 by two, p = 2
+# by a mask, and array and whole-byte lanes lane by lane
+REDUCER_LANES = ([(p, 8, "B") for p in SMALL_PRIMES] + [(p, 16, "H") for p in SMALL_PRIMES]
+                 + [(251, 32, "I"), (65521, 64, "Q"), (2, 72, 9), (2**31 - 1, 72, 9), (2**61 - 1, 128, 16)])
+
+
+def test_reducer_matches_unpacking():
+    # _packer, _euclid and factor's ring all reduce lanes through _reducer; the widest lane value is all ones
+    rng = random.Random(16)
+    for p, bits, typecode in REDUCER_LANES:
+        widest = (1 << bits) - 1
+        for count in (1, 2, 7, 64, 301):
+            lanes = [rng.choice((0, widest, p, p - 1, rng.randrange(1 << bits))) for _ in range(count)]
+            n = _pack(lanes, typecode)
+            assert _reducer(p, bits, typecode, count)(n) == _pack(_unpack(n, count, bits, typecode, p), typecode), (p, bits, lanes)
 
 
 # ---------------------------------------------------------------------------
