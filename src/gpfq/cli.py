@@ -12,11 +12,21 @@ progfree.has_progression_text, which keeps one packed int per distinct member
 and builds no Poly; on a bad line it reads the rest of the file first, so text
 that is not UTF-8 is still a usage error before any parse error. A `greedy
 enumerate` listing formats code tuples (polyring._format_codes), not Poly.
+
+A run builds only the parsers on its path: each subcommand's parser is built
+when argparse dispatches to it (or help or an error message reads it), not all
+of them up front. `main`, the process's entry point, freezes the collector
+(gc.freeze) before it exits, so interpreter shutdown skips full collections
+over every loaded object only to free memory the OS reclaims anyway; `run`
+does not, since tests and tracers call it in a process that goes on. A reader
+that closes stdout early (`gpfq ... | head`) ends the run with exit 1 and no
+traceback.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 import time
@@ -223,8 +233,9 @@ def _cmd_extremal(parser, args):
 
 
 # ---------------------------------------------------------------------------
-# parser table: (name, help, handler, arguments), a name of two words under the
-# group its first word names; every handler but figure1's also takes --json,
+# parser table: name: (help, handler, arguments), a name of two words under the
+# group its first word names; a command's parser is built only when argparse
+# dispatches to it (_Subparser); every handler but figure1's also takes --json,
 # and its JSON object is headed by the name, hyphenated
 # ---------------------------------------------------------------------------
 
@@ -236,72 +247,98 @@ _Q = _arg("--q", type=int, required=True, help="field order, a prime power")
 _MODULUS = _arg("--modulus", help="comma-separated modulus coefficients, constant first")
 _MAX_DEGREE = _arg("--max-degree", type=_int_in(0), required=True)
 
-_COMMANDS = (
-    ("density", "certified density and bound values", _cmd_density, [
+_COMMANDS = {  # name: (help, handler, arguments)
+    "density": ("certified density and bound values", _cmd_density, [
         _arg("kind", choices=list(_DENSITY_KINDS)),
         _Q,
         _arg("--digits", type=_int_in(1, MAX_DIGITS), default=6),
         _arg("--depth", type=_int_in(1, MAX_DEPTH), help="fixed product depth instead of adaptive"),
         _arg("--terms", type=_int_in(0), help="finite progression families for upper-simple"),
     ]),
-    ("tables", "verify the published tables cell by cell", _cmd_tables, [
+    "tables": ("verify the published tables cell by cell", _cmd_tables, [
         _arg("--which", type=int, choices=[1, 2, 3], required=True),
     ]),
-    ("figure1", "density against q as CSV", _cmd_figure1, [
+    "figure1": ("density against q as CSV", _cmd_figure1, [
         _arg("--qmax", type=_int_in(2), default=130),
         _arg("--out", help="output path (default: stdout)"),
     ]),
-    ("checkpoint", "exact checkpoint density at N_k", _cmd_checkpoint, [
+    "checkpoint": ("exact checkpoint density at N_k", _cmd_checkpoint, [
         _Q,
         _arg("--k", type=_int_in(1), required=True),
     ]),
-    ("empirical", "exact finite-stage greedy density", _cmd_empirical, [_Q, _MAX_DEGREE]),
-    ("rn", "least endpoints r_n for AP-free subsets", _cmd_rn, [_arg("--n", type=_int_in(1), required=True)]),
-    ("factor", "factor a polynomial over F_q", _cmd_factor, [
+    "empirical": ("exact finite-stage greedy density", _cmd_empirical, [_Q, _MAX_DEGREE]),
+    "rn": ("least endpoints r_n for AP-free subsets", _cmd_rn, [_arg("--n", type=_int_in(1), required=True)]),
+    "factor": ("factor a polynomial over F_q", _cmd_factor, [
         _Q,
         _MODULUS,
         _arg("poly", help="polynomial text, e.g. 'x^3+x+1'"),
         _arg("--seed", type=int, help="override the splitting seed"),
     ]),
-    ("greedy", "greedy progression-free set operations", None, []),
-    ("greedy check", "brute-force construction vs characterization", _cmd_check, [_Q, _MODULUS, _MAX_DEGREE]),
-    ("greedy enumerate", "list greedy-set members", _cmd_enumerate, [
+    "greedy": ("greedy progression-free set operations", None, []),
+    "greedy check": ("brute-force construction vs characterization", _cmd_check, [_Q, _MODULUS, _MAX_DEGREE]),
+    "greedy enumerate": ("list greedy-set members", _cmd_enumerate, [
         _Q,
         _MODULUS,
         _MAX_DEGREE,
         _arg("--counts-only", action="store_true"),
     ]),
-    ("progcheck", "search a polynomial list for a progression", _cmd_progcheck, [
+    "progcheck": ("search a polynomial list for a progression", _cmd_progcheck, [
         _Q,
         _MODULUS,
         _arg("--file", required=True, help="one polynomial text per line"),
         _arg("--unit-tolerant", action="store_true"),
     ]),
-    ("extremal", "exact maximum progression-free subset", _cmd_extremal, [
+    "extremal": ("exact maximum progression-free subset", _cmd_extremal, [
         _Q,
         _MODULUS,
         _MAX_DEGREE,
         _arg("--budget", type=_int_in(1), default=DEFAULT_VERTEX_BUDGET,
              help="vertex budget (default %(default)s)"),
     ]),
-)
+}
+
+
+class _Subparser:
+    """A subcommand's parser, built when argparse first reads it. argparse makes
+    one parser per subcommand (`parser_class` of add_subparsers) but dispatches
+    to one; this stand-in keeps add_parser's keyword arguments (prog and the
+    rest), and its first attribute read builds the ArgumentParser, with the
+    command's arguments from _COMMANDS, which then serves every read."""
+
+    def __init__(self, command, **kwargs):
+        self._command, self._kwargs, self._parser = command, kwargs, None
+
+    def __getattr__(self, attr):  # called only for names the stand-in lacks
+        if self._parser is None:
+            self._parser = _fill(argparse.ArgumentParser(**self._kwargs), self._command)
+        return getattr(self._parser, attr)
+
+
+def _add_commands(parser, group, dest):
+    """`parser` with a subparser, built on dispatch, for each command of `group` ("" at the top)."""
+    subparsers = parser.add_subparsers(dest=dest, required=True, parser_class=_Subparser)
+    for name, (help_text, _, _) in _COMMANDS.items():
+        head, _, leaf = name.rpartition(" ")
+        if head == group:
+            subparsers.add_parser(leaf, help=help_text, command=name)
+    return parser
+
+
+def _fill(parser, name):
+    """`parser` with the arguments of command `name`, or the commands of group `name`."""
+    _, handler, arguments = _COMMANDS[name]
+    if handler is None:
+        return _add_commands(parser, name, "action")
+    for flags, options in arguments:
+        parser.add_argument(*flags, **options)
+    if handler is not _cmd_figure1:
+        parser.add_argument("--json", action="store_true")
+    parser.set_defaults(func=handler, name=name, parser=parser)
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="gpfq", description=__doc__.splitlines()[0])
-    groups = {"": parser.add_subparsers(dest="command", required=True)}
-    for name, help_text, handler, arguments in _COMMANDS:
-        group, _, leaf = name.rpartition(" ")
-        p = groups[group].add_parser(leaf, help=help_text)
-        if handler is None:
-            groups[name] = p.add_subparsers(dest="action", required=True)
-            continue
-        for flags, options in arguments:
-            p.add_argument(*flags, **options)
-        if handler is not _cmd_figure1:
-            p.add_argument("--json", action="store_true")
-        p.set_defaults(func=handler, name=name, parser=p)
-    return parser
+    return _add_commands(argparse.ArgumentParser(prog="gpfq", description=__doc__.splitlines()[0]), "", "command")
 
 
 def run(argv) -> int:
@@ -332,7 +369,14 @@ def run(argv) -> int:
 
 
 def main():
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()  # here, so a closed pipe raises inside the try
+    except BrokenPipeError:  # the reader left (`gpfq ... | head`): no traceback, and no flush at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    gc.freeze()  # the process ends here: spare shutdown a collection over every object
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -12,9 +12,9 @@ triples for the progression search and the extremal search (one
 include-first branch and bound over them as hyperedges). The searches and
 greedy builds multiply and compare polynomials as ints in polyring's 2-D
 packed form. The progression search (`_first_progression`) takes its members
-as a set of those ints: `has_progression` packs its Poly values into it, and
+as a set of those ints: `has_progression` packs its Poly values into it,
 `has_progression_text` reads polynomial text straight into it, with no Poly
-per line.
+per line, and `greedy_check` hands it the packed set its construction built.
 
 The greedy set is closed under units, so both greedy builds run on the
 packed monic polynomials alone; only a listing of members is expanded to
@@ -131,16 +131,22 @@ def greedy_check(spec, max_degree: int, budget: int = DEFAULT_ENUM_BUDGET):
 
     Both sets are closed under units, so they are compared by their monic
     members. In a set closed under units a progression up to units is a
-    strict one, so one unit-tolerant search looks for it, over the
-    canonically least member of each class: its witness is the canonically
-    least of the whole set.
+    strict one, so one unit-tolerant search looks for it: over the packed
+    monic members, with each base scaled to the canonically least member of
+    its class, so its witness is the canonically least of the whole set.
     """
     mul, unpack, monics = _monics(spec, max_degree, budget)
     constructed, characterized = set(_greedy_construct(mul, monics)), set(_greedy_sieve(mul, monics))
     extra, missing = (_unit_multiples(spec, map(unpack, s))
                       for s in (constructed - characterized, characterized - constructed))
-    least = [Poly._raw(spec, _scale(spec, cs, spec.inv_c(next(filter(None, cs))))) for cs in map(unpack, constructed)]
-    return (spec.q - 1) * len(constructed), extra, missing, has_progression(least, unit_tolerant=True)
+
+    def keyed(_):  # the search packs as _monics does, so the members go in as built
+        cut = monics[max_degree - 1][0]  # x^(D - 1): packed ints order by degree first
+        bases = [unpack(n) for n in constructed if n < cut]
+        return constructed, [_scale(spec, cs, spec.inv_c(next(filter(None, cs)))) for cs in bases]
+
+    witness = _first_progression(spec, 0, max_degree, True, keyed)
+    return (spec.q - 1) * len(constructed), extra, missing, witness
 
 
 def _monics(spec, max_degree: int, budget: int):

@@ -634,6 +634,64 @@ def test_parser_actions_are_pinned():
 
 
 @pytest.mark.parametrize(
+    "argv, built",
+    [([], 1), (["rn", "--n", "3"], 2), (["greedy", "check", "--q", "2", "--max-degree", "3"], 3)],
+)
+def test_one_parser_per_command_path(capsys, argv, built):
+    # a run builds the parsers on its path through the table, not all 13; build_parser() (argv []) only the top one
+    init = argparse.ArgumentParser.__init__
+    calls = []
+    with mock.patch.object(argparse.ArgumentParser, "__init__", lambda *a, **kw: calls.append(1) or init(*a, **kw)):
+        if argv:
+            assert run(argv) == 0
+        else:
+            build_parser()
+    assert len(calls) == built
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["--help"], "831f894fef551dde"),
+        (["density", "--help"], "cd919c9ddab0e6bc"),
+        (["tables", "--help"], "56b0fed8ef4b913d"),
+        (["figure1", "--help"], "2003781cdb23aa05"),
+        (["checkpoint", "--help"], "f7763fa13ec7172e"),
+        (["empirical", "--help"], "480f79ecad6338c3"),
+        (["rn", "--help"], "116aa54b739241e5"),
+        (["factor", "--help"], "6dadccbb944cbb9d"),
+        (["greedy", "--help"], "11273b6f63f6ad7a"),
+        (["greedy", "check", "--help"], "546c5fb5ba6797af"),
+        (["greedy", "enumerate", "--help"], "0d280d4dd0df536a"),
+        (["progcheck", "--help"], "e4aa3e59803f38cc"),
+        (["extremal", "--help"], "206bda79a9e5b9cf"),
+        (["bogus"], "a4c85a6987f586ad"),
+        (["density", "greedy", "--q", "2", "extra"], "f3cd6849491d2899"),
+    ],
+)
+def test_help_and_usage_errors_pinned(capsys, monkeypatch, argv, digest):
+    # sha256 prefixes of --help (stdout, exit 0) or of the usage error (stderr,
+    # exit 2) when every parser was built up front, at 80 columns
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = invoke(capsys, *argv)
+    shown, quiet = (out, err) if code == 0 else (err, out)
+    assert code == (0 if "--help" in argv else 2) and quiet == ""
+    assert hashlib.sha256(shown.encode()).hexdigest()[:16] == digest
+
+
+def test_closed_pipe_ends_without_traceback():
+    # the reader closes the pipe after one line of a 1.5 MB listing: exit 1, nothing on stderr
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    argv = [sys.executable, "-m", "gpfq.cli", "greedy", "enumerate", "--q", "16", "--max-degree", "3"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline() == b"[1]\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=30) == 1
+    assert err == b""  # no traceback
+
+
+@pytest.mark.parametrize(
     "q, max_degree, digest",
     [
         (2, 6, "1e09ebe0f7365e86"),
