@@ -33,7 +33,8 @@ import time
 
 # the layers are read at call time, so a subcommand runs only the ones it calls
 from . import density, factor, ff, polyring, progfree, tables
-from .errors import DEFAULT_ENUM_BUDGET, DEFAULT_VERTEX_BUDGET, MAX_DEPTH, MAX_DIGITS, BudgetExceeded, Error
+from .errors import (DEFAULT_ENUM_BUDGET, DEFAULT_VERTEX_BUDGET, MAX_DEPTH, MAX_DIGITS, MAX_VERTEX_BUDGET,
+                     BudgetExceeded, Error)
 from .intarith import prime_power
 
 
@@ -292,7 +293,7 @@ _COMMANDS = {  # name: (help, handler, arguments)
         _Q,
         _MODULUS,
         _MAX_DEGREE,
-        _arg("--budget", type=_int_in(1), default=DEFAULT_VERTEX_BUDGET,
+        _arg("--budget", type=_int_in(1, MAX_VERTEX_BUDGET), default=DEFAULT_VERTEX_BUDGET,
              help="vertex budget (default %(default)s)"),
     ]),
 }

@@ -10,6 +10,8 @@ MAX_TAIL_BITS = 3 ** (MAX_DEPTH + 1)  # the q=2 tail at MAX_DEPTH, as a cost bou
 MAX_DIGITS = MAX_TAIL_BITS * 3 // 10  # about the most a product within MAX_TAIL_BITS resolves
 DEFAULT_ENUM_BUDGET = 1 << 21
 DEFAULT_VERTEX_BUDGET = 1023
+#: The largest vertex budget: at 4095 vertices every (q, D) answers or exits 1 within about 8 s.
+MAX_VERTEX_BUDGET = 4095
 #: What one factorize call may do: Euclid and division steps and ring products, each
 #: weighted by its modulus degree (see factor); about 1000x what the largest input
 #: tested, `factor --q 2 "x^1048576+1"`, uses.

@@ -14,12 +14,11 @@ The pipeline is the standard one, complete in every characteristic:
      the trace construction in characteristic 2.
 
 Steps 2 and 3 and is_irreducible run in a residue ring GF(q)[x]/(f), q = p^k:
-_Packed, on polyring's 2-D packed ints (1-D at k = 1), packed, unpacked and
-lane-reduced by polyring's _codec and _reducer. The ring sizes its lanes as
-wide as the prime needs (_lane_for) and reduces by Barrett in x by x^(2n) // f
-and in y by y^(2k) // m, m the field modulus (von zur Gathen and Gerhard,
-Modern Computer Algebra, 8.4 and 9.1). Its gcds are polyring's: _euclid on
-packed operands over GF(p), one tuple Euclid (_gcd) per block over GF(p^k).
+_Packed, on polyring's 2-D packed form (_packer; 1-D at k = 1), which gives
+it its lanes, codec, lane reduction and fold in y. The ring adds Barrett
+reduction in x by x^(2n) // f (von zur Gathen and Gerhard, Modern Computer
+Algebra, 9.1). Its gcds are polyring's: _euclid on packed operands over GF(p),
+one tuple Euclid (_gcd) per block over GF(p^k).
 As h -> h^q is GF(q)-linear, where q > n the ring builds the matrix of the
 x^(iq) mod f by n - 1 ring products, and a step costs 0.5 to 2.7 ring products
 (measured, 16 <= n <= 256) against log2(q) to 2 log2(q) for square and
@@ -46,16 +45,12 @@ from .ff import FieldElem, FieldSpec
 from .polyring import (
     _UNMETERED,
     Poly,
-    _codec,
     _deriv,
     _divmod,
-    _divmod_packed,
     _euclid,
     _gcd,
-    _lane,
     _monic,
-    _pack,
-    _reducer,
+    _packer,
     _trim,
     _Work,
     canonical_key,
@@ -87,14 +82,8 @@ class Factorization(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# packed lanes, and metered exact division
+# metered exact division
 # ---------------------------------------------------------------------------
-
-def _lane_for(spec, n):
-    """polyring's packed lane for products of residues of degree < n in the 2-D form."""
-    p, k = spec.p, spec.k
-    return _lane(max(max(n, 2) * k * (p - 1) ** 2, (k - 1) ** 2 * (p - 1) ** 3 + p - 1))
-
 
 def _divide(spec, a, b, work):
     """divmod(a, b) on code tuples, charged its division steps at the degree of a."""
@@ -107,37 +96,22 @@ def _divide(spec, a, b, work):
 # ---------------------------------------------------------------------------
 
 class _Packed:
-    """GF(q)[x]/(f) on polyring's 2-D packed ints: digit j of coefficient i in lane i*w + j, w = 2k - 1.
+    """GF(q)[x]/(f) on polyring's 2-D packed form: digit j of coefficient i in lane i*w + j, w = 2k - 1.
 
     A product c = a*b (degree < 2n) has quotient (c >> n coefficients) * mu >> n coefficients
     by f, mu = x^(2n) // f, and residue the low n coefficients of c + quotient * (x^n - f).
-    Each of the three products is folded: lanes reduced mod p by polyring's _reducer and, at
-    k > 1, each coefficient (degree < 2k - 1 in y) by m(y) the same way, mu_y = y^(2k) // m, its
-    quotient unreduced. A lane holds max(n, 2) * k * (p-1)^2 (at k = 1 also an _euclid step) and
-    (k-1)^2 (p-1)^3 + p - 1; pack and codes are polyring's _codec in that lane. Elements are
-    canonical, so equal residues compare equal. Every product is charged n units of `work`, and
-    every gcd and division its steps.
+    Each of the three products is folded by _packer's, whose lanes sum max(n, 2) products of
+    coefficients (at k = 1 they also hold an _euclid step). Elements are canonical, so equal
+    residues compare equal. Every product is charged n units of `work`, and every gcd and
+    division its steps.
     """
 
     def __init__(self, spec, f, work=_UNMETERED):
-        p, k, n, w = spec.p, spec.k, len(f) - 1, 2 * spec.k - 1
+        p, n = spec.p, len(f) - 1
         self.spec, self.f, self.n, self.work, self.p, self.matrix = spec, f, n, work, p, None
-        self.lane = bits, typecode = _lane_for(spec, n)
-        self.pack, self.codes = _codec(spec, self.lane)
-        self.width = w * bits  # bits per coefficient
+        self.pack, self.fold, self.codes, self.lane, self.reduce = _packer(spec, 2 * n, max(n, 2))
+        self.width = (2 * spec.k - 1) * self.lane[0]  # bits per coefficient
         self.shift, self.low = n * self.width, (1 << n * self.width) - 1
-        self.reduce = self.fold = _reducer(p, bits, typecode, 2 * n * w)
-        if k > 1:
-            ones = int.from_bytes((b"\1" + bytes(self.width // 8 - 1)) * 2 * n, "little")  # lane 0 of each coefficient
-            top, below, shift = ones * ((1 << (k - 1) * bits) - 1), ones * ((1 << k * bits) - 1), k * bits
-            mu_y = _pack(_divmod_packed(p, 1, (0,) * 2 * k + (1,), spec.modulus, bits, typecode)[0], typecode)
-            tail_y, reduce = _pack([-c % p for c in spec.modulus[:k]], typecode), self.reduce
-
-            def fold(c):
-                c = reduce(c)
-                return reduce(c + ((c >> shift & top) * mu_y >> shift & top) * tail_y & below)
-
-            self.fold = fold
         self.mu = self.pack(_divide(spec, (0,) * 2 * n + (1,), f, work)[0])
         self.tail = self.reduce((p - 1) * self.pack(f[:n]))  # x^n - f, as -d = (p - 1) * d
         self.packed = self.pack(f)
@@ -160,10 +134,10 @@ class _Packed:
     def mul(self, a, b):
         self.work.charge(self.n)
         fold, shift = self.fold, self.shift
-        c = fold(a * b)
+        c = fold(a, b)
         if c >> shift == 0:
             return c
-        return fold(c + (fold((c >> shift) * self.mu) >> shift) * self.tail & self.low)
+        return fold(c + (fold(c >> shift, self.mu) >> shift) * self.tail & self.low)
 
     def pow(self, a, e):
         """a^e for e >= 1, by square and multiply."""

@@ -16,24 +16,26 @@ below min(len) * (p-1)^2; a division keeps the remainder as one int and adds
 (p-1) + steps * (p-1)^2. Operands of every length pack into the narrowest
 lane that holds that bound: 8, 16, 32 or 64 bits, and past that as many whole
 bytes as it takes, since a lane need not be an array width. Over an extension
-field the coefficient loops run, and with log tables (q <= 4096, see ff)
-_mul_log and _divmod_log run them in the log domain with no ff call: each
-product is one exp lookup, added by XOR at p = 2 and through the Zech table.
+field with log tables (q <= 4096, see ff) _mul_log and _divmod_log run the
+coefficient loops in the log domain with no ff call: each product is one exp
+lookup, added by XOR at p = 2 and through the Zech table. They beat a packed
+product 1.2-10x up to degree 16; above the cap _mul is one packed product and
+_divmod's loop calls ff.
 
 _gcd is the one gcd, for the public gcd and factor alike: over GF(p) _euclid
 on packed operands (one XOR per step at p = 2), over GF(p^k) a Euclid on code
 tuples, each division charged its steps to a _Work budget.
 
-The searches and greedy builds in progfree (_packer) and factor's residue ring
-share one 2-D packed form over every field, packed and unpacked by _codec and
-lane-reduced mod p by _reducer: digit j of code i sits in lane i*(2k-1) + j,
-so one int product is the product in GF(p)[x, y], and a lane is sized for a
-digit of a product, not for a code. _packer folds slots k..2k-2 back through
-y^(k+j) = ff's _red[j], one shift, mask and multiply each, so equal
-polynomials pack to equal ints; factor's ring has its own lane bound and folds
-(see its module docstring). _mul keeps its loops: a GF(4) product that packs
-and unpacks took 6.2 us against 3.7 us for _mul_log, while a search packs
-each operand once.
+The searches and greedy builds in progfree, factor's residue ring and _mul
+above the table cap share one 2-D packed form, _packer: digit j of code i sits
+in lane i*(2k-1) + j, packed and unpacked by _codec and lane-reduced mod p by
+_reducer, so one int product is the product in GF(p)[x, y]. Its fold takes
+each coefficient c (degree < 2k - 1 in y) mod m(y), the field modulus, by
+Barrett (ibid., 9.1): the quotient (c >> k digits) * (y^(2k) // m) >> k digits,
+read unreduced, times the negated low part of m, added to c, leaves c mod m in
+the low k digits, so equal polynomials fold to equal ints. A lane summing t
+products of coefficients holds max(t k (p-1)^2, (k-1)^2 (p-1)^3 + p - 1), the
+product's digits and the fold's.
 """
 
 from __future__ import annotations
@@ -156,15 +158,8 @@ def _mul(spec, a, b):
         return tuple(_unpack(packed_a * packed_b, len(a) + len(b) - 1, bits, typecode, p))
     if spec.log is not None:
         return _mul_log(spec, a, b)
-    add = spec.add_c
-    mul = spec.mul_c
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] = add(out[i + j], mul(ai, bj))
-    return _trim(out)
+    pack, mul, unpack, *_ = _packer(spec, len(a) + len(b) - 1, min(len(a), len(b)))
+    return unpack(mul(pack(a), pack(b)))
 
 
 def _mul_log(spec, a, b):
@@ -323,24 +318,28 @@ def _codec(spec, lane):
     return pack, unpack
 
 
-def _packer(spec, length):
-    """(pack, mul, unpack) of the 2-D packed form over `spec` (module docstring) for polynomials
-    and products of at most `length` coefficients; unpack is pack's inverse on reduced forms."""
+def _packer(spec, length, terms=None):
+    """The 2-D packed form over `spec` (module docstring) for polynomials and products of at most
+    `length` coefficients whose lanes each sum at most `terms` (by default `length`) products of
+    coefficients: (pack, mul, unpack, lane, reduce). mul(c, b=1) folds c * b, every lane mod p and
+    every coefficient mod m(y), so mul(c) folds c alone; unpack is pack's inverse on folded forms
+    and reduce the lane reducer."""
     p, k, w = spec.p, spec.k, 2 * spec.k - 1
-    lane = bits, typecode = _lane(length * k * (p - 1) ** 2 * (1 + (k - 1) * (p - 1)))
-    ones = int.from_bytes((b"\1" + bytes(w * bits // 8 - 1)) * length, "little")  # each coefficient's lowest lane
-    slot, low = ones * ((1 << bits) - 1), ones * ((1 << k * bits) - 1)
-    folds = [((k + j) * bits, _pack(red, typecode)) for j, red in enumerate(spec._red)] if k > 1 else ()
+    lane = bits, typecode = _lane(max((terms or length) * k * (p - 1) ** 2, (k - 1) ** 2 * (p - 1) ** 3 + p - 1))
     reduce = _reducer(p, bits, typecode, length * w)
+    mul = lambda c, b=1: reduce(c * b)
+    if k > 1:
+        ones = int.from_bytes((b"\1" + bytes(w * bits // 8 - 1)) * length, "little")  # each coefficient's lowest lane
+        top, below, shift = ones * ((1 << (k - 1) * bits) - 1), ones * ((1 << k * bits) - 1), k * bits
+        mu = _pack(_divmod_packed(p, 1, (0,) * 2 * k + (1,), spec.modulus, bits, typecode)[0], typecode)
+        tail = _pack([-c % p for c in spec.modulus[:k]], typecode)
+
+        def mul(c, b=1):
+            c = reduce(c * b)
+            return reduce(c + ((c >> shift & top) * mu >> shift & top) * tail & below)
+
     pack, unpack = _codec(spec, lane)
-
-    def mul(a, b):
-        n = a * b
-        for shift, c in folds:
-            n += (n >> shift & slot) * c
-        return reduce(n & low)  # clears the folded high slots; a mask of whole lanes commutes with reduce
-
-    return pack, mul, unpack
+    return pack, mul, unpack, lane, reduce
 
 
 def _unit_ops(spec):

@@ -28,8 +28,8 @@ import itertools
 from typing import NamedTuple, Optional, Tuple
 
 from . import factor
-from .errors import (DEFAULT_ENUM_BUDGET, DEFAULT_VERTEX_BUDGET, BudgetExceeded, PolySyntaxError, SpecMismatch,
-                     ZeroPolynomial)
+from .errors import (DEFAULT_ENUM_BUDGET, DEFAULT_VERTEX_BUDGET, MAX_VERTEX_BUDGET, BudgetExceeded, PolySyntaxError,
+                     SpecMismatch, ZeroPolynomial)
 from .polyring import Poly, _canonical, _code_tuples, _packer, _parse_term, _scale, _unit_ops
 
 #: Edge scans (nodes times edges) `_largest_free_set` may make; q=2, D=9 needs about 3.3e6.
@@ -157,7 +157,7 @@ def _monics(spec, max_degree: int, budget: int):
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
     enumeration_size(spec.q, max_degree, budget)
-    pack, mul, unpack = _packer(spec, max_degree + 1)
+    pack, mul, unpack, *_ = _packer(spec, max_degree + 1)
     return mul, unpack, [list(map(pack, _code_tuples(spec.q, d, d, (1,)))) for d in range(max_degree + 1)]
 
 
@@ -277,7 +277,7 @@ def has_progression_text(spec, lines, unit_tolerant: bool = False) -> Optional[P
     room = 0  # the coefficients of the longest member whose ratios the search may list
     while q ** (room // 2 + 1) <= DEFAULT_ENUM_BUDGET:
         room += 1
-    pack, _, unpack = _packer(spec, room) if room else (None, None, None)  # room = 0 when q > the budget
+    pack, _, unpack, *_ = _packer(spec, room) if room else (None, None, None)  # room = 0 when q > the budget
     width = pack((0, 1)).bit_length() - 1 if room else 1  # bits per coefficient
     terms = {}  # the text of a term: (1 << exponent, its lanes below `room`, its degree)
     keys, far = set(), set()  # far: the degrees of members too long to key
@@ -346,7 +346,7 @@ def _progressions(spec, max_degree: int, unit_tolerant: bool = False):
     its monic form by `monic` (else None), as monic(r*a) = monic(r) * monic(a),
     and then only the ratio that is the canonical first of its unit multiples is kept."""
     enumeration_size(spec.q, max_degree // 2, DEFAULT_ENUM_BUDGET)
-    pack, mul, unpack = _packer(spec, max_degree + 1)
+    pack, mul, unpack, *_ = _packer(spec, max_degree + 1)
     monic = _monic_key(spec, pack, mul, unpack) if unit_tolerant else None
     key = (lambda cs: monic(pack(cs))) if monic else pack
     ratios = [(len(r), r, key(r)) for r in _code_tuples(spec.q, 1, max_degree // 2)
@@ -391,10 +391,11 @@ def max_progression_free_subset(spec, max_degree: int, budget: int = DEFAULT_VER
     The progressions are the edges of a 3-uniform hypergraph on these
     polynomials, and the answer is its largest edge-free vertex set, found by
     one branch-and-bound search (`_largest_free_set`). Deterministic. The
-    vertex count is capped by `budget` before anything is listed, and the
-    search by MAX_SEARCH_WORK edge scans; past either, BudgetExceeded.
+    vertex count is capped by `budget`, and never past MAX_VERTEX_BUDGET, before
+    anything is listed, and the search by MAX_SEARCH_WORK edge scans; past
+    either, BudgetExceeded.
     """
-    enumeration_size(spec.q, max_degree, budget, nonzero=True)
+    enumeration_size(spec.q, max_degree, min(budget, MAX_VERTEX_BUDGET), nonzero=True)
     universe = list(_code_tuples(spec.q, 0, max_degree))
     pack, mul, _, triples = _progressions(spec, max_degree)
     index = {key: i for i, f in enumerate(universe) for key in (f, pack(f))}

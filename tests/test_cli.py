@@ -928,6 +928,9 @@ _X128_FACTORS = (  # the last line of `factor --q 2305843009213693951 x^128+x+1`
         (["factor", "--q", "2", f"x^{MAX_TEXT_DEGREE}+1"], 0),
         (["factor", "--q", "3", f"x^{MAX_TEXT_DEGREE}+x+1"], 1),
         (["factor", "--q", "2305843009213693951", "x^128+x+1"], 0),
+        (["extremal", "--q", "2", "--max-degree", "16", "--budget", "131071"], 2),
+        (["extremal", "--q", "1024", "--max-degree", "1", "--budget", "1048575"], 2),
+        (["extremal", "--q", "64", "--max-degree", "1", "--budget", "4095"], 0),
     ],
 )
 def test_large_arguments_end_at_once(argv, code):
@@ -938,7 +941,9 @@ def test_large_arguments_end_at_once(argv, code):
     assert "Traceback" not in proc.stderr and len(proc.stderr) < 300
     if code == 1:
         assert proc.stderr.startswith("error:") and "budget" in proc.stderr
-    if code == 0:
+    if code == 0 and argv[0] == "extremal":  # no progression among the 4095 of degree <= 1
+        assert proc.stdout.splitlines()[0] == "size=4095"
+    elif code == 0:
         *head, last = proc.stdout.splitlines()
         assert len(head) == (int(argv[argv.index("--max-degree") + 1]) if "--counts-only" in argv else 0)
         assert last in (

@@ -1,8 +1,8 @@
 """The package's layers import only downward: each module's module-level
 `from .x import` set is pinned, so a layer that grows an upward import fails here.
-The packed form's codec, lane reducer, Euclid and gcd are each pinned to one definition, in
-polyring. The package's public names (`gpfq.__all__`) are pinned too, so adding or removing one
-shows in a diff.
+The packed form's packer (its lane rule and fold in y), codec, lane reducer, Euclid and gcd are
+each pinned to one definition, in polyring. The package's public names (`gpfq.__all__`) are
+pinned too, so adding or removing one shows in a diff.
 
 Imports made inside a function (`ff` reaches `factor` and `polyring` that way
 to search a default modulus) are not module-level and are not pinned.
@@ -74,11 +74,11 @@ def test_public_names_are_pinned():
 
 
 # the packed form's mechanics, each defined in exactly one module
-SHARED = {"_codec": "polyring", "_reducer": "polyring", "_euclid": "polyring", "_gcd": "polyring"}
+SHARED = {"_packer": "polyring", "_codec": "polyring", "_reducer": "polyring", "_euclid": "polyring", "_gcd": "polyring"}
 
 
 def test_packed_mechanics_are_defined_once():
-    # a second codec, lane reducer, Euclid or gcd anywhere in the package (nested ones too) fails here
+    # a second packer, codec, lane reducer, Euclid or gcd anywhere in the package (nested ones too) fails here
     found = {name: [] for name in SHARED}
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=path.name)):

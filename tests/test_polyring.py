@@ -31,6 +31,7 @@ from gpfq import (
     x,
     zero,
 )
+from gpfq.intarith import prime_power
 from gpfq.polyring import (
     MAX_TEXT_DEGREE,
     _divmod,
@@ -463,10 +464,13 @@ def test_log_domain_makes_no_field_calls(p, k):
 
 # (field, the longest product its searches form): has_progression keeps the
 # ratios within q^(D/2 + 1) <= 2^21, so D <= 41 at q = 2, 25 at q = 3, ...;
-# GF(2^10) takes products of 2 coefficients in greedy check at D = 1
+# GF(2^10) takes products of 2 coefficients in greedy check at D = 1. The fold
+# in y takes 2 high digits per coefficient in GF(8) and GF(27), 5 in GF(729),
+# and GF(2^13) is above the log-table cap
 PACKED_FIELDS = (
     (F2, 42), (F3, 26), (F4, 20), (make_field(3, 2, (1, 0, 1)), 12),
     (make_field(5, 2), 8), (make_field(11), 12), (make_field(2, 10), 2),
+    (make_field(2, 3), 14), (make_field(3, 3), 8), (make_field(3, 6), 4), (make_field(2, 13), 2),
 )
 
 
@@ -477,7 +481,7 @@ def test_packed_product_matches_oracle(data, case):
     spec, longest = case
     field = DigitField(spec.p, spec.modulus)
     length = data.draw(st.integers(1, longest))
-    pack, mul, unpack = _packer(spec, length)
+    pack, mul, unpack, *_ = _packer(spec, length)
     a = _poly_codes(data.draw, spec.q, data.draw(st.integers(1, length)))  # degree 0 included
     b = _poly_codes(data.draw, spec.q, data.draw(st.integers(1, length + 1 - len(a))))
     assert (unpack(pack(a)), unpack(pack(b))) == (a, b)
@@ -509,15 +513,17 @@ def test_packer_lanes_hold_products_only():
     assert pack((0, 1)) == 1 << 8 * 19
 
 
-@pytest.mark.parametrize("p", [2**31 - 1, 2**61 - 1])
-def test_packer_multiplies_past_64_bit_lanes(p):
-    # a product coefficient of GF(2^61 - 1) reaches 2^122 times the length: lanes of 16 or more bytes
-    spec, rng = make_field(p), random.Random(p)
+@pytest.mark.parametrize("q", [2**31 - 1, 2**61 - 1, (2**31 - 1) ** 3])
+def test_packer_multiplies_past_64_bit_lanes(q):
+    # a product coefficient of GF(2^61 - 1) reaches 2^122 times the length, and the fold in y of
+    # GF((2^31 - 1)^3), whose y^6 // m has large digits, lanes near 4 p^3 at every length
+    spec, rng = make_field(*prime_power(q)), random.Random(q)
+    field = DigitField(spec.p, spec.modulus)
     for length in (1, 2, 9, 40):
-        pack, mul, unpack = _packer(spec, length)
-        a = tuple(rng.randrange(p) for _ in range(length // 2)) + (p - 1,)
-        b = tuple(rng.randrange(p) for _ in range(length - len(a))) + (rng.randrange(1, p),)
-        assert unpack(mul(pack(a), pack(b))) == tuple(fp_mul(p, list(a), list(b)))
+        pack, mul, unpack, *_ = _packer(spec, length)
+        a = tuple(rng.randrange(spec.q) for _ in range(length // 2)) + (spec.q - 1,)
+        b = tuple(rng.randrange(spec.q) for _ in range(length - len(a))) + (rng.randrange(1, spec.q),)
+        assert unpack(mul(pack(a), pack(b))) == tuple(gfq_mul(field, list(a), list(b)))
 
 
 SMALL_PRIMES = [c for c in range(2, 128) if all(c % d for d in range(2, c))]
@@ -579,7 +585,8 @@ def test_operator_text_pinned():
 
 @pytest.mark.parametrize("p, k", [(3, 8), (2, 13)])
 def test_inverse_and_division_above_the_table_cap(p, k):
-    # no log tables: an inverse is a^(q-2), a division runs the generic loop
+    # no log tables: an inverse is a^(q-2), a division runs the generic loop and
+    # a product is one 2-D packed product
     spec = make_field(p, k)
     assert spec.log is None
     field = DigitField(p, spec.modulus)
@@ -594,3 +601,6 @@ def test_inverse_and_division_above_the_table_cap(p, k):
         a = tuple(rng.randrange(spec.q) for _ in range(len(b) - 1 + rng.randrange(8))) + (rng.randrange(2, spec.q),)
         quot, rem = _divmod(spec, a, b)
         assert (list(quot), list(rem)) == gfq_divmod(field, list(a), list(b))
+        assert list(_mul(spec, a, b)) == gfq_mul(field, list(a), list(b))
+    widest = (spec.q - 1,) * 21  # degree 20, every digit p - 1: a middle lane sums 21 k products of (p-1)^2
+    assert list(_mul(spec, widest, widest)) == gfq_mul(field, list(widest), list(widest))

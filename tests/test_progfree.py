@@ -279,6 +279,9 @@ def test_extremal_small():
 def test_extremal_budget():
     with pytest.raises(BudgetExceeded):
         max_progression_free_subset(F2, 5, budget=40)
+    # past MAX_VERTEX_BUDGET (4095) whatever the budget: q = 2, D = 12 has 8191 vertices
+    with pytest.raises(BudgetExceeded, match="budget 4095"):
+        max_progression_free_subset(F2, 12, budget=10**9)
 
 
 def test_extremal_deterministic():
