@@ -4,8 +4,8 @@ Results go to stdout, diagnostics to stderr. Exit codes: 0 success, 1
 computation failure (budget or precision, or a failing table cell), 2 usage
 error. Identical invocations produce bit-identical output.
 
-The environment variable GPFQ_ENUM_BUDGET, a positive integer, overrides the
-cap on polynomial enumerations.
+The environment variable GPFQ_ENUM_BUDGET, an integer in [1, 2^21], overrides
+the cap on polynomial enumerations; it can lower the default cap, not raise it.
 
 `progcheck` hands the lines of its file, as they decode, to
 progfree.has_progression_text, which keeps one packed int per distinct member
@@ -53,10 +53,11 @@ def _int_in(lo: int, hi: float = float("inf")):
 def _enum_budget(parser) -> int:
     """GPFQ_ENUM_BUDGET, or the default cap on polynomial enumerations."""
     raw = os.environ.get("GPFQ_ENUM_BUDGET")
+    parse = _int_in(1, DEFAULT_ENUM_BUDGET)
     try:
-        return _int_in(1)(raw) if raw else DEFAULT_ENUM_BUDGET
+        return parse(raw) if raw else DEFAULT_ENUM_BUDGET
     except ValueError:
-        parser.error(f"GPFQ_ENUM_BUDGET={raw!r} is not a positive integer")
+        parser.error(f"GPFQ_ENUM_BUDGET={raw!r} is not an {parse.__name__}")
 
 
 def _prime_power(parser, q):

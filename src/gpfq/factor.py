@@ -17,8 +17,8 @@ Steps 2 and 3 and is_irreducible run in a residue ring GF(q)[x]/(f), q = p^k:
 _Packed, on polyring's 2-D packed form (_packer; 1-D at k = 1), which gives
 it its lanes, codec, lane reduction and fold in y. The ring adds Barrett
 reduction in x by x^(2n) // f (von zur Gathen and Gerhard, Modern Computer
-Algebra, 9.1). Its gcds are polyring's: _euclid on packed operands over GF(p),
-one tuple Euclid (_gcd) per block over GF(p^k).
+Algebra, 9.1). Its gcds, one per block, are polyring's _gcd at every k, on
+the codes of its residues.
 As h -> h^q is GF(q)-linear, where q > n the ring builds the matrix of the
 x^(iq) mod f by n - 1 ring products, and a step costs 0.5 to 2.7 ring products
 (measured, 16 <= n <= 256) against log2(q) to 2 log2(q) for square and
@@ -47,7 +47,6 @@ from .polyring import (
     Poly,
     _deriv,
     _divmod,
-    _euclid,
     _gcd,
     _monic,
     _packer,
@@ -100,21 +99,19 @@ class _Packed:
 
     A product c = a*b (degree < 2n) has quotient (c >> n coefficients) * mu >> n coefficients
     by f, mu = x^(2n) // f, and residue the low n coefficients of c + quotient * (x^n - f).
-    Each of the three products is folded by _packer's, whose lanes sum max(n, 2) products of
-    coefficients (at k = 1 they also hold an _euclid step). Elements are canonical, so equal
-    residues compare equal. Every product is charged n units of `work`, and every gcd and
-    division its steps.
+    Each of the three products is folded by _packer's, whose lanes sum n products of
+    coefficients. Elements are canonical, so equal residues compare equal. Every product is
+    charged n units of `work`, and every gcd and division its steps.
     """
 
     def __init__(self, spec, f, work=_UNMETERED):
         p, n = spec.p, len(f) - 1
         self.spec, self.f, self.n, self.work, self.p, self.matrix = spec, f, n, work, p, None
-        self.pack, self.fold, self.codes, self.lane, self.reduce = _packer(spec, 2 * n, max(n, 2))
+        self.pack, self.fold, self.codes, self.lane, self.reduce = _packer(spec, 2 * n, n)
         self.width = (2 * spec.k - 1) * self.lane[0]  # bits per coefficient
         self.shift, self.low = n * self.width, (1 << n * self.width) - 1
         self.mu = self.pack(_divide(spec, (0,) * 2 * n + (1,), f, work)[0])
         self.tail = self.reduce((p - 1) * self.pack(f[:n]))  # x^n - f, as -d = (p - 1) * d
-        self.packed = self.pack(f)
         self.one, self.x = self.elem((1,)), self.elem((0, 1))
 
     def over(self, g):
@@ -166,9 +163,7 @@ class _Packed:
         return self.fold(sum(int.from_bytes(raw[i * size:i * size + digits], "little") * x for i, x in enumerate(self.matrix)))
 
     def gcd(self, a):
-        """Monic gcd(a, f) as a code tuple: _euclid on packed operands over GF(p), the tuple Euclid over GF(p^k)."""
-        if self.spec.k == 1:
-            return _euclid(self.p, self.lane, self.packed, a, self.work)
+        """Monic gcd(a, f) as a code tuple."""
         return _gcd(self.spec, self.f, self.codes(a), self.work)
 
 

@@ -21,8 +21,10 @@ code, into tables of at most 4q entries each:
     = exp[la + zech[lb - la]] with zech[d] = log(1 + g^d), and a negation
     table.
 
-Larger extension fields multiply through their digit polynomials, one Python
-call per product, and add digit by digit.
+The tables are filled, and larger extension fields multiply, through digit
+polynomials (_mul_digits): a schoolbook product whose digits of t^k and up
+are folded by the modulus itself. Larger fields take one Python call per
+product and add digit by digit.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ class FieldSpec:
     elements of unequal specs raises SpecMismatch rather than coercing.
     `exp`, `log` and (at odd p) `zech` are the antilog, log and Zech tables
     of an extension field with q <= _LOG_MAX (None otherwise), which
-    polyring's loops read directly.
+    polyring's division loop and unit operations read directly.
     """
 
     def __init__(self, p: int, k: int, modulus: tuple):
@@ -92,18 +94,6 @@ class FieldSpec:
             self.inv_c = self._inv_prime
             return
 
-        # reduction vectors: _red[j] = digits of t^(k+j) mod modulus
-        top = tuple((-c) % p for c in self.modulus[:k])
-        red = [top]
-        for _ in range(k - 2):
-            prev = red[-1]
-            shifted = (0,) + prev[: k - 1]
-            carry = prev[k - 1]
-            if carry:
-                shifted = tuple((shifted[i] + carry * top[i]) % p for i in range(k))
-            red.append(shifted)
-        self._red = red
-
         if q <= _LOG_MAX:
             self._init_log_tables()
         else:
@@ -121,7 +111,8 @@ class FieldSpec:
         points into: exp[log[a] + log[b]] is a*b for every a, b. At odd p,
         zech[d] = log(1 + g^d) gives a + b = g^la * (1 + g^(lb-la)) for
         nonzero a, b; it too is stored twice over, so that lb may be a sum of
-        two logs (as in polyring's loops) and lb - la needs no reduction.
+        two logs (as in polyring's division loop) and lb - la needs no
+        reduction.
         """
         p, q = self.p, self.q
         n = q - 1
@@ -190,13 +181,14 @@ class FieldSpec:
                 for j, bj in enumerate(db):
                     if bj:
                         prod[i + j] = (prod[i + j] + ai * bj) % p
+        # t^k = -(m_0 + ... + m_(k-1) t^(k-1)) folds each high digit, the highest first
+        low = self.modulus[:k]
         for idx in range(2 * k - 2, k - 1, -1):
             c = prod[idx]
             if c:
-                red = self._red[idx - k]
-                for j, rj in enumerate(red):
-                    if rj:
-                        prod[j] = (prod[j] + c * rj) % p
+                for j, mj in enumerate(low, idx - k):
+                    if mj:
+                        prod[j] = (prod[j] - c * mj) % p
         return tuple(prod[:k])
 
     def _add_digitwise(self, a, b):

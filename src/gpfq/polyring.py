@@ -16,26 +16,27 @@ below min(len) * (p-1)^2; a division keeps the remainder as one int and adds
 (p-1) + steps * (p-1)^2. Operands of every length pack into the narrowest
 lane that holds that bound: 8, 16, 32 or 64 bits, and past that as many whole
 bytes as it takes, since a lane need not be an array width. Over an extension
-field with log tables (q <= 4096, see ff) _mul_log and _divmod_log run the
-coefficient loops in the log domain with no ff call: each product is one exp
-lookup, added by XOR at p = 2 and through the Zech table. They beat a packed
-product 1.2-10x up to degree 16; above the cap _mul is one packed product and
+field _mul is one product in the 2-D packed form below, its packer built per
+call. _divmod_log runs _divmod's loop in the log domain over a field with log
+tables (q <= 4096, see ff), with no ff call: each product is one exp lookup,
+added by XOR at p = 2 and through the Zech table at odd p. Above the cap
 _divmod's loop calls ff.
 
 _gcd is the one gcd, for the public gcd and factor alike: over GF(p) _euclid
 on packed operands (one XOR per step at p = 2), over GF(p^k) a Euclid on code
-tuples, each division charged its steps to a _Work budget.
+tuples by _divmod, each division charged its steps to a _Work budget.
 
 The searches and greedy builds in progfree, factor's residue ring and _mul
-above the table cap share one 2-D packed form, _packer: digit j of code i sits
-in lane i*(2k-1) + j, packed and unpacked by _codec and lane-reduced mod p by
-_reducer, so one int product is the product in GF(p)[x, y]. Its fold takes
-each coefficient c (degree < 2k - 1 in y) mod m(y), the field modulus, by
-Barrett (ibid., 9.1): the quotient (c >> k digits) * (y^(2k) // m) >> k digits,
-read unreduced, times the negated low part of m, added to c, leaves c mod m in
-the low k digits, so equal polynomials fold to equal ints. A lane summing t
-products of coefficients holds max(t k (p-1)^2, (k-1)^2 (p-1)^3 + p - 1), the
-product's digits and the fold's.
+over every extension field share one 2-D packed form, _packer: digit j of
+code i sits in lane i*(2k-1) + j, packed and unpacked by _codec and
+lane-reduced mod p by _reducer, so one int product is the product in
+GF(p)[x, y]. Its fold takes each coefficient c (degree < 2k - 1 in y) mod
+m(y), the field modulus, by Barrett (ibid., 9.1): the quotient (c >> k
+digits) * (y^(2k) // m) >> k digits, read unreduced, times the negated low
+part of m, added to c, leaves c mod m in the low k digits, so equal
+polynomials fold to equal ints. A lane summing t products of coefficients
+holds max(t k (p-1)^2, (k-1)^2 (p-1)^3 + p - 1), the product's digits and
+the fold's.
 """
 
 from __future__ import annotations
@@ -156,39 +157,8 @@ def _mul(spec, a, b):
         packed_a = _pack(a, typecode)
         packed_b = packed_a if b is a else _pack(b, typecode)
         return tuple(_unpack(packed_a * packed_b, len(a) + len(b) - 1, bits, typecode, p))
-    if spec.log is not None:
-        return _mul_log(spec, a, b)
     pack, mul, unpack, *_ = _packer(spec, len(a) + len(b) - 1, min(len(a), len(b)))
     return unpack(mul(pack(a), pack(b)))
-
-
-def _mul_log(spec, a, b):
-    """_mul over a log-tabled field: the logs of b once, each product one exp lookup.
-
-    At odd p a product of log t < 2(q-1) is added to a nonzero coefficient c
-    as g^lc * (1 + g^(t - lc)), which the doubled Zech table reads unreduced.
-    """
-    log, exp, zech = spec.log, spec.exp, spec.zech
-    lb = [(j, log[c]) for j, c in enumerate(b) if c]
-    out = [0] * (len(a) + len(b) - 1)
-    if zech is None:
-        for i, ai in enumerate(a):
-            if ai:
-                la = log[ai]
-                for j, l in lb:
-                    out[i + j] ^= exp[la + l]
-    else:
-        for i, ai in enumerate(a):
-            if ai:
-                la = log[ai]
-                for j, l in lb:
-                    c = out[i + j]
-                    if c:
-                        lc = log[c]
-                        out[i + j] = exp[lc + zech[la + l - lc]]
-                    else:
-                        out[i + j] = exp[la + l]
-    return _trim(out)
 
 
 def _divmod(spec, a, b):
@@ -354,10 +324,6 @@ def _unit_ops(spec):
     return spec.mul_c, spec.inv_c
 
 
-def _mod(spec, a, b):
-    return _divmod(spec, a, b)[1]
-
-
 def _monic(spec, a):
     """(unit code, monic tuple) with unit * monic = a; a must be nonzero."""
     lead = a[-1]
@@ -393,7 +359,7 @@ def _gcd(spec, a, b, work=_UNMETERED):
     weight = max(len(a), len(b)) - 1
     while b:
         work.charge(max(len(a) - len(b) + 1, 0) * weight)
-        a, b = b, _mod(spec, a, b)
+        a, b = b, _divmod(spec, a, b)[1]
     return _monic(spec, a)[1] if a else ()
 
 

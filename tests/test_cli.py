@@ -500,6 +500,7 @@ def test_checkpoint_budget(capsys, k):
         (["density", "upper-no", "--q", "2", "--terms", "3"], None),
         (["factor", "--q", "2", "--modulus", "", "x+1"], None),
         (["greedy", "enumerate", "--q", "2", "--max-degree", "2", "--counts-only", "--modulus", ""], None),
+        (["greedy", "check", "--q", "2", "--max-degree", "2"], ("GPFQ_ENUM_BUDGET", "4194304")),
     ],
 )
 def test_bad_argv_or_env_is_usage_error(capsys, monkeypatch, argv, env):
@@ -532,6 +533,7 @@ def test_density_and_modulus_refusals_name_the_flag(capsys):
         (["greedy", "check", "--q", "2", "--max-degree", "2"], "0", "gpfq greedy check", "GPFQ_ENUM_BUDGET"),
         (["progcheck", "--q", "2", "--file", "{tmp}/missing.txt"], None, "gpfq progcheck", "cannot read"),
         (["figure1", "--qmax", "2", "--out", "{tmp}/missing/fig1.csv"], None, "gpfq figure1", "cannot write"),
+        (["greedy", "check", "--q", "2", "--max-degree", "2"], "4194304", "gpfq greedy check", "integer in [1, 2097152]"),
     ],
 )
 def test_handler_usage_errors_show_the_subcommand_usage(capsys, monkeypatch, tmp_path, argv, env, prog, named):

@@ -1,8 +1,9 @@
 """The package's layers import only downward: each module's module-level
 `from .x import` set is pinned, so a layer that grows an upward import fails here.
 The packed form's packer (its lane rule and fold in y), codec, lane reducer, Euclid and gcd are
-each pinned to one definition, in polyring. The package's public names (`gpfq.__all__`) are
-pinned too, so adding or removing one shows in a diff.
+each pinned to one definition, in polyring, and no other module reaches the Euclid but through
+the gcd. The package's public names (`gpfq.__all__`) are pinned too, so adding or removing one
+shows in a diff.
 
 Imports made inside a function (`ff` reaches `factor` and `polyring` that way
 to search a default modulus) are not module-level and are not pinned.
@@ -92,3 +93,15 @@ def test_packed_mechanics_are_defined_once():
             for name in set(names) & set(SHARED):
                 found[name].append(path.stem)
     assert found == {name: [module] for name, module in SHARED.items()}
+
+
+def test_euclid_is_reached_only_through_gcd():
+    # _gcd is the one gcd entry point: an import, call or attribute read of _euclid outside polyring fails here
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=path.name)):
+            if (isinstance(node, ast.Name) and node.id == "_euclid"
+                    or isinstance(node, ast.Attribute) and node.attr == "_euclid"
+                    or isinstance(node, ast.alias) and node.name == "_euclid"):
+                found.add(path.stem)
+    assert found == {"polyring"}

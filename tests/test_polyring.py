@@ -4,7 +4,7 @@ import random
 from itertools import zip_longest
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _oracles import DigitField, fp_divmod, fp_mul, gfq_divmod, gfq_mul
@@ -420,7 +420,8 @@ def test_byte_lanes_at_their_bound(p):
 
 
 # ---------------------------------------------------------------------------
-# the log-domain loops of _mul/_divmod against the digit-polynomial oracle
+# _mul (one 2-D packed product) and _divmod's log-domain loop over the
+# log-tabled fields against the digit-polynomial oracle
 # ---------------------------------------------------------------------------
 
 # XOR addition in GF(4), GF(16), GF(256), GF(512) and GF(4096); Zech
@@ -428,13 +429,30 @@ def test_byte_lanes_at_their_bound(p):
 LOG_FIELDS = tuple(make_field(p, k) for p, k in ((2, 2), (2, 4), (3, 5), (2, 8), (2, 9), (3, 6), (2, 12)))
 
 
+@st.composite
+def _log_operands(draw):
+    """(spec, a, b) over a field of LOG_FIELDS: a divisor b of 1-10 coefficients and a dividend a
+    whose quotient has 0-30 coefficients, each one a division step."""
+    spec = draw(st.sampled_from(LOG_FIELDS))
+    b = _poly_codes(draw, spec.q, draw(st.integers(1, 10)))
+    return spec, _poly_codes(draw, spec.q, len(b) - 1 + draw(st.integers(0, 30))), b
+
+
+def _widest_squares(test):
+    """`test` with one more input per field of LOG_FIELDS: the square of a degree-20 polynomial
+    with every digit p - 1, whose packed product fills its lanes to the lane rule's bound."""
+    for spec in LOG_FIELDS:
+        widest = (spec.q - 1,) * 21
+        test = example(case=(spec, widest, widest))(test)
+    return test
+
+
 @settings(max_examples=200, deadline=None)
-@given(data=st.data(), spec=st.sampled_from(LOG_FIELDS))
-def test_log_domain_mul_divmod_match_oracle(data, spec):
+@_widest_squares
+@given(case=_log_operands())
+def test_log_domain_mul_divmod_match_oracle(case):
+    spec, a, b = case
     field = DigitField(spec.p, spec.modulus)
-    b = _poly_codes(data.draw, spec.q, data.draw(st.integers(1, 10)))
-    steps = data.draw(st.integers(0, 30))  # the quotient's length: up to 30 division steps
-    a = _poly_codes(data.draw, spec.q, len(b) - 1 + steps)
     assert list(_mul(spec, a, b)) == gfq_mul(field, list(a), list(b))
     quot, rem = _divmod(spec, a, b)
     assert (list(quot), list(rem)) == gfq_divmod(field, list(a), list(b))
@@ -447,7 +465,8 @@ def test_log_domain_mul_divmod_match_oracle(data, spec):
 
 @pytest.mark.parametrize("p, k", [(2, 2), (3, 5)])
 def test_log_domain_makes_no_field_calls(p, k):
-    # over a log-tabled field the loops read products and sums from the tables
+    # over a log-tabled field the packed product and the division loop make no field call: the
+    # loop reads products and sums from the tables
     spec = make_field(p, k)
 
     def refuse(*args):
