@@ -28,10 +28,11 @@ GF(4), n = 4096, a step costs 2.2 ring products against 2. No other layer
 builds the ring.
 
 factorize counts its work (polyring's _Work): every Euclid or division step
-(_divide and polyring's _gcd) and every ring product costs the degree of its
-modulus, and past MAX_FACTOR_WORK it raises BudgetExceeded. The randomized
-stage draws from a generator seeded by (q, encoding of f), so factorizations
-are bit-reproducible unless a caller overrides the seed.
+(polyring's _gcd and _divmod, each given the budget) and every ring product
+(powers are ff's _power) costs the degree of its modulus, and past
+MAX_FACTOR_WORK it raises BudgetExceeded. The randomized stage draws from a
+generator seeded by (q, encoding of f), so factorizations are
+bit-reproducible unless a caller overrides the seed.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from itertools import accumulate, repeat
 from typing import NamedTuple, Tuple
 
 from .errors import MAX_FACTOR_WORK, ZeroPolynomial
-from .ff import FieldElem, FieldSpec
+from .ff import FieldElem, FieldSpec, _power
 from .polyring import (
     _UNMETERED,
     Poly,
@@ -81,16 +82,6 @@ class Factorization(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# metered exact division
-# ---------------------------------------------------------------------------
-
-def _divide(spec, a, b, work):
-    """divmod(a, b) on code tuples, charged its division steps at the degree of a."""
-    work.charge(max(len(a) - len(b) + 1, 0) * (len(a) - 1))
-    return _divmod(spec, a, b)
-
-
-# ---------------------------------------------------------------------------
 # the residue ring modulo a monic f of degree n >= 1
 # ---------------------------------------------------------------------------
 
@@ -110,20 +101,13 @@ class _Packed:
         self.pack, self.fold, self.codes, self.lane, self.reduce = _packer(spec, 2 * n, n)
         self.width = (2 * spec.k - 1) * self.lane[0]  # bits per coefficient
         self.shift, self.low = n * self.width, (1 << n * self.width) - 1
-        self.mu = self.pack(_divide(spec, (0,) * 2 * n + (1,), f, work)[0])
+        self.mu = self.pack(_divmod(spec, (0,) * 2 * n + (1,), f, work)[0])
         self.tail = self.reduce((p - 1) * self.pack(f[:n]))  # x^n - f, as -d = (p - 1) * d
         self.one, self.x = self.elem((1,)), self.elem((0, 1))
 
-    def over(self, g):
-        """The same ring modulo g."""
-        return _Packed(self.spec, g, self.work)
-
     def elem(self, cs):
         """The residue of the code tuple cs."""
-        return self.pack(_divide(self.spec, cs, self.f, self.work)[1])
-
-    def add(self, a, b):
-        return a ^ b if self.p == 2 else self.reduce(a + b)
+        return self.pack(_divmod(self.spec, cs, self.f, self.work)[1])
 
     def sub(self, a, b):
         return a ^ b if self.p == 2 else self.reduce(a + (self.p - 1) * b)
@@ -137,15 +121,7 @@ class _Packed:
         return fold(c + (fold(c >> shift, self.mu) >> shift) * self.tail & self.low)
 
     def pow(self, a, e):
-        """a^e for e >= 1, by square and multiply."""
-        result = None
-        while True:
-            if e & 1:
-                result = a if result is None else self.mul(result, a)
-            e >>= 1
-            if not e:
-                return result
-            a = self.mul(a, a)
+        return _power(self.mul, a, e, self.one)
 
     def frobenius(self, a):
         """a^q, through the matrix where q > n (module docstring) and it fits in _MATRIX_BITS."""
@@ -216,16 +192,16 @@ def _squarefree_decomposition(spec, f, work=_UNMETERED):
     if len(f) - 1 == 0:
         return out
     c = _gcd(spec, f, _deriv(spec, f), work)  # f itself when f' = 0
-    w = _divide(spec, f, c, work)[0]
+    w = _divmod(spec, f, c, work)[0]
     i = 1
     while len(w) > 1:
         y = _gcd(spec, w, c, work)
-        z = _divide(spec, w, y, work)[0]
+        z = _divmod(spec, w, y, work)[0]
         if len(z) > 1:
             out[i] = z
         i += 1
         w = y
-        c = _divide(spec, c, y, work)[0]
+        c = _divmod(spec, c, y, work)[0]
     if len(c) > 1:
         # exponents divisible by p live entirely in c, itself a p-th power
         for e, g in _squarefree_decomposition(spec, _pth_root(spec, c), work).items():
@@ -253,10 +229,10 @@ def _distinct_degree(ring):
         g = ring.gcd(acc)
         if len(g) > 1:
             out += _split_block(ring, g, hs, first)
-            f = _divide(ring.spec, ring.f, g, ring.work)[0]
+            f = _divmod(ring.spec, ring.f, g, ring.work)[0]
             if len(f) == 1:
                 return out
-            h, ring = ring.codes(h), ring.over(f)
+            h, ring = ring.codes(h), _Packed(ring.spec, f, ring.work)
             h = ring.elem(h)
     out.append((ring.n, ring.f))
     return out
@@ -287,10 +263,10 @@ def _split_block(ring, g, hs, first):
     for d, h in enumerate(hs[:-1], first):
         if len(g) == 1:
             return out
-        part = _gcd(spec, g, _divide(spec, ring.codes(ring.sub(h, ring.x)), g, work)[1], work)
+        part = _gcd(spec, g, _divmod(spec, ring.codes(ring.sub(h, ring.x)), g, work)[1], work)
         if len(part) > 1:
             out.append((d, part))
-            g = _divide(spec, g, part, work)[0]
+            g = _divmod(spec, g, part, work)[0]
     if len(g) > 1:
         out.append((first + len(hs) - 1, g))
     return out
@@ -315,13 +291,13 @@ def _equal_degree(spec, f, d, rng, work=_UNMETERED):
                 b = t = a
                 for _ in range(spec.k * d - 1):
                     t = ring.mul(t, t)
-                    b = ring.add(b, t)
+                    b ^= t
             else:
                 b = ring.sub(ring.pow(a, (q**d - 1) // 2), ring.one)
             c = ring.gcd(b)
             if not 1 < len(c) < len(f):
                 continue
-        rest = _divide(spec, f, c, work)[0]
+        rest = _divmod(spec, f, c, work)[0]
         return _equal_degree(spec, c, d, rng, work) + _equal_degree(spec, rest, d, rng, work)
 
 

@@ -217,15 +217,8 @@ class FieldSpec:
     # -- generic code-level helpers ------------------------------------------
 
     def pow_c(self, a: int, e: int) -> int:
-        """a^e by square-and-multiply, e >= 0."""
-        result = 1
-        mul = self.mul_c
-        while e:
-            if e & 1:
-                result = mul(result, a)
-            a = mul(a, a)
-            e >>= 1
-        return result
+        """a^e, e >= 0."""
+        return _power(self.mul_c, a, e, 1)
 
     def pth_root_c(self, a: int) -> int:
         """The unique b with b^p = a (inverse Frobenius, b = a^(q/p))."""
@@ -335,6 +328,21 @@ class FieldElem:
         if self.spec.k == 1:
             return str(self.code)
         return f"[{self.code}]"
+
+
+def _power(mul, a, e, one):
+    """a^e under the product `mul`, with a^0 = `one`: square and multiply from the top bit down, so
+    no product is by one and nothing is squared past the top bit. The one power in every ring."""
+    if e < 0:
+        raise ValueError(f"negative exponent {e}")
+    if not e:
+        return one
+    result = a
+    for bit in bin(e)[3:]:
+        result = mul(result, result)
+        if bit == "1":
+            result = mul(result, a)
+    return result
 
 
 def make_field(p: int, k: int = 1, modulus=None) -> FieldSpec:

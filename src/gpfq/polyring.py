@@ -24,7 +24,9 @@ _divmod's loop calls ff.
 
 _gcd is the one gcd, for the public gcd and factor alike: over GF(p) _euclid
 on packed operands (one XOR per step at p = 2), over GF(p^k) a Euclid on code
-tuples by _divmod, each division charged its steps to a _Work budget.
+tuples by _divmod, each division charged its steps to a _Work budget. _divmod
+charges its own steps to the budget it is given, as _gcd does (none by
+default), and Poly's powers are ff's _power on code tuples.
 
 The searches and greedy builds in progfree, factor's residue ring and _mul
 over every extension field share one 2-D packed form, _packer: digit j of
@@ -56,7 +58,7 @@ from .errors import (
     SpecMismatch,
     ZeroPolynomial,
 )
-from .ff import FieldSpec
+from .ff import FieldSpec, _power
 
 NEG_INFINITY = float("-inf")  # degree of the zero polynomial
 #: The largest exponent parse_poly accepts; past it, BudgetExceeded before any allocation.
@@ -161,12 +163,31 @@ def _mul(spec, a, b):
     return unpack(mul(pack(a), pack(b)))
 
 
-def _divmod(spec, a, b):
+class _Work:
+    """The work one factorization may still do, in steps weighted by the degree of their modulus."""
+
+    __slots__ = ("left",)
+
+    def __init__(self, budget):
+        self.left = budget
+
+    def charge(self, units):
+        self.left -= units
+        if self.left < 0:
+            raise BudgetExceeded(f"factoring needs more than the work budget of {MAX_FACTOR_WORK} degree-weighted steps")
+
+
+_UNMETERED = _Work(float("inf"))
+
+
+def _divmod(spec, a, b, work=_UNMETERED):
+    """(quotient, remainder) of code tuples, charged its steps at the degree of a to `work`."""
     if not b:
         raise DivisionByZero("polynomial division by zero")
     db = len(b) - 1
     if len(a) - 1 < db:
         return (), a
+    work.charge((len(a) - db) * (len(a) - 1))
     if spec.k == 1:
         p = spec.p
         # every step adds at most (p-1)^2 to a lane that starts below p
@@ -332,23 +353,6 @@ def _monic(spec, a):
     return lead, _scale(spec, a, spec.inv_c(lead))
 
 
-class _Work:
-    """The work one factorization may still do, in steps weighted by the degree of their modulus."""
-
-    __slots__ = ("left",)
-
-    def __init__(self, budget):
-        self.left = budget
-
-    def charge(self, units):
-        self.left -= units
-        if self.left < 0:
-            raise BudgetExceeded(f"factoring needs more than the work budget of {MAX_FACTOR_WORK} degree-weighted steps")
-
-
-_UNMETERED = _Work(float("inf"))
-
-
 def _gcd(spec, a, b, work=_UNMETERED):
     """Monic gcd of code tuples, each division charged its steps to `work`: packed (_euclid) over
     GF(p), a tuple Euclid over GF(p^k). (0, 0) is the caller's error to raise."""
@@ -508,17 +512,7 @@ class Poly:
         return divmod(self, other)[1]
 
     def __pow__(self, e: int):
-        if e < 0:
-            raise ValueError("negative polynomial power")
-        result = Poly._raw(self.spec, (1,))
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return Poly._raw(self.spec, _power(partial(_mul, self.spec), self.coeffs, e, (1,)))
 
     # -- identity and order ---------------------------------------------------
 

@@ -501,6 +501,8 @@ def test_checkpoint_budget(capsys, k):
         (["factor", "--q", "2", "--modulus", "", "x+1"], None),
         (["greedy", "enumerate", "--q", "2", "--max-degree", "2", "--counts-only", "--modulus", ""], None),
         (["greedy", "check", "--q", "2", "--max-degree", "2"], ("GPFQ_ENUM_BUDGET", "4194304")),
+        (["factor", "--q", "4", "--modulus", "1,1", "x"], None),  # wrong degree
+        (["factor", "--q", "9", "--modulus", "2,0,1", "x"], None),  # reducible: x^2 - 1
     ],
 )
 def test_bad_argv_or_env_is_usage_error(capsys, monkeypatch, argv, env):

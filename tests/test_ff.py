@@ -178,6 +178,11 @@ def test_frobenius(any_field):
     field = any_field
     for a in field.elements():
         assert a**field.q == a
+    # a negative exponent raises at once, for an element and a code alike
+    with pytest.raises(ValueError):
+        a**-1
+    with pytest.raises(ValueError):
+        field.pow_c(a.code, -1)
 
 
 @pytest.mark.parametrize("p, k", [(2, 2), (3, 2), (2, 8), (3, 5), (61, 2), (2, 12)])

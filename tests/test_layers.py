@@ -74,12 +74,14 @@ def test_public_names_are_pinned():
     assert PUBLIC <= set(dir(gpfq))
 
 
-# the packed form's mechanics, each defined in exactly one module
-SHARED = {"_packer": "polyring", "_codec": "polyring", "_reducer": "polyring", "_euclid": "polyring", "_gcd": "polyring"}
+# the packed form's mechanics and the one square and multiply, each defined in exactly one module
+SHARED = {"_packer": "polyring", "_codec": "polyring", "_reducer": "polyring", "_euclid": "polyring", "_gcd": "polyring",
+          "_power": "ff"}
 
 
 def test_packed_mechanics_are_defined_once():
-    # a second packer, codec, lane reducer, Euclid or gcd anywhere in the package (nested ones too) fails here
+    # a second packer, codec, lane reducer, Euclid, gcd or power routine anywhere in the package (nested ones too)
+    # fails here
     found = {name: [] for name in SHARED}
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=path.name)):

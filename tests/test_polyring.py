@@ -295,6 +295,8 @@ def test_pow():
     f = P(F3, "x+1")
     assert f**3 == P(F3, "x^3+1")  # Frobenius in char 3
     assert f**0 == one(F3)
+    with pytest.raises(ValueError):
+        f**-1
 
 
 def test_canonical_order_constant_first():
