@@ -5,23 +5,24 @@ set, certified-interval evaluation of its density and of the published
 lower/upper bounds, and exhaustive combinatorial searches, all in exact
 rational arithmetic.
 
-Importing the package runs only `errors` and `intarith`. Each layer module
-below is in `sys.modules` and is an attribute of the package from the start,
-but its code runs on the first attribute access (`importlib.util.LazyLoader`),
-so a command runs only the layers it calls. The exported names resolve
-through `_EXPORTS` on first use (PEP 562).
+Importing the package runs only `errors`. Each other module below
+(`intarith` and `rn` included) is in `sys.modules` and is an attribute of the
+package from the start, but its code runs on the first attribute access
+(`importlib.util.LazyLoader`), so a command runs only the layers it calls:
+`gpfq rn` runs `cli` and `rn` alone. The exported names resolve through
+`_EXPORTS` on first use (PEP 562).
 """
 
 import importlib.util
 import sys
 
-from . import errors, intarith
+from . import errors
 
 # module: the names the package exports from it
 _EXPORTS = {
-    "density": """DensityReport RnTable checkpoint_density empirical_greedy_density figure1_data
-        greedy_counts greedy_density greedy_density_interval lower_bound_mq mq_interval rn_sequence
-        upper_bound_no upper_bound_no_interval upper_bound_simple""",
+    "density": """DensityReport checkpoint_density empirical_greedy_density figure1_data greedy_counts
+        greedy_density greedy_density_interval lower_bound_mq mq_interval upper_bound_no
+        upper_bound_no_interval upper_bound_simple""",
     "errors": """BudgetExceeded CodeOutOfRange CoefficientOutOfRange DivisionByZero Error
         NeedsMorePrecision NegativeOperand NotPrime PolySyntaxError ReducibleModulus SpecMismatch
         WrongDegreeModulus ZeroPolynomial""",
@@ -33,6 +34,7 @@ _EXPORTS = {
         format_poly gcd make_monic one parse_poly x zero""",
     "progfree": """ProgressionWitness a3_contains a3_list greedy_construct_bruteforce greedy_member
         greedy_members has_progression max_progression_free_subset reflected_degrees""",
+    "rn": "RnTable rn_sequence",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 __all__ = sorted(_MODULE_OF)
@@ -49,8 +51,8 @@ def _lazy(name):
     return module
 
 
-density, factor, ff, numeric, polyring, progfree, tables = map(
-    _lazy, ("density", "factor", "ff", "numeric", "polyring", "progfree", "tables"))
+density, factor, ff, intarith, numeric, polyring, progfree, rn, tables = map(
+    _lazy, ("density", "factor", "ff", "intarith", "numeric", "polyring", "progfree", "rn", "tables"))
 
 
 def __getattr__(name):

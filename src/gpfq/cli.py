@@ -32,10 +32,9 @@ import sys
 import time
 
 # the layers are read at call time, so a subcommand runs only the ones it calls
-from . import density, factor, ff, polyring, progfree, tables
+from . import density, factor, ff, intarith, polyring, progfree, rn, tables
 from .errors import (DEFAULT_ENUM_BUDGET, DEFAULT_VERTEX_BUDGET, MAX_DEPTH, MAX_DIGITS, MAX_VERTEX_BUDGET,
                      BudgetExceeded, Error)
-from .intarith import prime_power
 
 
 def _int_in(lo: int, hi: float = float("inf")):
@@ -63,7 +62,7 @@ def _enum_budget(parser) -> int:
 def _prime_power(parser, q):
     """(p, k) with q = p^k, or a usage error."""
     try:
-        pk = prime_power(q)
+        pk = intarith.prime_power(q)
     except ValueError as exc:
         parser.error(f"--q {q}: {exc}")
     if pk is None:
@@ -150,7 +149,7 @@ def _cmd_empirical(parser, args):
 
 
 def _cmd_rn(parser, args):
-    values = list(density.rn_sequence(args.n))
+    values = list(rn.rn_sequence(args.n))
     return 0, [" ".join(map(str, values))], {"n": args.n, "values": values}
 
 

@@ -16,11 +16,11 @@ below min(len) * (p-1)^2; a division keeps the remainder as one int and adds
 (p-1) + steps * (p-1)^2. Operands of every length pack into the narrowest
 lane that holds that bound: 8, 16, 32 or 64 bits, and past that as many whole
 bytes as it takes, since a lane need not be an array width. Over an extension
-field _mul is one product in the 2-D packed form below, its packer built per
-call. _divmod_log runs _divmod's loop in the log domain over a field with log
-tables (q <= 4096, see ff), with no ff call: each product is one exp lookup,
-added by XOR at p = 2 and through the Zech table at odd p. Above the cap
-_divmod's loop calls ff.
+field _mul is one product in the 2-D packed form below, on a packer kept
+across calls. _divmod_log runs _divmod's loop in the log domain over a field
+with log tables (q <= 4096, see ff), with no ff call: each product is one exp
+lookup, added by XOR at p = 2 and through the Zech table at odd p. Above the
+cap _divmod's loop calls ff.
 
 _gcd is the one gcd, for the public gcd and factor alike: over GF(p) _euclid
 on packed operands (one XOR per step at p = 2), over GF(p^k) a Euclid on code
@@ -309,12 +309,14 @@ def _codec(spec, lane):
     return pack, unpack
 
 
+@lru_cache(maxsize=64)
 def _packer(spec, length, terms=None):
     """The 2-D packed form over `spec` (module docstring) for polynomials and products of at most
     `length` coefficients whose lanes each sum at most `terms` (by default `length`) products of
     coefficients: (pack, mul, unpack, lane, reduce). mul(c, b=1) folds c * b, every lane mod p and
     every coefficient mod m(y), so mul(c) folds c alone; unpack is pack's inverse on folded forms
-    and reduce the lane reducer."""
+    and reduce the lane reducer. Packers are pure functions of their arguments (equal specs share
+    them), so a bounded cache keeps the recent ones: building one costs more than a small product."""
     p, k, w = spec.p, spec.k, 2 * spec.k - 1
     lane = bits, typecode = _lane(max((terms or length) * k * (p - 1) ** 2, (k - 1) ** 2 * (p - 1) ** 3 + p - 1))
     reduce = _reducer(p, bits, typecode, length * w)

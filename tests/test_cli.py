@@ -963,14 +963,15 @@ def test_large_arguments_end_at_once(argv, code):
         )
 
 
-_LAYERS = ("cli", "tables", "density", "progfree", "factor", "polyring", "numeric", "ff")
+_LAYERS = ("cli", "tables", "density", "rn", "progfree", "factor", "polyring", "numeric", "ff", "intarith")
 _STARTUP_PROBE = f"""
 import sys, types
 before = set(sys.modules)
 from gpfq import cli
 code = cli.run(sys.argv[1:])
 print(code, file=sys.stderr)
-print(*(m for m in ("dataclasses", "inspect", "json") if m in sys.modules and m not in before), file=sys.stderr)
+print(*(m for m in ("fractions", "decimal", "dataclasses", "inspect", "json") if m in sys.modules and m not in before),
+      file=sys.stderr)
 print(*(m for m in {_LAYERS!r} if "gpfq." + m in sys.modules), file=sys.stderr)
 print(*(m for m in {_LAYERS!r} if type(sys.modules.get("gpfq." + m)) is types.ModuleType), file=sys.stderr)
 """
@@ -987,12 +988,13 @@ def _startup_probe(*argv):
 
 @pytest.mark.parametrize("json_flag, heavy", [([], ""), (["--json"], "json")])
 def test_startup_imports(json_flag, heavy):
-    # a cold run loads neither dataclasses nor inspect, and json only under --json.
-    # Every layer module is in sys.modules from `import gpfq` on, which per-layer
-    # tracing of a cold run relies on, but only the layers the subcommand calls
-    # have run: one that has not is a lazily loaded module, not a plain ModuleType
+    # a cold run loads neither dataclasses nor inspect, and json only under --json
+    # (fractions and decimal come with density's rationals). Every layer module is
+    # in sys.modules from `import gpfq` on, which per-layer tracing of a cold run
+    # relies on, but only the layers the subcommand calls have run: one that has
+    # not is a lazily loaded module, not a plain ModuleType
     err, out = _startup_probe("density", "greedy", "--q", "2", "--digits", "6", *json_flag)
-    assert err == ["0", heavy, " ".join(_LAYERS), "cli density numeric"]
+    assert err == ["0", f"fractions decimal {heavy}".strip(), " ".join(_LAYERS), "cli density rn numeric intarith"]
     assert "0.648361" in out
 
 
@@ -1000,13 +1002,28 @@ def test_startup_imports(json_flag, heavy):
     "argv, ran, out",
     [
         # factoring over GF(4) searches its modulus and factors, but runs no number layer
-        (["factor", "--q", "4", "x^3+1"], "cli factor polyring ff", "1 * (x+[1]) * (x+[2]) * (x+[3])\n"),
+        (["factor", "--q", "4", "x^3+1"], "cli factor polyring ff intarith", "1 * (x+[1]) * (x+[2]) * (x+[3])\n"),
         # the extremal search over a prime field factors nothing
-        (["extremal", "--q", "2", "--max-degree", "1"], "cli progfree polyring ff", "size=3\nwitness: 1, x, x+1\n"),
+        (["extremal", "--q", "2", "--max-degree", "1"], "cli progfree polyring ff intarith",
+         "size=3\nwitness: 1, x, x+1\n"),
     ],
 )
 def test_startup_imports_polynomial_commands(argv, ran, out):
     assert _startup_probe(*argv) == (["0", "", " ".join(_LAYERS), ran], out)
+
+
+@pytest.mark.parametrize(
+    "argv, loaded, ran, out",
+    [
+        # the r_n search is integer only: no density, no rationals, not even the prime-power test
+        (["rn", "--n", "5"], "", "cli rn", "1 2 4 5 9\n"),
+        # the sharper upper bound sums q^-r_n as rationals over rn's table
+        (["density", "upper-no", "--q", "2", "--digits", "6"], "fractions decimal", "cli density rn numeric intarith",
+         "0.846376\n"),
+    ],
+)
+def test_startup_imports_number_commands(argv, loaded, ran, out):
+    assert _startup_probe(*argv) == (["0", loaded, " ".join(_LAYERS), ran], out)
 
 
 _FUZZ_COMMANDS = {  # subcommand: (the flags it requires, the flags it takes besides)

@@ -43,8 +43,8 @@ from gpfq import (
     upper_bound_no_interval,
     upper_bound_simple,
 )
-from gpfq import density
-from gpfq.density import _apfree_exists
+from gpfq import density, rn
+from gpfq.rn import _apfree_exists
 from gpfq.intarith import prime_power, prime_powers_upto
 
 
@@ -235,12 +235,12 @@ def test_window_bounded_search_against_oracles(n):
 
 def test_rn_budget(monkeypatch):
     # n past MAX_RN_N is refused before anything is searched
-    monkeypatch.setattr(density, "_rn_cache", [1, 2])
-    monkeypatch.setattr(density, "MAX_RN_N", 12)
+    monkeypatch.setattr(rn, "_rn_cache", [1, 2])
+    monkeypatch.setattr(rn, "MAX_RN_N", 12)
     assert list(rn_sequence(12)) == R20[:12]
     with pytest.raises(BudgetExceeded, match="budget"):
         rn_sequence(13)
-    assert len(density._rn_cache) == 12
+    assert len(rn._rn_cache) == 12
 
 
 def test_upper_no_spots():
@@ -359,27 +359,35 @@ def test_check_results_are_falsy_when_not_ok():
 
 def test_upper_no_stops_at_rn_budget(monkeypatch):
     # 15 digits need more terms than MAX_RN_N; certify tries r_8..r_12 and searches no further
-    monkeypatch.setattr(density, "_rn_cache", [1, 2])
-    monkeypatch.setattr(density, "MAX_RN_N", 12)
+    monkeypatch.setattr(rn, "_rn_cache", [1, 2])
+    for module in (density, rn):  # certify's term range and the search's own budget
+        monkeypatch.setattr(module, "MAX_RN_N", 12)
     with pytest.raises(NeedsMorePrecision, match="terms budget"):
         density.certify("upper_no", 2, 15)
-    assert density._rn_cache == R20[:12]
+    assert rn._rn_cache == R20[:12]
 
 
 def test_upper_no_refuses_unreachable_digits_at_once(monkeypatch):
     # the MAX_RN_N-term interval is q^-MAX_RN_R wide: 2^-74 > 10^-23, so no search runs
-    monkeypatch.setattr(density, "_rn_cache", [1, 2])
+    monkeypatch.setattr(rn, "_rn_cache", [1, 2])
     for q, digits in ((2, 23), (2, 30), (3, 36)):
         with pytest.raises(NeedsMorePrecision, match="cannot reach"):
             density.certify("upper_no", q, digits)
-    assert density._rn_cache == [1, 2]
+    assert rn._rn_cache == [1, 2]
 
 
 def test_max_rn_r_is_the_last_searched_rn(monkeypatch):
-    monkeypatch.setattr(density, "_rn_cache", [1, 2])
+    monkeypatch.setattr(rn, "_rn_cache", [1, 2])
     assert rn_sequence(density.MAX_RN_N)[-1] == density.MAX_RN_R
 
 
 def test_rn_work_budget_admits_r20(monkeypatch):
-    monkeypatch.setattr(density, "_rn_cache", [1, 2])
+    monkeypatch.setattr(rn, "_rn_cache", [1, 2])
     assert list(rn_sequence(20)) == R20
+
+
+def test_rn_names_resolve_through_density_and_the_package():
+    # the search lives in gpfq.rn; density and the package hand out the same objects
+    for name in ("rn_sequence", "RnTable", "MAX_RN_N", "MAX_RN_R"):
+        assert getattr(density, name) is getattr(rn, name)
+    assert rn_sequence is rn.rn_sequence and RnTable is rn.RnTable

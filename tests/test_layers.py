@@ -24,7 +24,8 @@ LAYERS = {
     "polyring": {"errors", "ff"},
     "factor": {"errors", "ff", "polyring"},
     "progfree": {"errors", "factor", "polyring"},
-    "density": {"errors", "intarith", "numeric"},
+    "rn": {"errors"},
+    "density": {"errors", "intarith", "numeric", "rn"},
     "tables": {"density", "numeric"},
 }
 

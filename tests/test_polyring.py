@@ -534,6 +534,13 @@ def test_packer_lanes_hold_products_only():
     assert pack((0, 1)) == 1 << 8 * 19
 
 
+def test_packer_is_kept_across_products():
+    # _mul over an extension field reuses the packer of an equal spec rather than building one per
+    # product, and the cache that keeps packers is bounded
+    assert _packer(make_field(2, 4), 9, 5) is _packer(make_field(2, 4), 9, 5)
+    assert _packer.cache_info().maxsize is not None
+
+
 @pytest.mark.parametrize("q", [2**31 - 1, 2**61 - 1, (2**31 - 1) ** 3])
 def test_packer_multiplies_past_64_bit_lanes(q):
     # a product coefficient of GF(2^61 - 1) reaches 2^122 times the length, and the fold in y of
