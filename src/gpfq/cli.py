@@ -4,8 +4,8 @@ Results go to stdout, diagnostics to stderr. Exit codes: 0 success, 1
 computation failure (budget or precision, or a failing table cell), 2 usage
 error. Identical invocations produce bit-identical output.
 
-The environment variable GPFQ_ENUM_BUDGET, an integer in [1, 2^21], overrides
-the cap on polynomial enumerations; it can lower the default cap, not raise it.
+One constant, errors.DEFAULT_ENUM_BUDGET, caps every polynomial enumeration;
+no option changes it.
 
 `progcheck` hands the lines of its file, as they decode, to
 progfree.has_progression_text, which keeps one packed int per distinct member
@@ -33,8 +33,7 @@ import time
 
 # the layers are read at call time, so a subcommand runs only the ones it calls
 from . import density, factor, ff, intarith, polyring, progfree, rn, tables
-from .errors import (DEFAULT_ENUM_BUDGET, DEFAULT_VERTEX_BUDGET, MAX_DEPTH, MAX_DIGITS, MAX_VERTEX_BUDGET,
-                     BudgetExceeded, Error)
+from .errors import DEFAULT_VERTEX_BUDGET, MAX_DIGITS, MAX_VERTEX_BUDGET, BudgetExceeded, Error
 
 
 def _int_in(lo: int, hi: float = float("inf")):
@@ -47,16 +46,6 @@ def _int_in(lo: int, hi: float = float("inf")):
 
     parse.__name__ = f"integer >= {lo}" if hi == float("inf") else f"integer in [{lo}, {hi}]"
     return parse
-
-
-def _enum_budget(parser) -> int:
-    """GPFQ_ENUM_BUDGET, or the default cap on polynomial enumerations."""
-    raw = os.environ.get("GPFQ_ENUM_BUDGET")
-    parse = _int_in(1, DEFAULT_ENUM_BUDGET)
-    try:
-        return parse(raw) if raw else DEFAULT_ENUM_BUDGET
-    except ValueError:
-        parser.error(f"GPFQ_ENUM_BUDGET={raw!r} is not an {parse.__name__}")
 
 
 def _prime_power(parser, q):
@@ -92,18 +81,15 @@ def _field_for(parser, args):
 # that builds it), and `run` prints one or the other
 # ---------------------------------------------------------------------------
 
-# kind: (density.certify kind, the one of --depth and --terms it reads, if any)
-_DENSITY_KINDS = {"greedy": ("greedy", "depth"), "lower": ("lower_mq", "depth"),
-                  "upper-simple": ("upper_simple", "terms"), "upper-no": ("upper_no", None)}
+# kind: density.certify kind; only upper-simple reads --terms
+_DENSITY_KINDS = {"greedy": "greedy", "lower": "lower_mq", "upper-simple": "upper_simple", "upper-no": "upper_no"}
 
 
 def _cmd_density(parser, args):
-    kind, reads = _DENSITY_KINDS[args.kind]
-    for flag in ("depth", "terms"):
-        if flag != reads and getattr(args, flag) is not None:
-            parser.error(f"density {args.kind} does not take --{flag}")
+    if args.terms is not None and args.kind != "upper-simple":
+        parser.error(f"density {args.kind} does not take --terms")
     _prime_power(parser, args.q)
-    report = density.certify(kind, args.q, args.digits, depth=args.depth, terms=args.terms)
+    report = density.certify(_DENSITY_KINDS[args.kind], args.q, args.digits, terms=args.terms)
     return 0, [report.rendered], report.to_json
 
 
@@ -124,16 +110,7 @@ def _cmd_tables(parser, args):
 
 def _cmd_figure1(parser, args):
     rows = density.figure1_data(args.qmax)
-    lines = ["q,density"] + [f"{q},{val}" for q, val in rows]
-    if not args.out:
-        return 0, lines, None
-    try:
-        with open(args.out, "w") as fh:
-            fh.write("".join(line + "\n" for line in lines))
-    except OSError as exc:
-        parser.error(f"cannot write {args.out}: {exc}")
-    print(f"wrote {len(rows)} rows to {args.out}", file=sys.stderr)
-    return 0, [], None
+    return 0, ["q,density"] + [f"{q},{val}" for q, val in rows], None
 
 
 def _cmd_checkpoint(parser, args):
@@ -159,7 +136,7 @@ def _cmd_factor(parser, args):
         f = polyring.parse_poly(spec, args.poly)
     except Error as exc:
         parser.error(f"bad polynomial {polyring._excerpt(args.poly)}: {exc}")
-    fac = factor.factorize(f, seed=args.seed)
+    fac = factor.factorize(f)
     parts = [(polyring.format_poly(prime), e) for prime, e in fac.parts]
     pieces = [str(fac.unit.code)] + [f"({prime})" + (f"^{e}" if e > 1 else "") for prime, e in parts]
     obj = {"q": args.q, "input": args.poly, "unit": fac.unit.code, "parts": [{"prime": t, "exp": e} for t, e in parts]}
@@ -168,7 +145,7 @@ def _cmd_factor(parser, args):
 
 def _cmd_check(parser, args):
     spec = _field_for(parser, args)
-    members, extra, missing, witness = progfree.greedy_check(spec, args.max_degree, _enum_budget(parser))
+    members, extra, missing, witness = progfree.greedy_check(spec, args.max_degree)
     extra = [polyring.format_poly(f) for f in extra]
     missing = [polyring.format_poly(f) for f in missing]
     lines = [f"constructed but not characterized: {f}" for f in extra]
@@ -192,7 +169,7 @@ def _cmd_enumerate(parser, args):
     else:
         spec = _field_for(parser, args)
     if not args.counts_only:
-        members = progfree._member_codes(spec, args.max_degree, _enum_budget(parser))
+        members = progfree._member_codes(spec, args.max_degree)
     counts = density.greedy_counts(args.q, args.max_degree)
     obj = {"q": args.q, "max_degree": args.max_degree, "counts": counts}
     if args.counts_only:
@@ -253,7 +230,6 @@ _COMMANDS = {  # name: (help, handler, arguments)
         _arg("kind", choices=list(_DENSITY_KINDS)),
         _Q,
         _arg("--digits", type=_int_in(1, MAX_DIGITS), default=6),
-        _arg("--depth", type=_int_in(1, MAX_DEPTH), help="fixed product depth instead of adaptive"),
         _arg("--terms", type=_int_in(0), help="finite progression families for upper-simple"),
     ]),
     "tables": ("verify the published tables cell by cell", _cmd_tables, [
@@ -261,7 +237,6 @@ _COMMANDS = {  # name: (help, handler, arguments)
     ]),
     "figure1": ("density against q as CSV", _cmd_figure1, [
         _arg("--qmax", type=_int_in(2), default=130),
-        _arg("--out", help="output path (default: stdout)"),
     ]),
     "checkpoint": ("exact checkpoint density at N_k", _cmd_checkpoint, [
         _Q,
@@ -273,7 +248,6 @@ _COMMANDS = {  # name: (help, handler, arguments)
         _Q,
         _MODULUS,
         _arg("poly", help="polynomial text, e.g. 'x^3+x+1'"),
-        _arg("--seed", type=int, help="override the splitting seed"),
     ]),
     "greedy": ("greedy progression-free set operations", None, []),
     "greedy check": ("brute-force construction vs characterization", _cmd_check, [_Q, _MODULUS, _MAX_DEGREE]),

@@ -199,15 +199,13 @@ def upper_bound_no(q: int, digits: int = 9) -> DensityReport:
 # the one certification loop behind every printed value
 # ---------------------------------------------------------------------------
 
-def certify(
-    kind: str, q: int, digits: int, depth: Optional[int] = None, terms: Optional[int] = None,
-) -> DensityReport:
+def certify(kind: str, q: int, digits: int, terms: Optional[int] = None) -> DensityReport:
     """The first report, over truncations tried in order, whose value renders.
 
-    greedy and lower_mq step the product depth 3, 4, 5, ... (or try only a
-    fixed `depth`); upper_no steps the r_n term count 8, 9, ..., MAX_RN_N;
-    upper_simple is exact, with `terms` progression families (None: the
-    closed form).
+    greedy and lower_mq step the product depth 3, 4, 5, ... while its tail
+    stays within MAX_TAIL_BITS; upper_no steps the r_n term count 8, 9, ...,
+    MAX_RN_N; upper_simple is exact, with `terms` progression families (None:
+    the closed form).
     """
     if q < 2 or digits < 1:
         raise ValueError("q must be >= 2 and digits >= 1")
@@ -223,8 +221,7 @@ def certify(
         key, params, build = "terms", range(8, MAX_RN_N + 1), upper_bound_no_interval
     else:
         key, build = "depth", {"greedy": greedy_density_interval, "lower_mq": mq_interval}[kind]
-        depths = range(DEFAULT_START_DEPTH, MAX_DEPTH + 1) if depth is None else [depth]
-        params = [d for d in depths if d <= MAX_DEPTH and 3 ** (d + 1) * log2(q) <= MAX_TAIL_BITS]
+        params = [d for d in range(DEFAULT_START_DEPTH, MAX_DEPTH + 1) if 3 ** (d + 1) * log2(q) <= MAX_TAIL_BITS]
     for p in params:
         value = build(q, p)
         try:

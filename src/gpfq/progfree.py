@@ -92,21 +92,21 @@ def greedy_member(f: Poly) -> bool:
     return all(a3_contains(e) for e in factor.factorization_exponents(f))
 
 
-def greedy_members(spec, max_degree: int, budget: int = DEFAULT_ENUM_BUDGET):
+def greedy_members(spec, max_degree: int):
     """The Poly of degree <= max_degree that `greedy_member` admits, in
     canonical order, built from the irreducibles instead of by factoring each
     polynomial: the unit multiples of `_greedy_sieve`'s monic members.
     """
-    return [Poly._raw(spec, cs) for cs in _member_codes(spec, max_degree, budget)]
+    return [Poly._raw(spec, cs) for cs in _member_codes(spec, max_degree)]
 
 
-def _member_codes(spec, max_degree: int, budget: int):
+def _member_codes(spec, max_degree: int):
     """greedy_members as code tuples, which a listing formats with no Poly built."""
-    mul, unpack, monics = _monics(spec, max_degree, budget)
+    mul, unpack, monics = _monics(spec, max_degree)
     return _unit_codes(spec, map(unpack, _greedy_sieve(mul, monics)))
 
 
-def greedy_construct_bruteforce(spec, max_degree: int, budget: int = DEFAULT_ENUM_BUDGET):
+def greedy_construct_bruteforce(spec, max_degree: int):
     """Literal greedy construction: the Poly admitted by increasing degree, in
     canonical order.
 
@@ -119,11 +119,11 @@ def greedy_construct_bruteforce(spec, max_degree: int, budget: int = DEFAULT_ENU
     admitted set is closed under units, monic ratios suffice, and the set is
     the unit multiples of `_greedy_construct`'s monic members.
     """
-    mul, unpack, monics = _monics(spec, max_degree, budget)
+    mul, unpack, monics = _monics(spec, max_degree)
     return _unit_multiples(spec, map(unpack, _greedy_construct(mul, monics)))
 
 
-def greedy_check(spec, max_degree: int, budget: int = DEFAULT_ENUM_BUDGET):
+def greedy_check(spec, max_degree: int):
     """(members, extra, missing, witness) for the greedy construction against
     the characterization up to max_degree: its member count, the Poly it
     admits beyond `greedy_members` and those it lacks, each in canonical
@@ -135,7 +135,7 @@ def greedy_check(spec, max_degree: int, budget: int = DEFAULT_ENUM_BUDGET):
     monic members, with each base scaled to the canonically least member of
     its class, so its witness is the canonically least of the whole set.
     """
-    mul, unpack, monics = _monics(spec, max_degree, budget)
+    mul, unpack, monics = _monics(spec, max_degree)
     constructed, characterized = set(_greedy_construct(mul, monics)), set(_greedy_sieve(mul, monics))
     extra, missing = (_unit_multiples(spec, map(unpack, s))
                       for s in (constructed - characterized, characterized - constructed))
@@ -149,14 +149,14 @@ def greedy_check(spec, max_degree: int, budget: int = DEFAULT_ENUM_BUDGET):
     return (spec.q - 1) * len(constructed), extra, missing, witness
 
 
-def _monics(spec, max_degree: int, budget: int):
+def _monics(spec, max_degree: int):
     """(mul, unpack, monics) for the greedy builds: monics[d] lists the monic
     polynomials of degree d in canonical order, packed by polyring's _packer
     for products of max_degree + 1 coefficients. The q^(max_degree+1)
-    polynomials they stand for are held to `budget`."""
+    polynomials they stand for are held to DEFAULT_ENUM_BUDGET."""
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
-    enumeration_size(spec.q, max_degree, budget)
+    enumeration_size(spec.q, max_degree, DEFAULT_ENUM_BUDGET)
     pack, mul, unpack, *_ = _packer(spec, max_degree + 1)
     return mul, unpack, [list(map(pack, _code_tuples(spec.q, d, d, (1,)))) for d in range(max_degree + 1)]
 

@@ -7,11 +7,14 @@ import io
 import json
 import os
 import random
+import re
+import shlex
 import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
 from importlib import resources
+from pathlib import Path
 from unittest import mock
 
 import jsonschema
@@ -63,12 +66,6 @@ def test_density_json(capsys, schema):
         assert obj["value"] == expected
 
 
-def test_density_fixed_depth(capsys):
-    code, out, _ = invoke(capsys, "density", "greedy", "--q", "2", "--digits", "6", "--depth", "4")
-    assert code == 0
-    assert out.strip() == "0.648361"
-
-
 def test_density_usage_error_not_prime_power(capsys):
     code, _, err = invoke(capsys, "density", "greedy", "--q", "6", "--digits", "6")
     assert code == 2
@@ -105,10 +102,17 @@ def test_empirical(capsys, schema):
 
 
 def test_greedy_check_budget_env(capsys, monkeypatch):
-    monkeypatch.setenv("GPFQ_ENUM_BUDGET", "10")
-    code, _, err = invoke(capsys, "greedy", "check", "--q", "2", "--max-degree", "6")
-    assert code == 1
-    assert "budget" in err.lower()
+    # GPFQ_ENUM_BUDGET is not read: a small or invalid value changes no answer,
+    # and the q^(D+1) = 2^22 polynomials of degree <= 21 exceed the one cap,
+    # DEFAULT_ENUM_BUDGET, before any list is built
+    expected = invoke(capsys, "greedy", "check", "--q", "2", "--max-degree", "6")
+    assert expected[0] == 0
+    for value in ("10", "0", "abc"):
+        monkeypatch.setenv("GPFQ_ENUM_BUDGET", value)
+        assert invoke(capsys, "greedy", "check", "--q", "2", "--max-degree", "6") == expected
+    for command in ("check", "enumerate"):
+        code, out, err = invoke(capsys, "greedy", command, "--q", "2", "--max-degree", "21")
+        assert (code, out) == (1, "") and "budget 2097152" in err
 
 
 def test_rn(capsys, schema):
@@ -139,12 +143,6 @@ def test_factor_extension_field_with_modulus(capsys, schema):
     assert code == 0
     assert obj["unit"] == 2
     assert sum(p["exp"] for p in obj["parts"]) == 2
-
-
-def test_factor_seed_flag(capsys):
-    a = invoke(capsys, "factor", "--q", "5", "x^6+2*x^3+1")
-    b = invoke(capsys, "factor", "--q", "5", "x^6+2*x^3+1", "--seed", "99")
-    assert a[1] == b[1]  # canonical output independent of the splitting seed
 
 
 def test_factor_bad_poly(capsys):
@@ -402,24 +400,12 @@ def test_extremal(capsys, schema):
     assert len(obj["witness"]) == 6
 
 
-def test_figure1(capsys, tmp_path):
-    out_path = tmp_path / "fig1.csv"
-    code, out, err = invoke(capsys, "figure1", "--qmax", "9", "--out", str(out_path))
-    assert code == 0
-    lines = out_path.read_text().strip().splitlines()
-    assert lines[0] == "q,density"
-    assert lines[1] == "2,0.648361"
+def test_figure1(capsys):
+    code, out, err = invoke(capsys, "figure1", "--qmax", "9")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[:2] == ["q,density", "2,0.648361"]
     assert len(lines) == 1 + 7  # 2,3,4,5,7,8,9
-
-    code, out, _ = invoke(capsys, "figure1", "--qmax", "4")
-    assert out.splitlines()[:2] == ["q,density", "2,0.648361"]
-
-
-def test_figure1_unwritable_out_is_usage_error(capsys, tmp_path):
-    out_path = tmp_path / "missing" / "fig1.csv"
-    code, out, err = invoke(capsys, "figure1", "--qmax", "2", "--out", str(out_path))
-    assert (code, out) == (2, "") and "cannot write" in err
-    assert "Traceback" not in err and not out_path.parent.exists()
 
 
 def test_deterministic_output(capsys):
@@ -443,13 +429,6 @@ def test_density_many_digits(capsys):
     code, out, err = invoke(capsys, "density", "greedy", "--q", "2", "--digits", "700")
     assert code == 0, err
     assert out.startswith("0.648361") and len(out.strip()) == 702
-
-
-def test_density_depth_past_tail_budget(capsys):
-    # depth 9 is within MAX_DEPTH at q=2 but its tail at q=343 is 8x larger
-    code, out, err = invoke(capsys, "density", "greedy", "--q", "343", "--depth", "9")
-    assert code == 1 and out == ""
-    assert "depth budget" in err
 
 
 def test_checkpoint_past_int_str_limit(capsys):
@@ -476,7 +455,7 @@ def test_checkpoint_budget(capsys, k):
 
 
 @pytest.mark.parametrize(
-    "argv, env",
+    "argv, named",
     [
         (["density", "greedy", "--q", "2", "--digits", "0"], None),
         (["density", "greedy", "--q", "2", "--digits", "abc"], None),
@@ -489,10 +468,10 @@ def test_checkpoint_budget(capsys, k):
         (["empirical", "--q", "2", "--max-degree", "-1"], None),
         (["extremal", "--q", "2", "--max-degree", "2", "--budget", "-3"], None),
         (["figure1", "--qmax", "1"], None),
-        (["greedy", "check", "--q", "2", "--max-degree", "2"], ("GPFQ_ENUM_BUDGET", "abc")),
-        (["greedy", "check", "--q", "2", "--max-degree", "2"], ("GPFQ_ENUM_BUDGET", "-5")),
-        (["greedy", "check", "--q", "2", "--max-degree", "2"], ("GPFQ_ENUM_BUDGET", "1e3")),
-        (["greedy", "enumerate", "--q", "2", "--max-degree", "2"], ("GPFQ_ENUM_BUDGET", "0")),
+        (["greedy", "check", "--q", "2", "--max-degree", "2", "--budget", "10"], "--budget"),  # the enumeration cap is a constant
+        (["greedy", "enumerate", "--q", "2", "--max-degree", "2", "--budget", "10"], "--budget"),
+        (["figure1", "--qmax", "2", "--json"], "--json"),
+        (["progcheck", "--q", "2"], "--file"),
         (["density", "upper-no", "--q", "2", "--depth", "3"], None),
         (["density", "upper-simple", "--q", "2", "--depth", "3"], None),
         (["density", "greedy", "--q", "2", "--terms", "3"], None),
@@ -500,23 +479,26 @@ def test_checkpoint_budget(capsys, k):
         (["density", "upper-no", "--q", "2", "--terms", "3"], None),
         (["factor", "--q", "2", "--modulus", "", "x+1"], None),
         (["greedy", "enumerate", "--q", "2", "--max-degree", "2", "--counts-only", "--modulus", ""], None),
-        (["greedy", "check", "--q", "2", "--max-degree", "2"], ("GPFQ_ENUM_BUDGET", "4194304")),
+        (["extremal", "--q", "2", "--max-degree", "2", "--budget", "4096"], "--budget"),
         (["factor", "--q", "4", "--modulus", "1,1", "x"], None),  # wrong degree
         (["factor", "--q", "9", "--modulus", "2,0,1", "x"], None),  # reducible: x^2 - 1
+        (["density", "greedy", "--q", "2", "--depth", "4"], "--depth"),  # settings that changed no answer
+        (["factor", "--q", "5", "x^2+1", "--seed", "1"], "--seed"),
+        (["figure1", "--qmax", "2", "--out", "f.csv"], "--out"),
     ],
 )
-def test_bad_argv_or_env_is_usage_error(capsys, monkeypatch, argv, env):
-    if env:
-        monkeypatch.setenv(*env)
+def test_bad_argv_or_env_is_usage_error(capsys, argv, named):
+    # exit 2 with empty stdout and no traceback; stderr names `named`, if given
     code, out, err = invoke(capsys, *argv)
     assert code == 2
     assert "Traceback" not in err and out == ""
+    assert named is None or named in err
 
 
 def test_density_and_modulus_refusals_name_the_flag(capsys):
     # a flag the kind does not read, and an empty --modulus, were once ignored
     for argv, named in (
-        (["density", "upper-no", "--q", "2", "--depth", "3"], "does not take --depth"),
+        (["density", "upper-no", "--q", "2", "--terms", "3"], "does not take --terms"),
         (["density", "lower", "--q", "2", "--terms", "3"], "does not take --terms"),
         (["factor", "--q", "2", "--modulus", "", "x+1"], "--modulus ''"),
     ):
@@ -525,23 +507,22 @@ def test_density_and_modulus_refusals_name_the_flag(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, env, prog, named",
+    "argv, text, prog, named",
     [
-        (["density", "upper-no", "--q", "2", "--depth", "3"], None, "gpfq density", "does not take --depth"),
+        (["density", "upper-no", "--q", "2", "--terms", "3"], None, "gpfq density", "does not take --terms"),
         (["density", "greedy", "--q", "6"], None, "gpfq density", "--q 6 is not a prime power"),
         (["checkpoint", "--q", "1", "--k", "2"], None, "gpfq checkpoint", "--q 1"),
         (["factor", "--q", "2", "--modulus", "", "x+1"], None, "gpfq factor", "--modulus ''"),
         (["factor", "--q", "2", "x^^2"], None, "gpfq factor", "bad polynomial"),
-        (["greedy", "check", "--q", "2", "--max-degree", "2"], "0", "gpfq greedy check", "GPFQ_ENUM_BUDGET"),
+        (["progcheck", "--q", "2", "--file", "{tmp}/f.txt"], b"x+1\n\xff\n", "gpfq progcheck", "cannot read"),
         (["progcheck", "--q", "2", "--file", "{tmp}/missing.txt"], None, "gpfq progcheck", "cannot read"),
-        (["figure1", "--qmax", "2", "--out", "{tmp}/missing/fig1.csv"], None, "gpfq figure1", "cannot write"),
-        (["greedy", "check", "--q", "2", "--max-degree", "2"], "4194304", "gpfq greedy check", "integer in [1, 2097152]"),
     ],
 )
-def test_handler_usage_errors_show_the_subcommand_usage(capsys, monkeypatch, tmp_path, argv, env, prog, named):
-    # a usage error a handler finds names its own subcommand, as argparse's own errors do
-    if env:
-        monkeypatch.setenv("GPFQ_ENUM_BUDGET", env)
+def test_handler_usage_errors_show_the_subcommand_usage(capsys, tmp_path, argv, text, prog, named):
+    # a usage error a handler finds names its own subcommand, as argparse's own errors do;
+    # `text`, if given, is written to {tmp}/f.txt first
+    if text is not None:
+        (tmp_path / "f.txt").write_bytes(text)
     code, out, err = invoke(capsys, *(arg.format(tmp=tmp_path) for arg in argv))
     assert (code, out) == (2, "")
     assert err.startswith(f"usage: {prog} [-h] ") and f"\n{prog}: error: " in err and named in err
@@ -571,15 +552,11 @@ _PARSER_LEVELS = {
         ([], True, None, ["greedy", "lower", "upper-simple", "upper-no"], None),
         _Q,
         (["--digits"], False, 6, None, None),
-        (["--depth"], False, None, None, "fixed product depth instead of adaptive"),
         (["--terms"], False, None, None, "finite progression families for upper-simple"),
         _JSON,
     ],
     "gpfq tables": [(["--which"], True, None, [1, 2, 3], None), _JSON],
-    "gpfq figure1": [
-        (["--qmax"], False, 130, None, None),
-        (["--out"], False, None, None, "output path (default: stdout)"),
-    ],
+    "gpfq figure1": [(["--qmax"], False, 130, None, None)],
     "gpfq checkpoint": [_Q, (["--k"], True, None, None, None), _JSON],
     "gpfq empirical": [_Q, _MAX_DEGREE, _JSON],
     "gpfq rn": [(["--n"], True, None, None, None), _JSON],
@@ -587,7 +564,6 @@ _PARSER_LEVELS = {
         _Q,
         _MODULUS,
         ([], True, None, None, "polynomial text, e.g. 'x^3+x+1'"),
-        (["--seed"], False, None, None, "override the splitting seed"),
         _JSON,
     ],
     "gpfq greedy": [
@@ -657,13 +633,13 @@ def test_one_parser_per_command_path(capsys, argv, built):
     "argv, digest",
     [
         (["--help"], "831f894fef551dde"),
-        (["density", "--help"], "cd919c9ddab0e6bc"),
+        (["density", "--help"], "96c542cde240b872"),
         (["tables", "--help"], "56b0fed8ef4b913d"),
-        (["figure1", "--help"], "2003781cdb23aa05"),
+        (["figure1", "--help"], "b0cba45ff8f6a8f2"),
         (["checkpoint", "--help"], "f7763fa13ec7172e"),
         (["empirical", "--help"], "480f79ecad6338c3"),
         (["rn", "--help"], "116aa54b739241e5"),
-        (["factor", "--help"], "6dadccbb944cbb9d"),
+        (["factor", "--help"], "48e7ac317f0cedd2"),
         (["greedy", "--help"], "11273b6f63f6ad7a"),
         (["greedy", "check", "--help"], "546c5fb5ba6797af"),
         (["greedy", "enumerate", "--help"], "0d280d4dd0df536a"),
@@ -681,6 +657,35 @@ def test_help_and_usage_errors_pinned(capsys, monkeypatch, argv, digest):
     shown, quiet = (out, err) if code == 0 else (err, out)
     assert code == (0 if "--help" in argv else 2) and quiet == ""
     assert hashlib.sha256(shown.encode()).hexdigest()[:16] == digest
+
+
+def _readme_cli_lines():
+    """(argv, comment) of each `gpfq ...` line of the sh block under README's `## CLI`,
+    the argv cut at a `>` redirection."""
+    section = (Path(__file__).resolve().parent.parent / "README.md").read_text().split("\n## CLI\n")[1]
+    rows = []
+    for line in section.split("```sh\n")[1].split("```")[0].splitlines():
+        command, _, comment = line.partition("#")
+        argv = shlex.split(command)
+        assert argv[0] == "gpfq", line
+        rows.append((argv[1:argv.index(">")] if ">" in argv else argv[1:], comment.strip()))
+    return rows
+
+
+def test_readme_cli_example(capsys):
+    # every example line parses, and each one whose comment is a value prints exactly that value
+    parser = build_parser()
+    values = []
+    for argv, comment in _readme_cli_lines():
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"usage error: {shlex.join(argv)}")
+        if re.fullmatch(r"[\d x()^*+/.]+", comment):
+            values.append((argv, comment))
+    assert len(values) == 8
+    for argv, comment in values:
+        assert invoke(capsys, *argv)[:2] == (0, comment + "\n"), argv
 
 
 def test_closed_pipe_ends_without_traceback():
@@ -1029,8 +1034,8 @@ def test_startup_imports_number_commands(argv, loaded, ran, out):
 _FUZZ_COMMANDS = {  # subcommand: (the flags it requires, the flags it takes besides)
     "": ("", "--help"),
     "nonsense": ("", "--json"),
-    "density greedy": ("--q", "--digits --depth --json"),
-    "density lower": ("--q", "--digits --depth --json"),
+    "density greedy": ("--q", "--digits --json"),
+    "density lower": ("--q", "--digits --json"),
     "density upper-simple": ("--q", "--digits --terms --json"),
     "density upper-no": ("--q", "--digits --json"),
     "density bogus": ("--q", "--digits"),
@@ -1039,7 +1044,7 @@ _FUZZ_COMMANDS = {  # subcommand: (the flags it requires, the flags it takes bes
     "checkpoint": ("--q --k", "--json"),
     "empirical": ("--q --max-degree", "--json"),
     "rn": ("--n", "--json"),
-    "factor": ("--q", "--modulus --seed --json"),
+    "factor": ("--q", "--modulus --json"),
     "greedy": ("--q", "--max-degree"),
     "greedy check": ("--q --max-degree", "--modulus --json"),
     "greedy enumerate": ("--q --max-degree", "--modulus --counts-only --json"),
@@ -1069,10 +1074,9 @@ def _fuzz_argv(draw):
 @settings(max_examples=300, deadline=None)
 @given(argv=_fuzz_argv())
 def test_cli_fuzz_exit_codes(argv):
-    # any argv ends in exit 0, 1 or 2 with no exception; the low enumeration budget keeps each run short
-    budgets = {"GPFQ_ENUM_BUDGET": "16"}
+    # any argv ends in exit 0, 1 or 2 with no exception
     out, err = io.StringIO(), io.StringIO()
-    with mock.patch.dict(os.environ, budgets), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run(argv)
     assert code in (0, 1, 2), (argv, code)
     assert "Traceback" not in err.getvalue()

@@ -87,9 +87,18 @@ def test_greedy_construct_examples():
     assert len(greedy_construct_bruteforce(F3, 1)) == 8  # no progression fits below degree 2
 
 
-def test_greedy_budget():
+def _refuse_packing(monkeypatch):
+    def refuse(*_):
+        raise AssertionError("packed before the budget was checked")
+
+    monkeypatch.setattr(progfree, "_packer", refuse)
+
+
+def test_greedy_budget(monkeypatch):
+    # the 2^22 polynomials of degree <= 21 over GF(2) exceed DEFAULT_ENUM_BUDGET
+    _refuse_packing(monkeypatch)
     with pytest.raises(BudgetExceeded):
-        greedy_construct_bruteforce(F2, 5, budget=10)
+        greedy_construct_bruteforce(F2, 21)
 
 
 def test_equivalence_small():
@@ -133,10 +142,11 @@ def test_greedy_members_match_factoring_oracle(p, k):
         assert counts == greedy_counts(spec.q, d)
 
 
-def test_greedy_members_budget():
+def test_greedy_members_budget(monkeypatch):
     assert greedy_members(F2, 0) == [P(F2, "1")]
+    _refuse_packing(monkeypatch)
     with pytest.raises(BudgetExceeded):
-        greedy_members(F2, 5, budget=10)
+        greedy_members(F2, 21)
     with pytest.raises(ValueError):
         greedy_members(F2, -1)
 
