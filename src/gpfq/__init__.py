@@ -9,8 +9,10 @@ Importing the package runs only `errors`. Each other module below
 (`intarith` and `rn` included) is in `sys.modules` and is an attribute of the
 package from the start, but its code runs on the first attribute access
 (`importlib.util.LazyLoader`), so a command runs only the layers it calls:
-`gpfq rn` runs `cli` and `rn` alone. The exported names resolve through
-`_EXPORTS` on first use (PEP 562).
+`gpfq rn` runs `cli` and `rn` alone, and `polydiv`, `polytext`, `extfield` and
+`greedy` hold the code of `polyring`, `ff` and `progfree` that only some
+commands call. The exported names resolve through `_EXPORTS` on first use
+(PEP 562).
 """
 
 import importlib.util
@@ -28,12 +30,14 @@ _EXPORTS = {
         WrongDegreeModulus ZeroPolynomial""",
     "factor": "Factorization enumerate_irreducibles factorization_exponents factorize is_irreducible",
     "ff": "FieldElem FieldSpec make_field",
+    "greedy": "greedy_construct_bruteforce greedy_members",
     "intarith": "count_irreducibles nk",
     "numeric": "Interval exp_upper render_decimal round_half_away",
     "polyring": """NEG_INFINITY Poly canonical_key derivative enumerate_monic enumerate_polys enumerate_upto
-        format_poly gcd make_monic one parse_poly x zero""",
-    "progfree": """ProgressionWitness a3_contains a3_list greedy_construct_bruteforce greedy_member
-        greedy_members has_progression max_progression_free_subset reflected_degrees""",
+        format_poly gcd make_monic one x zero""",
+    "polytext": "parse_poly",
+    "progfree": """ProgressionWitness a3_contains a3_list greedy_member has_progression
+        max_progression_free_subset reflected_degrees""",
     "rn": "RnTable rn_sequence",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
@@ -51,8 +55,9 @@ def _lazy(name):
     return module
 
 
-density, factor, ff, intarith, numeric, polyring, progfree, rn, tables = map(
-    _lazy, ("density", "factor", "ff", "intarith", "numeric", "polyring", "progfree", "rn", "tables"))
+density, extfield, factor, ff, greedy, intarith, numeric, polydiv, polyring, polytext, progfree, rn, tables = map(
+    _lazy, ("density", "extfield", "factor", "ff", "greedy", "intarith", "numeric", "polydiv", "polyring", "polytext",
+            "progfree", "rn", "tables"))
 
 
 def __getattr__(name):

@@ -32,7 +32,7 @@ import sys
 import time
 
 # the layers are read at call time, so a subcommand runs only the ones it calls
-from . import density, factor, ff, intarith, polyring, progfree, rn, tables
+from . import density, factor, ff, greedy, intarith, polyring, polytext, progfree, rn, tables
 from .errors import DEFAULT_VERTEX_BUDGET, MAX_DIGITS, MAX_VERTEX_BUDGET, BudgetExceeded, Error
 
 
@@ -133,9 +133,9 @@ def _cmd_rn(parser, args):
 def _cmd_factor(parser, args):
     spec = _field_for(parser, args)
     try:
-        f = polyring.parse_poly(spec, args.poly)
+        f = polytext.parse_poly(spec, args.poly)
     except Error as exc:
-        parser.error(f"bad polynomial {polyring._excerpt(args.poly)}: {exc}")
+        parser.error(f"bad polynomial {polytext._excerpt(args.poly)}: {exc}")
     fac = factor.factorize(f)
     parts = [(polyring.format_poly(prime), e) for prime, e in fac.parts]
     pieces = [str(fac.unit.code)] + [f"({prime})" + (f"^{e}" if e > 1 else "") for prime, e in parts]
@@ -145,7 +145,7 @@ def _cmd_factor(parser, args):
 
 def _cmd_check(parser, args):
     spec = _field_for(parser, args)
-    members, extra, missing, witness = progfree.greedy_check(spec, args.max_degree)
+    members, extra, missing, witness = greedy.greedy_check(spec, args.max_degree)
     extra = [polyring.format_poly(f) for f in extra]
     missing = [polyring.format_poly(f) for f in missing]
     lines = [f"constructed but not characterized: {f}" for f in extra]
@@ -169,7 +169,7 @@ def _cmd_enumerate(parser, args):
     else:
         spec = _field_for(parser, args)
     if not args.counts_only:
-        members = progfree._member_codes(spec, args.max_degree)
+        members = greedy._member_codes(spec, args.max_degree)
     counts = density.greedy_counts(args.q, args.max_degree)
     obj = {"q": args.q, "max_degree": args.max_degree, "counts": counts}
     if args.counts_only:

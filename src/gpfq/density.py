@@ -12,7 +12,9 @@ Five families of numbers, all exact or certified:
   * the sharper upper bound  (q-1) * sum_n q^(-r_n), where r_n is the least m
     such that [1, m] holds an n-element subset free of 3-term arithmetic
     progressions (the search, with its budget MAX_RN_N, lives in `gpfq.rn`;
-    its names are imported here and keep resolving as density's own);
+    only upper_no reads it, through the lazy module, so no other density
+    runs `rn`; its names keep resolving as density's own through the module
+    __getattr__);
   * the exact count of greedy-set members of each degree, the coefficients of
     the Euler product  prod_{s>=1} (1 + t^s)^M(s)  (`greedy_counts`), and the
     finite-stage density they sum to.
@@ -35,10 +37,10 @@ from fractions import Fraction
 from math import comb, log2
 from typing import NamedTuple, Optional, Union
 
+from . import rn
 from .errors import MAX_DEPTH, MAX_DIGITS, MAX_TAIL_BITS, BudgetExceeded, NeedsMorePrecision
 from .intarith import count_irreducibles, nk, prime_powers_upto
 from .numeric import Interval, exp_upper, render_decimal
-from .rn import MAX_RN_N, MAX_RN_R, RnTable, rn_sequence  # RnTable unused here: density.RnTable resolves
 
 DEFAULT_START_DEPTH = 3
 MAX_CHECKPOINT_BITS = 2**20  # denominators q^(N_k + 1) and q^(2+3T); q=2, k=13 prints in a few seconds
@@ -185,7 +187,7 @@ def upper_bound_no_interval(q: int, n_terms: int) -> Interval:
     The tail bound holds because r_(N+j) >= r_N + j (strict monotonicity), so
     the omitted sum is at most (q-1) * q^(-r_N) * sum_{j>=1} q^(-j) = q^(-r_N).
     """
-    rns = rn_sequence(n_terms)
+    rns = rn.rn_sequence(n_terms)
     partial = (q - 1) * sum((Fraction(1, q**r) for r in rns), Fraction(0))
     return Interval(partial, partial + Fraction(1, q ** rns[-1]))
 
@@ -213,12 +215,12 @@ def certify(kind: str, q: int, digits: int, terms: Optional[int] = None) -> Dens
         key, params, build = "terms", [terms], upper_bound_simple
     elif kind == "upper_no":
         # an interval at least 10^-digits wide always straddles a rounding boundary
-        if q**MAX_RN_R <= 10**digits:
+        if q**rn.MAX_RN_R <= 10**digits:
             raise NeedsMorePrecision(
                 f"upper_no for q={q} cannot reach {digits} digits: "
-                f"at {MAX_RN_N} terms the interval is q^-{MAX_RN_R} wide"
+                f"at {rn.MAX_RN_N} terms the interval is q^-{rn.MAX_RN_R} wide"
             )
-        key, params, build = "terms", range(8, MAX_RN_N + 1), upper_bound_no_interval
+        key, params, build = "terms", range(8, rn.MAX_RN_N + 1), upper_bound_no_interval
     else:
         key, build = "depth", {"greedy": greedy_density_interval, "lower_mq": mq_interval}[kind]
         params = [d for d in range(DEFAULT_START_DEPTH, MAX_DEPTH + 1) if 3 ** (d + 1) * log2(q) <= MAX_TAIL_BITS]
@@ -285,3 +287,10 @@ def figure1_data(q_max: int, digits: int = 6) -> list:
     if q_max > MAX_FIGURE1_Q:
         raise BudgetExceeded(f"figure1 q_max={q_max} exceeds the budget of {MAX_FIGURE1_Q}")
     return [(q, greedy_density(q, digits).rendered) for q in prime_powers_upto(q_max)]
+
+
+def __getattr__(name):
+    """The r_n names, read from `rn` on first use, so that importing density runs no search code."""
+    if name in ("MAX_RN_N", "MAX_RN_R", "RnTable", "rn_sequence"):
+        return getattr(rn, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

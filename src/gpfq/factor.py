@@ -17,7 +17,7 @@ Steps 2 and 3 and is_irreducible run in a residue ring GF(q)[x]/(f), q = p^k:
 _Packed, on polyring's 2-D packed form (_packer; 1-D at k = 1), which gives
 it its lanes, codec, lane reduction and fold in y. The ring adds Barrett
 reduction in x by x^(2n) // f (von zur Gathen and Gerhard, Modern Computer
-Algebra, 9.1). Its gcds, one per block, are polyring's _gcd at every k, on
+Algebra, 9.1). Its gcds, one per block, are polydiv's _gcd at every k, on
 the codes of its residues.
 As h -> h^q is GF(q)-linear, where q > n the ring builds the matrix of the
 x^(iq) mod f by n - 1 ring products, and a step costs 0.5 to 2.7 ring products
@@ -27,8 +27,8 @@ near q = n (q = 4 to 16), powering wins by 15-20% for q well below n, and at
 GF(4), n = 4096, a step costs 2.2 ring products against 2. No other layer
 builds the ring.
 
-factorize counts its work (polyring's _Work): every Euclid or division step
-(polyring's _gcd and _divmod, each given the budget) and every ring product
+factorize counts its work (polydiv's _Work): every Euclid or division step
+(polydiv's _gcd and _divmod, each given the budget) and every ring product
 (powers are ff's _power) costs the degree of its modulus, and past
 MAX_FACTOR_WORK it raises BudgetExceeded. The randomized stage draws from a
 generator seeded by (q, encoding of f), so factorizations are
@@ -43,19 +43,8 @@ from typing import NamedTuple, Tuple
 
 from .errors import MAX_FACTOR_WORK, ZeroPolynomial
 from .ff import FieldElem, FieldSpec, _power
-from .polyring import (
-    _UNMETERED,
-    Poly,
-    _deriv,
-    _divmod,
-    _gcd,
-    _monic,
-    _packer,
-    _trim,
-    _Work,
-    canonical_key,
-    enumerate_monic,
-)
+from .polydiv import _UNMETERED, _divmod, _gcd, _Work
+from .polyring import Poly, _deriv, _monic, _packer, _trim, canonical_key, enumerate_monic
 
 #: Degrees per gcd in the distinct-degree split.
 _BLOCK = 8

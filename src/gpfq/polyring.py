@@ -1,32 +1,24 @@
-"""The ring F_q[x]: canonical values, arithmetic, enumeration, text format.
+"""The ring F_q[x]: canonical values, arithmetic, enumeration, text output.
 
 A polynomial is stored as a tuple of coefficient codes, constant term first,
 with no trailing zero (the empty tuple is the zero polynomial). The canonical
 order used everywhere for enumeration and reporting is (degree, then
 constant-first lexicographic on the code tuple). The private tuple-level
-helpers (_mul, _divmod, _gcd, ...) are what the Poly class wraps for the
-public API and operator syntax, and factor runs on them.
+helpers (_mul, _add, ...) are what the Poly class wraps for the public API
+and operator syntax, and factor runs on them. Division and the one gcd
+(_divmod, _gcd) live in polydiv, which the functions here that divide reach
+through _polydiv on first use, and the text parser lives in polytext, so a
+command compiles each only when it divides or reads polynomial text.
 
-Over a prime field, _mul and _divmod pack the codes into the lanes of one int
+Over a prime field, _mul packs the codes into the lanes of one int
 (Kronecker substitution; von zur Gathen and Gerhard, Modern Computer Algebra,
-section 8.4) and reduce each lane mod p only when unpacking (8-bit lanes by
+section 8.4) and reduces each lane mod p only when unpacking (8-bit lanes by
 one bytes.translate through the table of i mod p). A product's lanes stay
-below min(len) * (p-1)^2; a division keeps the remainder as one int and adds
-(p - t) * b at each step, so its lanes never borrow and must hold
-(p-1) + steps * (p-1)^2. Operands of every length pack into the narrowest
+below min(len) * (p-1)^2. Operands of every length pack into the narrowest
 lane that holds that bound: 8, 16, 32 or 64 bits, and past that as many whole
 bytes as it takes, since a lane need not be an array width. Over an extension
 field _mul is one product in the 2-D packed form below, on a packer kept
-across calls. _divmod_log runs _divmod's loop in the log domain over a field
-with log tables (q <= 4096, see ff), with no ff call: each product is one exp
-lookup, added by XOR at p = 2 and through the Zech table at odd p. Above the
-cap _divmod's loop calls ff.
-
-_gcd is the one gcd, for the public gcd and factor alike: over GF(p) _euclid
-on packed operands (one XOR per step at p = 2), over GF(p^k) a Euclid on code
-tuples by _divmod, each division charged its steps to a _Work budget. _divmod
-charges its own steps to the budget it is given, as _gcd does (none by
-default), and Poly's powers are ff's _power on code tuples.
+across calls. Poly's powers are ff's _power on code tuples.
 
 The searches and greedy builds in progfree, factor's residue ring and _mul
 over every extension field share one 2-D packed form, _packer: digit j of
@@ -44,31 +36,18 @@ the fold's.
 from __future__ import annotations
 
 import itertools
-import re
 import sys
 from array import array
 from functools import lru_cache, partial
 
-from .errors import (
-    MAX_FACTOR_WORK,
-    BudgetExceeded,
-    CoefficientOutOfRange,
-    DivisionByZero,
-    PolySyntaxError,
-    SpecMismatch,
-    ZeroPolynomial,
-)
+from .errors import CoefficientOutOfRange, DivisionByZero, SpecMismatch, ZeroPolynomial
 from .ff import FieldSpec, _power
 
 NEG_INFINITY = float("-inf")  # degree of the zero polynomial
-#: The largest exponent parse_poly accepts; past it, BudgetExceeded before any allocation.
-MAX_TEXT_DEGREE = 2**20
 
 # (bits, array typecode) of the unsigned 8-, 16-, 32- and 64-bit lanes
 _LANES = tuple((array(t).itemsize * 8, t) for t in "BHIQ")
 _BIG_ENDIAN = sys.byteorder == "big"  # packed ints are little-endian lanes
-_TO_DIGITS = bytes.maketrans(b"\0\1", b"01")
-_FROM_DIGITS = bytes.maketrans(b"01", b"\0\1")
 
 
 # ---------------------------------------------------------------------------
@@ -163,111 +142,6 @@ def _mul(spec, a, b):
     return unpack(mul(pack(a), pack(b)))
 
 
-class _Work:
-    """The work one factorization may still do, in steps weighted by the degree of their modulus."""
-
-    __slots__ = ("left",)
-
-    def __init__(self, budget):
-        self.left = budget
-
-    def charge(self, units):
-        self.left -= units
-        if self.left < 0:
-            raise BudgetExceeded(f"factoring needs more than the work budget of {MAX_FACTOR_WORK} degree-weighted steps")
-
-
-_UNMETERED = _Work(float("inf"))
-
-
-def _divmod(spec, a, b, work=_UNMETERED):
-    """(quotient, remainder) of code tuples, charged its steps at the degree of a to `work`."""
-    if not b:
-        raise DivisionByZero("polynomial division by zero")
-    db = len(b) - 1
-    if len(a) - 1 < db:
-        return (), a
-    work.charge((len(a) - db) * (len(a) - 1))
-    if spec.k == 1:
-        p = spec.p
-        # every step adds at most (p-1)^2 to a lane that starts below p
-        return _divmod_packed(p, spec.inv_c(b[-1]), a, b, *_lane((p - 1) + (len(a) - db) * (p - 1) ** 2))
-    if spec.log is not None:
-        return _divmod_log(spec, a, b)
-    add = spec.add_c
-    mul = spec.mul_c
-    neg = spec.neg_c
-    inv_lead = spec.inv_c(b[-1])
-    rem = list(a)
-    quot = [0] * (len(a) - db)
-    for i in range(len(a) - 1, db - 1, -1):
-        c = rem[i]
-        if c:
-            t = mul(c, inv_lead)
-            quot[i - db] = t
-            nt = neg(t)
-            for j in range(db + 1):
-                if b[j]:
-                    rem[i - db + j] = add(rem[i - db + j], mul(nt, b[j]))
-    return _trim(quot), _trim(rem[:db])
-
-
-def _divmod_log(spec, a, b):
-    """_divmod over a log-tabled field: each step adds t * (-b) by exp lookups.
-
-    log t = log c + log(1/lead) is reduced mod q-1 first, since a sum of
-    three logs would run past the doubled exp table. The leading coefficient
-    of each step is not written back: it cancels and is never read again.
-    """
-    log, exp = spec.log, spec.exp
-    n = spec.q - 1
-    db = len(b) - 1
-    neg = spec.neg_c
-    lnb = [(j, log[neg(c)]) for j, c in enumerate(b[:db]) if c]
-    l_inv = n - log[b[-1]]
-    rem = list(a)
-    quot = [0] * (len(a) - db)
-    zech = spec.zech
-    for i in range(len(a) - 1, db - 1, -1):
-        c = rem[i]
-        if c:
-            lt = (log[c] + l_inv) % n
-            lo = i - db
-            quot[lo] = exp[lt]
-            if zech is None:
-                for j, l in lnb:
-                    rem[lo + j] ^= exp[lt + l]
-            else:
-                for j, l in lnb:
-                    r = rem[lo + j]
-                    if r:
-                        lr = log[r]
-                        rem[lo + j] = exp[lr + zech[lt + l - lr]]
-                    else:
-                        rem[lo + j] = exp[lt + l]
-    return _trim(quot), _trim(rem[:db])
-
-
-def _divmod_packed(p, inv_lead, a, b, bits, typecode):
-    """_divmod over GF(p) with the remainder held as one packed int.
-
-    Subtracting t*b is adding (p - t)*b, so lanes only grow and never borrow;
-    a lane is reduced mod p only when it is read as the leading coefficient
-    and, for the remainder, once at the end.
-    """
-    db = len(b) - 1
-    rem = _pack(a, typecode)
-    packed_b = _pack(b, typecode)
-    mask = (1 << bits) - 1
-    quot = [0] * (len(a) - db)
-    for i in range(len(a) - 1 - db, -1, -1):
-        t = (rem >> (i + db) * bits & mask) * inv_lead % p
-        if t:
-            quot[i] = t
-            rem += (p - t) * packed_b << i * bits
-    return tuple(quot), _trim(_unpack(rem, db, bits, typecode, p))
-
-
 def _reducer(p, bits, typecode, lanes):
     """The function reducing every lane of a packed int mod p (at p = 2, of at most `lanes` lanes).
     A 16-bit lane 256*h + l at p < 128 is (256*h mod p) + (l mod p) mod p, read by byte tables."""
@@ -324,7 +198,7 @@ def _packer(spec, length, terms=None):
     if k > 1:
         ones = int.from_bytes((b"\1" + bytes(w * bits // 8 - 1)) * length, "little")  # each coefficient's lowest lane
         top, below, shift = ones * ((1 << (k - 1) * bits) - 1), ones * ((1 << k * bits) - 1), k * bits
-        mu = _pack(_divmod_packed(p, 1, (0,) * 2 * k + (1,), spec.modulus, bits, typecode)[0], typecode)
+        mu = _pack(_polydiv()._divmod_packed(p, 1, (0,) * 2 * k + (1,), spec.modulus, bits, typecode)[0], typecode)
         tail = _pack([-c % p for c in spec.modulus[:k]], typecode)
 
         def mul(c, b=1):
@@ -338,7 +212,7 @@ def _packer(spec, length, terms=None):
 def _unit_ops(spec):
     """(times, inverse) on nonzero codes with no field call: mod p over GF(p) and
     by the exp/log tables over a tabled GF(p^k); only a field with no tables
-    (q > 4096, see ff) falls back to its own mul_c and inv_c."""
+    (q > 4096, see extfield) falls back to its own mul_c and inv_c."""
     p, q, exp, log = spec.p, spec.q, spec.exp, spec.log
     if spec.k == 1:
         return (lambda a, b: a * b % p), (lambda c: pow(c, p - 2, p))
@@ -355,78 +229,14 @@ def _monic(spec, a):
     return lead, _scale(spec, a, spec.inv_c(lead))
 
 
-def _gcd(spec, a, b, work=_UNMETERED):
-    """Monic gcd of code tuples, each division charged its steps to `work`: packed (_euclid) over
-    GF(p), a tuple Euclid over GF(p^k). (0, 0) is the caller's error to raise."""
-    if spec.k == 1:
-        p = spec.p
-        lane = _lane(max(len(a), len(b), 2) * (p - 1) ** 2)  # room for about max(len) steps between reductions
-        return _euclid(p, lane, _pack(a, lane[1]), _pack(b, lane[1]), work)
-    weight = max(len(a), len(b)) - 1
-    while b:
-        work.charge(max(len(a) - len(b) + 1, 0) * weight)
-        a, b = b, _divmod(spec, a, b)[1]
-    return _monic(spec, a)[1] if a else ()
+@lru_cache(maxsize=None)
+def _polydiv():
+    """The module polydiv (division and the one gcd), imported by the first call: a command that
+    never divides never compiles it. Cached, so that a division does not pay for an import
+    statement each time."""
+    from . import polydiv
 
-
-def _euclid(p, lane, a, b, work):
-    """Monic gcd of two packed polynomials whose lanes are below p, as a code tuple; a lane
-    must hold p (p-1), the largest lane after one step on reduced operands.
-
-    A division step adds (p - t) * b, shifted, to a, so lanes only grow and never
-    borrow: the lead is read mod p, and an operand's lanes are all reduced only
-    when the next step could overflow one. At p = 2 both operands move to one bit
-    per coefficient, and a step is one XOR. Each division is charged its steps.
-    """
-    bits, typecode = lane
-    weight = (max(a.bit_length(), b.bit_length()) - 1) // bits
-    if p == 2:
-        a, b = _bits(a, bits), _bits(b, bits)
-        while b:
-            la, lb = a.bit_length(), b.bit_length()
-            if la >= lb:
-                work.charge((la - lb + 1) * weight)
-                while la >= lb:
-                    a ^= b << la - lb
-                    la = a.bit_length()
-            a, b = b, a
-        return tuple(bin(a)[:1:-1].encode().translate(_FROM_DIGITS)) if a else ()
-    mask = (1 << bits) - 1
-    reduce = _reducer(p, bits, typecode, 0)
-    da, db = (a.bit_length() - 1) // bits, (b.bit_length() - 1) // bits
-    ba = bb = p - 1  # bounds on the lanes of a and b
-    while db >= 0:
-        inv = pow((b >> db * bits) % p, p - 2, p)
-        if da >= db:
-            work.charge((da - db + 1) * weight)
-        while da >= db:
-            t = (a >> da * bits & mask) * inv % p
-            if t:
-                m = p - t
-                if ba + m * bb > mask:
-                    a, ba = reduce(a), p - 1
-                    if ba + m * bb > mask:
-                        b, bb = reduce(b), p - 1
-                a += m * b << (da - db) * bits
-                ba += m * bb
-            da -= 1
-        a &= (1 << db * bits) - 1  # the remainder, without the cancelled lanes
-        if a and (a >> (a.bit_length() - 1) // bits * bits) % p == 0:
-            a, ba = reduce(a), p - 1  # its top lane is 0 mod p, so reduce before reading the degree
-        da = (a.bit_length() - 1) // bits
-        a, b, da, db, ba, bb = b, a, db, da, bb, ba
-    if da < 0:
-        return ()
-    cs = _unpack(a, da + 1, bits, typecode, p)
-    inv = pow(cs[-1], p - 2, p)
-    return tuple(c * inv % p for c in cs)
-
-
-def _bits(n, bits):
-    """The 1-bit form of a packed GF(2) polynomial whose lanes are 0 or 1: bit i is the coefficient of x^i."""
-    step = bits // 8
-    raw = n.to_bytes(-(-n.bit_length() // bits) * step, "little")[::step]
-    return int(raw[::-1].translate(_TO_DIGITS), 2) if raw else 0
+    return polydiv
 
 
 def _deriv(spec, a):
@@ -504,7 +314,7 @@ class Poly:
 
     def __divmod__(self, other):
         self._check(other)
-        q, r = _divmod(self.spec, self.coeffs, other.coeffs)
+        q, r = _polydiv()._divmod(self.spec, self.coeffs, other.coeffs)
         return Poly._raw(self.spec, q), Poly._raw(self.spec, r)
 
     def __floordiv__(self, other):
@@ -571,7 +381,7 @@ def gcd(f: Poly, g: Poly) -> Poly:
     f._check(g)
     if f.is_zero() and g.is_zero():
         raise DivisionByZero("gcd(0, 0) is undefined")
-    return Poly._raw(f.spec, _gcd(f.spec, f.coeffs, g.coeffs))
+    return Poly._raw(f.spec, _polydiv()._gcd(f.spec, f.coeffs, g.coeffs))
 
 
 def derivative(f: Poly) -> Poly:
@@ -617,74 +427,8 @@ def enumerate_upto(spec, max_degree: int):
 
 
 # ---------------------------------------------------------------------------
-# text format
+# text output (the parser is polytext's)
 # ---------------------------------------------------------------------------
-
-_TERM_RE = re.compile(r"^(?:(\d+|\[\d+\])\*)?x(?:\^(\d+))?$|^(\d+|\[\d+\])$")
-
-
-def _excerpt(text: str) -> str:
-    """repr of text for an error message, cut to its first 20 characters."""
-    return repr(text) if len(text) <= 20 else f"{text[:20]!r}... ({len(text)} characters)"
-
-
-def _significant(token: str) -> str:
-    """A decimal token without its leading zeros. Its length is compared with that
-    of a bound before int(), so a long token is neither converted nor echoed."""
-    return token.lstrip("0") or "0"
-
-
-def _parse_code(token: str, q: int) -> int:
-    digits = _significant(token[1:-1] if token.startswith("[") else token)
-    if len(digits) > len(str(q - 1)):
-        raise CoefficientOutOfRange(f"coefficient of {len(digits)} digits outside [0, {q})")
-    code = int(digits)
-    if not 0 <= code < q:
-        raise CoefficientOutOfRange(f"coefficient {token} outside [0, {q})")
-    return code
-
-
-@lru_cache(maxsize=4096)
-def _parse_term(term: str, q: int):
-    """(exponent, code) of one term. Cached, as text from format_poly repeats at
-    most q * (degree + 1) distinct terms; an error is raised, never cached."""
-    m = _TERM_RE.match(term)
-    if not m:
-        raise PolySyntaxError(f"bad term {_excerpt(term)}")
-    coeff_tok, exp_tok, const_tok = m.groups()
-    if const_tok is not None:
-        return 0, _parse_code(const_tok, q)
-    digits = _significant(exp_tok or "1")
-    if len(digits) > len(str(MAX_TEXT_DEGREE)):
-        raise BudgetExceeded(f"exponent of {len(digits)} digits exceeds the degree budget {MAX_TEXT_DEGREE}")
-    e = int(digits)
-    if e > MAX_TEXT_DEGREE:
-        raise BudgetExceeded(f"exponent {e} exceeds the degree budget {MAX_TEXT_DEGREE}")
-    return e, (_parse_code(coeff_tok, q) if coeff_tok is not None else 1)
-
-
-def parse_poly(spec, text: str) -> Poly:
-    """Parse `c`, `x`, `c*x`, `x^e`, `c*x^e` terms joined by `+`.
-
-    Coefficients are decimal codes; for extension fields the bracketed form
-    `[code]` used by format_poly is accepted as well. Repeating an exponent
-    is an error rather than an implicit sum; an exponent above
-    MAX_TEXT_DEGREE raises BudgetExceeded.
-    """
-    stripped = "".join(text.split())
-    if not stripped:
-        raise PolySyntaxError("empty polynomial text")
-    coeffs = {}
-    for term in stripped.split("+"):
-        e, code = _parse_term(term, spec.q)
-        if e in coeffs:
-            raise PolySyntaxError(f"exponent {e} appears twice")
-        coeffs[e] = code
-    out = [0] * (max(coeffs) + 1)
-    for e, code in coeffs.items():
-        out[e] = code
-    return Poly._raw(spec, _trim(out))
-
 
 def format_poly(f: Poly) -> str:
     """Canonical text, highest degree first; parse_poly(format_poly(f)) == f."""

@@ -23,10 +23,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from _oracles import has_progression_brute
-from gpfq import (factor, format_poly, greedy_member, has_progression, make_field, parse_poly, polyring,
-                  progfree)
+from gpfq import (factor, format_poly, greedy, greedy_member, has_progression, make_field, parse_poly, polyring,
+                  polytext)
 from gpfq.cli import build_parser, run
-from gpfq.polyring import MAX_TEXT_DEGREE, Poly, _packer
+from gpfq.polyring import Poly, _packer
+from gpfq.polytext import MAX_TEXT_DEGREE
 
 
 @pytest.fixture(scope="module")
@@ -365,7 +366,7 @@ def test_progcheck_and_listing_build_no_poly(capsys, monkeypatch, tmp_path):
         raise AssertionError("a Poly was built")
 
     listings = {q: invoke(capsys, "greedy", "enumerate", "--q", q, "--max-degree", "5")[1] for q in ("2", "3")}
-    monkeypatch.setattr(polyring, "parse_poly", refuse)
+    monkeypatch.setattr(polytext, "parse_poly", refuse)
     monkeypatch.setattr(Poly, "_raw", refuse)
     monkeypatch.setattr(Poly, "__init__", refuse)
     for q, listing in listings.items():
@@ -688,6 +689,55 @@ def test_readme_cli_example(capsys):
         assert invoke(capsys, *argv)[:2] == (0, comment + "\n"), argv
 
 
+_COMPILE_PROBE = """
+import sys
+from importlib._bootstrap_external import SourceLoader
+
+compiled, source_to_code = {}, SourceLoader.source_to_code
+
+
+def counted(self, data, path, *args, **kwargs):
+    if path.startswith(PACKAGE):
+        compiled[path] = len(data)
+    return source_to_code(self, data, path, *args, **kwargs)
+
+
+SourceLoader.source_to_code = counted
+from gpfq import cli
+
+code = cli.run(sys.argv[1:])
+print(code, round(sum(compiled.values()) / 1024, 1))
+"""
+
+
+def _readme_compiled_source_rows():
+    """(argv, KiB) of each row of README's table of the package source a cold run compiles."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    table = readme.split("| command | compiled source |\n|---|---|\n")[1].split("\n\n")[0]
+    rows = []
+    for line in table.splitlines():
+        command, size = re.fullmatch(r"\| `gpfq ([^`]+)` \| ([\d.]+) KiB \|", line).groups()
+        rows.append((shlex.split(command), size))
+    return rows
+
+
+def test_readme_compiled_source_table(tmp_path):
+    # each row's command, run cold with bytecode neither read nor written, compiles the package
+    # source the table states: the sum of what SourceLoader.source_to_code is handed from src/gpfq
+    rows = _readme_compiled_source_rows()
+    assert len(rows) == 10
+    (tmp_path / "members.txt").write_text("1\nx+1\nx\nx^2\n")
+    package = str(Path(__file__).resolve().parent.parent / "src" / "gpfq")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "PYTHONDONTWRITEBYTECODE": "1",
+           "PYTHONPYCACHEPREFIX": str(tmp_path / "pycache")}  # an empty cache: every module compiles
+    measured = []
+    for argv, size in rows:
+        proc = subprocess.run([sys.executable, "-c", f"PACKAGE = {package!r}" + _COMPILE_PROBE, *argv], cwd=tmp_path,
+                              capture_output=True, text=True, timeout=60, env=env)
+        measured.append((argv, proc.stdout.splitlines()[-1]))
+    assert measured == [(argv, f"0 {size}") for argv, size in rows]
+
+
 def test_closed_pipe_ends_without_traceback():
     # the reader closes the pipe after one line of a 1.5 MB listing: exit 1, nothing on stderr
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
@@ -805,7 +855,7 @@ def test_greedy_check_reports_progression(capsys, schema, monkeypatch, texts, wi
     spec = make_field(3)
     planted = [parse_poly(spec, t) for t in texts]
     pack = _packer(spec, 4)[0]  # the packed form of greedy check at --max-degree 3
-    monkeypatch.setattr(progfree, "_greedy_construct", lambda *_: [pack(f.coeffs) for f in planted])
+    monkeypatch.setattr(greedy, "_greedy_construct", lambda *_: [pack(f.coeffs) for f in planted])
     extra = [format_poly(f) for f in sorted(Poly(spec, (u,)) * f for f in planted if not greedy_member(f) for u in (1, 2))]
     code, out, _ = invoke(capsys, "greedy", "check", "--q", "3", "--max-degree", "3")
     assert code == 1
@@ -968,7 +1018,8 @@ def test_large_arguments_end_at_once(argv, code):
         )
 
 
-_LAYERS = ("cli", "tables", "density", "rn", "progfree", "factor", "polyring", "numeric", "ff", "intarith")
+_LAYERS = ("cli", "tables", "density", "rn", "greedy", "progfree", "factor", "polytext", "polydiv", "polyring", "numeric",
+           "extfield", "ff", "intarith")
 _STARTUP_PROBE = f"""
 import sys, types
 before = set(sys.modules)
@@ -997,24 +1048,35 @@ def test_startup_imports(json_flag, heavy):
     # (fractions and decimal come with density's rationals). Every layer module is
     # in sys.modules from `import gpfq` on, which per-layer tracing of a cold run
     # relies on, but only the layers the subcommand calls have run: one that has
-    # not is a lazily loaded module, not a plain ModuleType
+    # not is a lazily loaded module, not a plain ModuleType. Only upper-no runs rn
     err, out = _startup_probe("density", "greedy", "--q", "2", "--digits", "6", *json_flag)
-    assert err == ["0", f"fractions decimal {heavy}".strip(), " ".join(_LAYERS), "cli density rn numeric intarith"]
+    assert err == ["0", f"fractions decimal {heavy}".strip(), " ".join(_LAYERS), "cli density numeric intarith"]
     assert "0.648361" in out
 
 
 @pytest.mark.parametrize(
     "argv, ran, out",
     [
-        # factoring over GF(4) searches its modulus and factors, but runs no number layer
-        (["factor", "--q", "4", "x^3+1"], "cli factor polyring ff intarith", "1 * (x+[1]) * (x+[2]) * (x+[3])\n"),
-        # the extremal search over a prime field factors nothing
-        (["extremal", "--q", "2", "--max-degree", "1"], "cli progfree polyring ff intarith",
-         "size=3\nwitness: 1, x, x+1\n"),
+        # factoring over GF(4) parses, builds GF(4) (searching its modulus) and divides, but runs no number
+        # layer and no greedy build
+        (["factor", "--q", "4", "x^3+1"], "cli factor polytext polydiv polyring extfield ff intarith",
+         "1 * (x+[1]) * (x+[2]) * (x+[3])\n"),
+        # the extremal search over a prime field factors, divides and parses nothing
+        (["extremal", "--q", "2", "--max-degree", "6"], "cli progfree polyring ff intarith", "size=108\nwitness: x^2, "),
+        # over GF(2) no extension field is built
+        (["factor", "--q", "2", "x^3+1"], "cli factor polytext polydiv polyring ff intarith", "1 * (x+1) * (x^2+x+1)\n"),
+        # the greedy builds and their check divide and parse nothing
+        (["greedy", "check", "--q", "3", "--max-degree", "3"], "cli greedy progfree polyring ff intarith",
+         "ok: 62 members up to degree 3 match the exponent characterization; no progression found\n"),
+        # a progression check parses its file's terms, and divides nothing
+        (["progcheck", "--q", "2", "--file", "FILE"], "cli progfree polytext polyring ff intarith",
+         "progression: base=1 ratio=x members=[1, x, x^2]\n"),
     ],
 )
-def test_startup_imports_polynomial_commands(argv, ran, out):
-    assert _startup_probe(*argv) == (["0", "", " ".join(_LAYERS), ran], out)
+def test_startup_imports_polynomial_commands(tmp_path, argv, ran, out):
+    (tmp_path / "members.txt").write_text("1\nx+1\nx\nx^2\n")
+    err, stdout = _startup_probe(*(str(tmp_path / "members.txt") if arg == "FILE" else arg for arg in argv))
+    assert err == ["0", "", " ".join(_LAYERS), ran] and stdout.startswith(out)
 
 
 @pytest.mark.parametrize(

@@ -24,7 +24,8 @@ from gpfq import (
     zero,
 )
 from gpfq import factor
-from gpfq.polyring import _gcd, _trim, _Work
+from gpfq.polydiv import _gcd, _Work
+from gpfq.polyring import _trim
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -224,7 +225,7 @@ RING_FIELDS = (
     (make_field(3, 3), 10, 8),
     (make_field(2, 9), 8, 8),
     (make_field(3, 6), 12, 16),
-    (make_field(2, 13), 6, 8),  # above ff._LOG_MAX: no log tables
+    (make_field(2, 13), 6, 8),  # above extfield._LOG_MAX: no log tables
     (make_field(3, 2, (2, 1, 1)), 40, 16),  # GF(9) by x^2+x+2, not the default x^2+1
     (make_field(2**31 - 1), 8, 72),
 )

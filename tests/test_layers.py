@@ -1,16 +1,20 @@
 """The package's layers import only downward: each module's module-level
 `from .x import` set is pinned, so a layer that grows an upward import fails here.
-The packed form's packer (its lane rule and fold in y), codec, lane reducer, Euclid and gcd are
-each pinned to one definition, in polyring, and no other module reaches the Euclid but through
-the gcd. The package's public names (`gpfq.__all__`) are pinned too, so adding or removing one
-shows in a diff.
+The packed form's packer (its lane rule and fold in y), codec and lane reducer are each pinned
+to one definition, in polyring, the Euclid and gcd to one in polydiv, and no other module reaches
+the Euclid but through the gcd. The package's public names (`gpfq.__all__`) are pinned too, so
+adding or removing one shows in a diff, and every public argument check must still raise.
 
-Imports made inside a function (`ff` reaches `factor` and `polyring` that way
-to search a default modulus) are not module-level and are not pinned.
+Imports made inside a function are not module-level and are not pinned: that is how a layer
+reaches the module split from it that only some commands run (`ff` reaches `extfield`,
+`polyring` reaches `polydiv` and `progfree` reaches `polytext`), and how `extfield` reaches
+`factor` and `polyring` to search a default modulus.
 """
 
 import ast
 from pathlib import Path
+
+import pytest
 
 import gpfq
 
@@ -21,9 +25,13 @@ LAYERS = {
     "errors": set(),
     "numeric": {"errors"},
     "ff": {"errors", "intarith"},
+    "extfield": {"errors", "ff", "intarith"},
     "polyring": {"errors", "ff"},
-    "factor": {"errors", "ff", "polyring"},
+    "polydiv": {"errors", "polyring"},
+    "polytext": {"errors", "polyring"},
+    "factor": {"errors", "ff", "polydiv", "polyring"},
     "progfree": {"errors", "factor", "polyring"},
+    "greedy": {"errors", "polyring", "progfree"},
     "rn": {"errors"},
     "density": {"errors", "intarith", "numeric", "rn"},
     "tables": {"density", "numeric"},
@@ -76,7 +84,7 @@ def test_public_names_are_pinned():
 
 
 # the packed form's mechanics and the one square and multiply, each defined in exactly one module
-SHARED = {"_packer": "polyring", "_codec": "polyring", "_reducer": "polyring", "_euclid": "polyring", "_gcd": "polyring",
+SHARED = {"_packer": "polyring", "_codec": "polyring", "_reducer": "polyring", "_euclid": "polydiv", "_gcd": "polydiv",
           "_power": "ff"}
 
 
@@ -99,7 +107,7 @@ def test_packed_mechanics_are_defined_once():
 
 
 def test_euclid_is_reached_only_through_gcd():
-    # _gcd is the one gcd entry point: an import, call or attribute read of _euclid outside polyring fails here
+    # _gcd is the one gcd entry point: an import, call or attribute read of _euclid outside polydiv fails here
     found = set()
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=path.name)):
@@ -107,4 +115,37 @@ def test_euclid_is_reached_only_through_gcd():
                     or isinstance(node, ast.Attribute) and node.attr == "_euclid"
                     or isinstance(node, ast.alias) and node.name == "_euclid"):
                 found.add(path.stem)
-    assert found == {"polyring"}
+    assert found == {"polydiv"}
+
+
+F2 = gpfq.make_field(2)
+
+# (call, exception): each public argument check, so that moving code between modules drops none
+ARGUMENT_CHECKS = {
+    "checkpoint_density k=0": (lambda: gpfq.checkpoint_density(2, 0), ValueError),
+    "upper_bound_simple q=1": (lambda: gpfq.upper_bound_simple(1), ValueError),
+    "upper_bound_simple terms=-1": (lambda: gpfq.upper_bound_simple(2, -1), ValueError),
+    "certify q=1": (lambda: gpfq.density.certify("greedy", 1, 6), ValueError),
+    "greedy_counts max_degree=-1": (lambda: gpfq.greedy_counts(2, -1), ValueError),
+    "figure1_data q_max=1": (lambda: gpfq.figure1_data(1), ValueError),
+    "rn_sequence n=0": (lambda: gpfq.rn_sequence(0), ValueError),
+    "verify_table 4": (lambda: gpfq.tables.verify_table(4), ValueError),
+    "factorize zero": (lambda: gpfq.factorize(gpfq.zero(F2)), gpfq.ZeroPolynomial),
+    "enumerate_irreducibles degree=0": (lambda: list(gpfq.enumerate_irreducibles(F2, 0)), ValueError),
+    "a3_contains -1": (lambda: gpfq.a3_contains(-1), ValueError),
+    "a3_list -1": (lambda: gpfq.a3_list(-1), ValueError),
+    "reflected_degrees -1": (lambda: gpfq.reflected_degrees(-1), ValueError),
+    "make_field k=0": (lambda: gpfq.make_field(2, 0), ValueError),
+    "make_field modulus coefficient 2 over GF(2)": (lambda: gpfq.make_field(2, 2, (1, 2, 1)), gpfq.CoefficientOutOfRange),
+    "enumerate_polys degree=-1": (lambda: list(gpfq.enumerate_polys(F2, -1)), ValueError),
+    "enumerate_monic degree=-1": (lambda: list(gpfq.enumerate_monic(F2, -1)), ValueError),
+    "Poly + 3": (lambda: gpfq.one(F2) + 3, TypeError),
+    "FieldElem + 3": (lambda: F2.one + 3, TypeError),
+}
+
+
+@pytest.mark.parametrize("name", ARGUMENT_CHECKS)
+def test_argument_checks_raise(name):
+    call, error = ARGUMENT_CHECKS[name]
+    with pytest.raises(error):
+        call()

@@ -32,19 +32,9 @@ from gpfq import (
     zero,
 )
 from gpfq.intarith import prime_power
-from gpfq.polyring import (
-    MAX_TEXT_DEGREE,
-    _divmod,
-    _format_codes,
-    _lane,
-    _mul,
-    _pack,
-    _packer,
-    _parse_term,
-    _reducer,
-    _unit_ops,
-    _unpack,
-)
+from gpfq.polydiv import _divmod
+from gpfq.polyring import _format_codes, _lane, _mul, _pack, _packer, _reducer, _unit_ops, _unpack
+from gpfq.polytext import MAX_TEXT_DEGREE, _parse_term
 
 F2 = make_field(2)
 F3 = make_field(3)

@@ -37,7 +37,7 @@ from gpfq import (
     reflected_degrees,
     zero,
 )
-from gpfq import progfree
+from gpfq import greedy, progfree
 from gpfq.progfree import _largest_free_set, enumeration_size
 
 F2 = make_field(2)
@@ -91,7 +91,7 @@ def _refuse_packing(monkeypatch):
     def refuse(*_):
         raise AssertionError("packed before the budget was checked")
 
-    monkeypatch.setattr(progfree, "_packer", refuse)
+    monkeypatch.setattr(greedy, "_packer", refuse)
 
 
 def test_greedy_budget(monkeypatch):
@@ -159,22 +159,22 @@ def test_unit_multiples_match_oracle(spec):
     rng = random.Random(spec.q)
     gs = [tuple(rng.randrange(spec.q) for _ in range(n)) + (1,) for n in range(4)]
     expect = sorted(Poly(spec, [field.mul(u, c) for c in g]) for g in gs for u in range(1, spec.q))
-    assert progfree._unit_multiples(spec, gs) == expect
-    assert progfree._unit_multiples(spec, []) == []
+    assert greedy._unit_multiples(spec, gs) == expect
+    assert greedy._unit_multiples(spec, []) == []
 
 
 def test_unit_multiples_of_zeros_and_ones_pack_nothing(monkeypatch):
     # the unit multiples map codes through dicts: over GF(2^13), above the log
     # tables, the one _packer call is _monics'
     calls = []
-    packer = progfree._packer
-    monkeypatch.setattr(progfree, "_packer", lambda *args: calls.append(args) or packer(*args))
+    packer = greedy._packer
+    monkeypatch.setattr(greedy, "_packer", lambda *args: calls.append(args) or packer(*args))
     spec = make_field(2, 13)
     assert greedy_members(spec, 0) == [Poly(spec, [u]) for u in range(1, spec.q)]
     assert len(calls) == 1
     gs = [(1,), (0, 1), (5, 0, 1)]
     expect = sorted(Poly(spec, [spec.mul_c(u, c) for c in g]) for g in gs for u in range(1, spec.q))
-    assert progfree._unit_multiples(spec, gs) == expect
+    assert greedy._unit_multiples(spec, gs) == expect
     assert len(calls) == 1
 
 
@@ -394,10 +394,10 @@ def test_searches_make_no_field_calls(monkeypatch, p, k, modulus):
     # tuple-level products or to the field fails here
     spec = make_field(p, k, modulus)
     top = 4 if spec.q < 9 else 2
-    greedy = greedy_construct_bruteforce(spec, top)
+    built = greedy_construct_bruteforce(spec, top)
     members = greedy_members(spec, top)
     full = list(enumerate_upto(spec, 2))  # 1, x, x^2 is a progression
-    expect = [has_progression(s, unit_tolerant=t) for s in (greedy, full) for t in (False, True)]
+    expect = [has_progression(s, unit_tolerant=t) for s in (built, full) for t in (False, True)]
     extremal = max_progression_free_subset(spec, 2, budget=1000)
 
     def refuse(*args):
@@ -406,8 +406,9 @@ def test_searches_make_no_field_calls(monkeypatch, p, k, modulus):
     for name in ("add_c", "mul_c", "inv_c", "neg_c"):
         setattr(spec, name, refuse)
     for name in ("_mul", "_scale", "_monic"):
-        monkeypatch.setattr(progfree, name, refuse, raising=False)
-    assert greedy_construct_bruteforce(spec, top) == greedy == members == greedy_members(spec, top)
-    assert [has_progression(s, unit_tolerant=t) for s in (greedy, full) for t in (False, True)] == expect
+        for module in (progfree, greedy):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    assert greedy_construct_bruteforce(spec, top) == built == members == greedy_members(spec, top)
+    assert [has_progression(s, unit_tolerant=t) for s in (built, full) for t in (False, True)] == expect
     assert expect[0] is None and expect[2] is not None
     assert max_progression_free_subset(spec, 2, budget=1000) == extremal
