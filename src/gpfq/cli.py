@@ -13,23 +13,30 @@ and builds no Poly; on a bad line it reads the rest of the file first, so text
 that is not UTF-8 is still a usage error before any parse error. A `greedy
 enumerate` listing formats code tuples (polyring._format_codes), not Poly.
 
-A run builds only the parsers on its path: each subcommand's parser is built
-when argparse dispatches to it (or help or an error message reads it), not all
-of them up front. `main`, the process's entry point, freezes the collector
-(gc.freeze) before it exits, so interpreter shutdown skips full collections
-over every loaded object only to free memory the OS reclaims anyway; `run`
-does not, since tests and tracers call it in a process that goes on. A reader
-that closes stdout early (`gpfq ... | head`) ends the run with exit 1 and no
-traceback.
+A well-formed command line is parsed straight from the command table
+(`_parse`), into the namespace argparse would make, so such a run builds no
+parser and imports neither argparse nor the gettext and locale it loads. Any
+other (help, an abbreviated or `--q=2` flag, a value that starts with "-", a
+repeated, stray or missing argument, a failing type or choice) goes to
+argparse, which builds only the parsers on its path: each subcommand's parser
+when argparse dispatches to it (or help or an error message reads it). A usage
+error a handler finds builds its subcommand's parser to report it, so help and
+usage text are argparse's alone.
+
+`main`, the process's entry point, freezes the collector (gc.freeze) before it
+exits, so interpreter shutdown skips full collections over every loaded object
+only to free memory the OS reclaims anyway; `run` does not, since tests and
+tracers call it in a process that goes on. A reader that closes stdout early
+(`gpfq ... | head`) ends the run with exit 1 and no traceback.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import os
 import sys
 import time
+from types import SimpleNamespace
 
 # the layers are read at call time, so a subcommand runs only the ones it calls
 from . import density, factor, ff, greedy, intarith, polyring, polytext, progfree, rn, tables
@@ -221,6 +228,7 @@ def _arg(*flags, **options):
     return flags, options
 
 
+_JSON = _arg("--json", action="store_true")
 _Q = _arg("--q", type=int, required=True, help="field order, a prime power")
 _MODULUS = _arg("--modulus", help="comma-separated modulus coefficients, constant first")
 _MAX_DEGREE = _arg("--max-degree", type=_int_in(0), required=True)
@@ -274,10 +282,11 @@ _COMMANDS = {  # name: (help, handler, arguments)
 
 
 class _Subparser:
-    """A subcommand's parser, built when argparse first reads it. argparse makes
-    one parser per subcommand (`parser_class` of add_subparsers) but dispatches
-    to one; this stand-in keeps add_parser's keyword arguments (prog and the
-    rest), and its first attribute read builds the ArgumentParser, with the
+    """A subcommand's parser, built when first read. argparse makes one parser
+    per subcommand (`parser_class` of add_subparsers) but dispatches to one, and
+    a run that _parse reads hands one to its handler, which reads it only for a
+    usage error; this stand-in keeps add_parser's keyword arguments (prog and
+    the rest), and its first attribute read builds the ArgumentParser, with the
     command's arguments from _COMMANDS, which then serves every read."""
 
     def __init__(self, command, **kwargs):
@@ -285,6 +294,8 @@ class _Subparser:
 
     def __getattr__(self, attr):  # called only for names the stand-in lacks
         if self._parser is None:
+            import argparse
+
             self._parser = _fill(argparse.ArgumentParser(**self._kwargs), self._command)
         return getattr(self._parser, attr)
 
@@ -301,27 +312,82 @@ def _add_commands(parser, group, dest):
 
 def _fill(parser, name):
     """`parser` with the arguments of command `name`, or the commands of group `name`."""
-    _, handler, arguments = _COMMANDS[name]
+    handler, arguments = _arguments(name)
     if handler is None:
         return _add_commands(parser, name, "action")
     for flags, options in arguments:
         parser.add_argument(*flags, **options)
-    if handler is not _cmd_figure1:
-        parser.add_argument("--json", action="store_true")
     parser.set_defaults(func=handler, name=name, parser=parser)
     return parser
 
 
+def _arguments(name):
+    """(handler, arguments) of command `name`, with --json but for figure1 and a group."""
+    _, handler, arguments = _COMMANDS[name]
+    return handler, (arguments if handler in (None, _cmd_figure1) else [*arguments, _JSON])
+
+
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     return _add_commands(argparse.ArgumentParser(prog="gpfq", description=__doc__.splitlines()[0]), "", "command")
 
 
+def _parse(argv):
+    """The namespace argparse makes of `argv`, read from _COMMANDS alone, if argv
+    is exactly what the table declares: a command's word (two in a group), then
+    its row's exact flags, each valued one followed by a value that does not
+    start with "-", and its positionals, with every type and choice check passed
+    and every required flag given; else None. Its `parser` is a _Subparser with
+    argparse's prog for the command (the parent's prog, then the word)."""
+    name, rest = (argv[0], argv[1:]) if argv else ("", [])
+    if " " in name or name not in _COMMANDS:
+        return None
+    args = {"command": name}
+    if _COMMANDS[name][1] is None:  # a group: the next word names the command
+        if not rest or f"{name} {rest[0]}" not in _COMMANDS:
+            return None
+        args["action"], name, rest = rest[0], f"{name} {rest[0]}", rest[1:]
+    handler, arguments = _arguments(name)
+    declared = {flags[0]: options for flags, options in arguments}
+    given, positionals, tokens = {}, [], iter(rest)
+    for token in tokens:
+        if not token.startswith("-"):
+            positionals.append(token)
+        elif token not in declared or token in given:
+            return None
+        elif "action" in declared[token]:  # store_true
+            given[token] = True
+        elif (value := next(tokens, "-")).startswith("-"):
+            return None
+        else:
+            given[token] = value
+    names = [flag for flag in declared if not flag.startswith("-")]
+    if len(positionals) != len(names):
+        return None
+    given.update(zip(names, positionals))
+    for flag, options in declared.items():
+        dest = flag.lstrip("-").replace("-", "_")
+        if flag not in given:
+            if options.get("required"):
+                return None
+            args[dest] = options.get("default", False if "action" in options else None)
+            continue
+        try:
+            value = options["type"](given[flag]) if "type" in options else given[flag]
+        except ValueError:
+            return None
+        if value not in options.get("choices", [value]):
+            return None
+        args[dest] = value
+    return SimpleNamespace(**args, func=handler, name=name, parser=_Subparser(name, prog=f"gpfq {name}"))
+
+
 def run(argv) -> int:
-    parser = build_parser()
     limited = hasattr(sys, "set_int_max_str_digits")  # CPython 3.10.7 and later
     str_limit = sys.get_int_max_str_digits() if limited else 0
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv) or build_parser().parse_args(argv)
         if limited:  # exact answers may pass the digit limit; density's budgets bound them
             sys.set_int_max_str_digits(0)
         code, lines, obj = args.func(args.parser, args)

@@ -76,7 +76,7 @@ def greedy_check(spec, max_degree: int):
         bases = [unpack(n) for n in constructed if n < cut]
         return constructed, [_scale(spec, cs, spec.inv_c(next(filter(None, cs)))) for cs in bases]
 
-    witness = _first_progression(spec, 0, max_degree, True, keyed)
+    witness = _first_progression(spec, range(max_degree + 1), True, keyed)
     return (spec.q - 1) * len(constructed), extra, missing, witness
 
 

@@ -115,13 +115,13 @@ def has_progression(polys, unit_tolerant: bool = False) -> Optional[ProgressionW
             raise SpecMismatch(f"{f.spec!r} vs {spec!r}")
         if not f.coeffs:
             raise ZeroPolynomial("progression search over a set containing 0")
-    lengths = {len(f.coeffs) for f in members}
-    top = max(lengths) - 1
+    degrees = {len(f.coeffs) - 1 for f in members}
+    top = max(degrees)
 
     def keyed(pack):
         return {pack(f.coeffs) for f in members}, {f.coeffs for f in members if len(f.coeffs) < top}
 
-    return _first_progression(spec, min(lengths) - 1, top, unit_tolerant, keyed)
+    return _first_progression(spec, degrees, unit_tolerant, keyed)
 
 
 def has_progression_text(spec, lines, unit_tolerant: bool = False) -> Optional[ProgressionWitness]:
@@ -134,8 +134,9 @@ def has_progression_text(spec, lines, unit_tolerant: bool = False) -> Optional[P
     per distinct member is kept. Its lanes are _packer's for the longest member
     whose ratios the search may list, q^(D/2 + 1) <= DEFAULT_ENUM_BUDGET, and
     are repacked once if the file's top degree D takes narrower ones. Past that
-    length no key is needed: the file has no member of degree below D - 1, or
-    the search ends in BudgetExceeded, as has_progression does.
+    length no key is needed: no three of the file's degrees are a progression's
+    (see _first_progression), or the search ends in BudgetExceeded, as
+    has_progression does.
     """
     from .polytext import _parse_term
 
@@ -168,8 +169,7 @@ def has_progression_text(spec, lines, unit_tolerant: bool = False) -> Optional[P
                 far.add(degree)
                 continue
         keys.add(key)
-    # ints of the packed form order by degree first
-    degrees = far.union((n.bit_length() - 1) // width for n in ((min(keys), max(keys)) if keys else ()))
+    degrees = far.union((n.bit_length() - 1) // width for n in keys)  # a key's top lane is its degree
     if not degrees:
         return None
     if min(degrees) < 0:
@@ -181,17 +181,26 @@ def has_progression_text(spec, lines, unit_tolerant: bool = False) -> Optional[P
         bases = [unpack(n) for n in keys if n < cut]
         return (keys if final((0, 1)) == pack((0, 1)) else set(map(final, map(unpack, keys)))), bases
 
-    return _first_progression(spec, min(degrees), top, unit_tolerant, keyed)
+    return _first_progression(spec, degrees, unit_tolerant, keyed)
 
 
-def _first_progression(spec, low: int, top: int, unit_tolerant: bool, keyed) -> Optional[ProgressionWitness]:
-    """The one search behind both entry points, over members of degrees low..top
-    (none zero). `keyed(pack)` gives their set of packed ints for the `pack` of
-    _packer(spec, top + 1), and the code tuples of the bases, the members of
-    degree below top - 1; it is called only once a base can have a progression.
+def _first_progression(spec, degrees, unit_tolerant: bool, keyed) -> Optional[ProgressionWitness]:
+    """The one search behind every entry point, over members whose degrees are
+    `degrees` (none zero), top the largest. `keyed(pack)` gives their set of
+    packed ints for the `pack` of _packer(spec, top + 1), and the code tuples of
+    the bases, the members of degree below top - 1; it is called only once a
+    base can have a progression.
+
+    The degrees of a progression (b, r*b, r^2*b), strict or up to units, are d,
+    d + e, d + 2e with e = deg r >= 1. So where `degrees` hold no such triple
+    the answer is None before any ratio is counted or listed; the check runs
+    for up to 1448 distinct degrees (their count squared within
+    DEFAULT_ENUM_BUDGET).
     """
-    if low >= top - 1:  # a base has degree <= top - 2
+    if len(degrees) ** 2 <= DEFAULT_ENUM_BUDGET and not any(
+            2 * m - d in degrees for m in degrees for d in degrees if d < m):
         return None
+    top = max(degrees)
     unit_tolerant = unit_tolerant and spec.q > 2  # GF(2)'s one unit is 1
     pack, mul, monic, triples = _progressions(spec, top, unit_tolerant)
     members, bases = keyed(pack)

@@ -23,7 +23,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from _oracles import has_progression_brute
-from gpfq import (factor, format_poly, greedy, greedy_member, has_progression, make_field, parse_poly, polyring,
+from gpfq import (cli, factor, format_poly, greedy, greedy_member, has_progression, make_field, parse_poly, polyring,
                   polytext)
 from gpfq.cli import build_parser, run
 from gpfq.polyring import Poly, _packer
@@ -259,12 +259,23 @@ def test_long_digit_strings_end_with_short_messages(capsys, tmp_path):
 
 
 def test_progcheck_high_degree_hits_ratio_budget(capsys, tmp_path):
-    # the ratios up to degree 40 would number 2^41; they are counted before any is listed
+    # the degrees 0, 40, 80 allow a progression, whose ratios up to degree 40 would number 2^41;
+    # they are counted before any is listed
     path = tmp_path / "far.txt"
-    path.write_text("1\nx^80\n")
+    path.write_text("1\nx^40+1\nx^80\n")
     code, out, err = invoke(capsys, "progcheck", "--q", "2", "--file", str(path))
     assert (code, out) == (1, "")
     assert err.startswith("error:") and "budget" in err
+
+
+@pytest.mark.parametrize("q, text", [("2", "1\nx^80\n"), ("2", "1\nx^41\n"), ("1447", "1\nx\nx^3\n")])
+@pytest.mark.parametrize("tolerant", [[], ["--unit-tolerant"]])
+def test_progcheck_degrees_without_progression_answer_at_once(capsys, tmp_path, q, text, tolerant):
+    # no three of the degrees are d, d + e, d + 2e, as a progression's are: answered before any
+    # ratio is counted (these took 3-12 s, or hit the ratio budget, when every ratio was tried)
+    path = tmp_path / "members.txt"
+    path.write_text(text)
+    assert invoke(capsys, "progcheck", "--q", q, "--file", str(path), *tolerant) == (0, "progression-free\n", "")
 
 
 def test_progcheck_unreadable_file_is_usage_error(capsys, tmp_path):
@@ -300,9 +311,11 @@ _LINE = "progression: base=1 ratio=x members=[1, x, x^2]\n"
         # the unit code and the exponents 0 and 1 written out
         ("2", b"1*x^0\n1*x^1\nx^2\n", 0, _LINE, ""),
         ("3", b"2*x^0\n2*x^1\n2*x^2\n", 0, "progression: base=2 ratio=x members=[2, 2*x, 2*x^2]\n", ""),
-        # a member past the ratio budget: free without a base below it, else the budget
+        # a member past the ratio budget: free without a base below it or with degrees that hold no
+        # progression's (d, d + e, d + 2e), else the budget
         ("2", b"x^99\nx^98\n", 0, "progression-free\n", ""),
-        ("2", b"x^99\n1\n", 1, "", "error: polynomials of degree <= 49 over GF(2) exceed budget 2097152\n"),
+        ("2", b"x^99\n1\n", 0, "progression-free\n", ""),
+        ("2", b"x^99\nx^50+1\nx\n", 1, "", "error: polynomials of degree <= 49 over GF(2) exceed budget 2097152\n"),
     ],
 )
 def test_progcheck_error_order(capsys, tmp_path, q, data, code, out, err):
@@ -524,9 +537,12 @@ def test_handler_usage_errors_show_the_subcommand_usage(capsys, tmp_path, argv, 
     # `text`, if given, is written to {tmp}/f.txt first
     if text is not None:
         (tmp_path / "f.txt").write_bytes(text)
-    code, out, err = invoke(capsys, *(arg.format(tmp=tmp_path) for arg in argv))
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    code, out, err = invoke(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith(f"usage: {prog} [-h] ") and f"\n{prog}: error: " in err and named in err
+    with mock.patch.object(cli, "_parse", lambda argv: None):  # the same error where argparse parsed argv
+        assert invoke(capsys, *argv) == (code, out, err)
 
 
 _SUBCOMMANDS = {
@@ -614,20 +630,37 @@ def test_parser_actions_are_pinned():
     assert _parser_levels(build_parser()) == {prog: [help_row, *rows] for prog, rows in _PARSER_LEVELS.items()}
 
 
-@pytest.mark.parametrize(
-    "argv, built",
-    [([], 1), (["rn", "--n", "3"], 2), (["greedy", "check", "--q", "2", "--max-degree", "3"], 3)],
-)
-def test_one_parser_per_command_path(capsys, argv, built):
-    # a run builds the parsers on its path through the table, not all 13; build_parser() (argv []) only the top one
+def _parsers_built(argv):
+    """(run(argv)'s exit code, or at argv [] build_parser()'s prog, and the ArgumentParsers built)."""
     init = argparse.ArgumentParser.__init__
     calls = []
     with mock.patch.object(argparse.ArgumentParser, "__init__", lambda *a, **kw: calls.append(1) or init(*a, **kw)):
-        if argv:
-            assert run(argv) == 0
-        else:
-            build_parser()
-    assert len(calls) == built
+        done = run(argv) if argv else build_parser().prog
+    return done, len(calls)
+
+
+@pytest.mark.parametrize(
+    "argv, built",
+    [([], 1), (["rn", "--n", "3"], 0), (["greedy", "check", "--q", "2", "--max-degree", "3"], 0)],
+)
+def test_one_parser_per_command_path(capsys, argv, built):
+    # a well-formed run is parsed from the command table and builds no parser; build_parser()
+    # (argv []) builds only the top one
+    assert _parsers_built(argv) == (0 if argv else "gpfq", built)
+
+
+@pytest.mark.parametrize(
+    "argv, built",
+    [
+        (["rn", "--n", "0"], 2),
+        (["greedy", "check", "--q", "2"], 3),
+        (["greedy", "check", "--help"], 3),
+        (["density", "greedy", "--q", "6"], 1),  # the handler's error builds its subcommand's parser alone
+    ],
+)
+def test_usage_errors_build_the_parsers_on_their_path(capsys, argv, built):
+    # argparse builds the parsers on the path it dispatches along, not all 13
+    assert _parsers_built(argv) == (0 if "--help" in argv else 2, built)
 
 
 @pytest.mark.parametrize(
@@ -1026,7 +1059,8 @@ before = set(sys.modules)
 from gpfq import cli
 code = cli.run(sys.argv[1:])
 print(code, file=sys.stderr)
-print(*(m for m in ("fractions", "decimal", "dataclasses", "inspect", "json") if m in sys.modules and m not in before),
+print(*(m for m in ("fractions", "decimal", "dataclasses", "inspect", "json", "argparse", "gettext", "locale")
+        if m in sys.modules and m not in before),
       file=sys.stderr)
 print(*(m for m in {_LAYERS!r} if "gpfq." + m in sys.modules), file=sys.stderr)
 print(*(m for m in {_LAYERS!r} if type(sys.modules.get("gpfq." + m)) is types.ModuleType), file=sys.stderr)
@@ -1093,6 +1127,14 @@ def test_startup_imports_number_commands(argv, loaded, ran, out):
     assert _startup_probe(*argv) == (["0", loaded, " ".join(_LAYERS), ran], out)
 
 
+def test_startup_imports_argparse_for_a_usage_error():
+    # a well-formed run loads none of argparse, gettext and locale (the rows above); a handler's
+    # usage error reports through argparse, which loads all three
+    err, out = _startup_probe("density", "greedy", "--q", "6")
+    assert err[0].startswith("usage: gpfq density [-h] ") and out == ""
+    assert err[-4:] == ["2", "argparse gettext locale", " ".join(_LAYERS), "cli intarith"]
+
+
 _FUZZ_COMMANDS = {  # subcommand: (the flags it requires, the flags it takes besides)
     "": ("", "--help"),
     "nonsense": ("", "--json"),
@@ -1142,3 +1184,63 @@ def test_cli_fuzz_exit_codes(argv):
         code = run(argv)
     assert code in (0, 1, 2), (argv, code)
     assert "Traceback" not in err.getvalue()
+
+
+def _vars(args):
+    """vars() of a namespace, its `parser` left out, or None for no namespace."""
+    return None if args is None else {key: value for key, value in vars(args).items() if key != "parser"}
+
+
+def _argparse_reads(argv):
+    """(vars of argparse's namespace for argv, or None on help or a usage error, its parser's prog)."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit:
+            return None, None
+    return _vars(args), args.parser.prog
+
+
+def _assert_table_parse_agrees(argv):
+    """Where the command table's parse accepts argv, argparse gives the same namespace and
+    subcommand prog; returns whether it accepted."""
+    args = cli._parse(argv)
+    if args is not None:
+        assert (_vars(args), args.parser.prog) == _argparse_reads(argv), argv
+    return args is not None
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=_fuzz_argv())
+def test_table_parse_matches_argparse(argv):
+    _assert_table_parse_agrees(argv)
+
+
+@pytest.mark.parametrize(
+    "argv, accepted",
+    [
+        (["-h"], False),
+        (["density", "greedy", "--dig", "3", "--q", "2"], False),  # an abbreviation
+        (["density", "greedy", "--q=2"], False),
+        (["density", "greedy", "--q", "-4"], False),  # argparse reads -4 as a value
+        (["factor", "--q", "2", "--", "x+1"], False),
+        (["density", "greedy", "--q", "2", "--q", "3"], False),  # argparse keeps the last
+        (["density", "--q", "2", "greedy"], True),
+        (["factor", "x+1", "--q", "2", "--json"], True),
+        (["factor", "--q", "2", "--modulus", "", "x"], True),
+        (["greedy"], False),
+        (["greedy check", "--q", "2", "--max-degree", "3"], False),  # a group's command is two words
+        (["greedy", "enumerate", "--q", "2", "--max-degree", "3", "--counts-only"], True),
+        (["figure1", "--json"], False),
+        (["figure1"], True),
+        (["extremal", "--q", "2", "--max-degree", "3", "--budget", "5000"], False),
+        (["extremal", "--q", "2", "--max-degree", "3"], True),
+        (["tables", "--which", "4"], False),
+        (["density", "bogus", "--q", "2"], False),
+        (["rn", "--n", "3", "4"], False),
+        (["progcheck", "--q", "2"], False),
+    ],
+)
+def test_table_parse_rows(argv, accepted):
+    # the table parses only what it declares, and argparse reads the rest
+    assert _assert_table_parse_agrees(argv) == accepted

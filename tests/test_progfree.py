@@ -231,6 +231,17 @@ def test_has_progression_errors():
     assert has_progression([]) is None
 
 
+@pytest.mark.parametrize("tolerant", [False, True])
+def test_has_progression_needs_three_degrees_in_progression(tolerant):
+    # a progression's degrees are d, d + e, d + 2e: a set without three such degrees is answered
+    # before any ratio is counted, at any degree; one with them still meets the ratio budget
+    assert has_progression([P(F2, "1"), P(F2, "x^80")], unit_tolerant=tolerant) is None
+    s = [P(F11, "1"), P(F11, "x"), P(F11, "x^3"), P(F11, "x^9")]
+    assert has_progression(s, unit_tolerant=tolerant) is None is has_progression_brute(s, unit_tolerant=tolerant)
+    with pytest.raises(BudgetExceeded):
+        has_progression([P(F2, "1"), P(F2, "x^40+1"), P(F2, "x^80")], unit_tolerant=tolerant)
+
+
 def test_nk():
     assert [nk(k) for k in (1, 2, 3, 4)] == [1, 4, 13, 40]
     n3 = nk(3)
