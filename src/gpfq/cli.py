@@ -7,11 +7,9 @@ error. Identical invocations produce bit-identical output.
 One constant, errors.DEFAULT_ENUM_BUDGET, caps every polynomial enumeration;
 no option changes it.
 
-`progcheck` hands the lines of its file, as they decode, to
-progfree.has_progression_text, which keeps one packed int per distinct member
-and builds no Poly; on a bad line it reads the rest of the file first, so text
-that is not UTF-8 is still a usage error before any parse error. A `greedy
-enumerate` listing formats code tuples (polyring._format_codes), not Poly.
+Each command's argument rows and handler live in its own module under
+gpfq.commands; this one keeps what every run needs, so a run imports one
+command module and `gpfq -h` or `build_parser()` none.
 
 A well-formed command line is parsed straight from the command table
 (`_parse`), into the namespace argparse would make, so such a run builds no
@@ -35,12 +33,13 @@ from __future__ import annotations
 import gc
 import os
 import sys
-import time
 from types import SimpleNamespace
 
-# the layers are read at call time, so a subcommand runs only the ones it calls
+# the layers, lazily loaded: each command module reads them through these names
+# (`from ..cli import density`), so a run runs only the ones it calls, and a
+# tracer that wraps this module's names sees every call a handler makes
 from . import density, factor, ff, greedy, intarith, polyring, polytext, progfree, rn, tables
-from .errors import DEFAULT_VERTEX_BUDGET, MAX_DIGITS, MAX_VERTEX_BUDGET, BudgetExceeded, Error
+from .errors import BudgetExceeded, Error
 
 
 def _int_in(lo: int, hi: float = float("inf")):
@@ -83,145 +82,12 @@ def _field_for(parser, args):
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each takes its own subparser, for usage errors, and the
-# parsed arguments; it returns (exit code, text lines, JSON object or a function
-# that builds it), and `run` prints one or the other
-# ---------------------------------------------------------------------------
-
-# kind: density.certify kind; only upper-simple reads --terms
-_DENSITY_KINDS = {"greedy": "greedy", "lower": "lower_mq", "upper-simple": "upper_simple", "upper-no": "upper_no"}
-
-
-def _cmd_density(parser, args):
-    if args.terms is not None and args.kind != "upper-simple":
-        parser.error(f"density {args.kind} does not take --terms")
-    _prime_power(parser, args.q)
-    report = density.certify(_DENSITY_KINDS[args.kind], args.q, args.digits, terms=args.terms)
-    return 0, [report.rendered], report.to_json
-
-
-def _cmd_tables(parser, args):
-    start = time.monotonic()
-    cells = tables.verify_table(args.which)
-    print(f"table {args.which} verified in {time.monotonic() - start:.2f}s", file=sys.stderr)
-    all_pass = all(c.ok for c in cells)
-    lines = [
-        f"q={c.q} {c.column} expected={c.expected} computed={c.computed} "
-        + ("PASS" if c.ok else f"FAIL interval=[{c.interval.lo}, {c.interval.hi}]")
-        for c in cells
-    ]
-    lines.append(f"{sum(c.ok for c in cells)}/{len(cells)} cells PASS")
-    rows = [{key: getattr(c, key) for key in ("q", "column", "expected", "computed", "ok")} for c in cells]
-    return (0 if all_pass else 1), lines, {"which": args.which, "all_pass": all_pass, "cells": rows}
-
-
-def _cmd_figure1(parser, args):
-    rows = density.figure1_data(args.qmax)
-    return 0, ["q,density"] + [f"{q},{val}" for q, val in rows], None
-
-
-def _cmd_checkpoint(parser, args):
-    _prime_power(parser, args.q)
-    exact = str(density.checkpoint_density(args.q, args.k))
-    return 0, [exact], {"q": args.q, "k": args.k, "exact": exact}
-
-
-def _cmd_empirical(parser, args):
-    _prime_power(parser, args.q)
-    exact = str(density.empirical_greedy_density(args.q, args.max_degree))
-    return 0, [exact], {"q": args.q, "max_degree": args.max_degree, "exact": exact}
-
-
-def _cmd_rn(parser, args):
-    values = list(rn.rn_sequence(args.n))
-    return 0, [" ".join(map(str, values))], {"n": args.n, "values": values}
-
-
-def _cmd_factor(parser, args):
-    spec = _field_for(parser, args)
-    try:
-        f = polytext.parse_poly(spec, args.poly)
-    except Error as exc:
-        parser.error(f"bad polynomial {polytext._excerpt(args.poly)}: {exc}")
-    fac = factor.factorize(f)
-    parts = [(polyring.format_poly(prime), e) for prime, e in fac.parts]
-    pieces = [str(fac.unit.code)] + [f"({prime})" + (f"^{e}" if e > 1 else "") for prime, e in parts]
-    obj = {"q": args.q, "input": args.poly, "unit": fac.unit.code, "parts": [{"prime": t, "exp": e} for t, e in parts]}
-    return 0, [" * ".join(pieces)], obj
-
-
-def _cmd_check(parser, args):
-    spec = _field_for(parser, args)
-    members, extra, missing, witness = greedy.greedy_check(spec, args.max_degree)
-    extra = [polyring.format_poly(f) for f in extra]
-    missing = [polyring.format_poly(f) for f in missing]
-    lines = [f"constructed but not characterized: {f}" for f in extra]
-    lines += [f"characterized but not constructed: {f}" for f in missing]
-    if witness:
-        lines.append(f"progression found: base={polyring.format_poly(witness.base)} "
-                     f"ratio={polyring.format_poly(witness.ratio)}")
-    ok = not lines
-    if ok:
-        lines = [f"ok: {members} members up to degree {args.max_degree} "
-                 "match the exponent characterization; no progression found"]
-    obj = {"q": args.q, "max_degree": args.max_degree, "ok": ok, "members": members, "extra": extra, "missing": missing}
-    return (0 if ok else 1), lines, obj
-
-
-def _cmd_enumerate(parser, args):
-    # counts come from the Euler product, which needs only q; a field is built
-    # to list members, or to check a given --modulus
-    if args.counts_only and args.modulus is None:
-        _prime_power(parser, args.q)
-    else:
-        spec = _field_for(parser, args)
-    if not args.counts_only:
-        members = greedy._member_codes(spec, args.max_degree)
-    counts = density.greedy_counts(args.q, args.max_degree)
-    obj = {"q": args.q, "max_degree": args.max_degree, "counts": counts}
-    if args.counts_only:
-        return 0, [f"{d} {c}" for d, c in enumerate(counts)], obj
-    lines = obj["members"] = polyring._format_codes(spec.k, members)
-    return 0, lines, obj
-
-
-def _cmd_progcheck(parser, args):
-    spec = _field_for(parser, args)
-    try:
-        with open(args.file, encoding="utf-8") as fh:
-            try:
-                witness = progfree.has_progression_text(spec, fh, unit_tolerant=args.unit_tolerant)
-            except Error:
-                for _ in fh:  # text that is not UTF-8 is a usage error, found before any bad line
-                    pass
-                raise
-    except (OSError, UnicodeDecodeError) as exc:
-        parser.error(f"cannot read {args.file}: {exc}")
-    obj = {"q": args.q, "progression_free": witness is None, "witness": None}
-    if witness is None:
-        return 0, ["progression-free"], obj
-    shown = obj["witness"] = {
-        "base": polyring.format_poly(witness.base),
-        "ratio": polyring.format_poly(witness.ratio),
-        "members": [polyring.format_poly(g) for g in witness.members],
-    }
-    members = ", ".join(shown["members"])
-    return 0, [f"progression: base={shown['base']} ratio={shown['ratio']} members=[{members}]"], obj
-
-
-def _cmd_extremal(parser, args):
-    spec = _field_for(parser, args)
-    size, witness = progfree.max_progression_free_subset(spec, args.max_degree, args.budget)
-    shown = [polyring.format_poly(f) for f in witness]
-    obj = {"q": args.q, "max_degree": args.max_degree, "size": size, "witness": shown}
-    return 0, [f"size={size}", "witness: " + ", ".join(shown)], obj
-
-
-# ---------------------------------------------------------------------------
-# parser table: name: (help, handler, arguments), a name of two words under the
-# group its first word names; a command's parser is built only when argparse
-# dispatches to it (_Subparser); every handler but figure1's also takes --json,
-# and its JSON object is headed by the name, hyphenated
+# parser table: name: (help, module), a name of two words under the group its
+# first word names; a command's module (ARGUMENTS, handle) is imported when the
+# command runs or its parser is built (_Subparser). A handler takes its own
+# subparser, for usage errors, and the parsed arguments; it returns (exit code,
+# text lines, JSON object or a function that builds it), and `run` prints one or
+# the other, the JSON object headed by the name, hyphenated
 # ---------------------------------------------------------------------------
 
 def _arg(*flags, **options):
@@ -233,51 +99,20 @@ _Q = _arg("--q", type=int, required=True, help="field order, a prime power")
 _MODULUS = _arg("--modulus", help="comma-separated modulus coefficients, constant first")
 _MAX_DEGREE = _arg("--max-degree", type=_int_in(0), required=True)
 
-_COMMANDS = {  # name: (help, handler, arguments)
-    "density": ("certified density and bound values", _cmd_density, [
-        _arg("kind", choices=list(_DENSITY_KINDS)),
-        _Q,
-        _arg("--digits", type=_int_in(1, MAX_DIGITS), default=6),
-        _arg("--terms", type=_int_in(0), help="finite progression families for upper-simple"),
-    ]),
-    "tables": ("verify the published tables cell by cell", _cmd_tables, [
-        _arg("--which", type=int, choices=[1, 2, 3], required=True),
-    ]),
-    "figure1": ("density against q as CSV", _cmd_figure1, [
-        _arg("--qmax", type=_int_in(2), default=130),
-    ]),
-    "checkpoint": ("exact checkpoint density at N_k", _cmd_checkpoint, [
-        _Q,
-        _arg("--k", type=_int_in(1), required=True),
-    ]),
-    "empirical": ("exact finite-stage greedy density", _cmd_empirical, [_Q, _MAX_DEGREE]),
-    "rn": ("least endpoints r_n for AP-free subsets", _cmd_rn, [_arg("--n", type=_int_in(1), required=True)]),
-    "factor": ("factor a polynomial over F_q", _cmd_factor, [
-        _Q,
-        _MODULUS,
-        _arg("poly", help="polynomial text, e.g. 'x^3+x+1'"),
-    ]),
-    "greedy": ("greedy progression-free set operations", None, []),
-    "greedy check": ("brute-force construction vs characterization", _cmd_check, [_Q, _MODULUS, _MAX_DEGREE]),
-    "greedy enumerate": ("list greedy-set members", _cmd_enumerate, [
-        _Q,
-        _MODULUS,
-        _MAX_DEGREE,
-        _arg("--counts-only", action="store_true"),
-    ]),
-    "progcheck": ("search a polynomial list for a progression", _cmd_progcheck, [
-        _Q,
-        _MODULUS,
-        _arg("--file", required=True, help="one polynomial text per line"),
-        _arg("--unit-tolerant", action="store_true"),
-    ]),
-    "extremal": ("exact maximum progression-free subset", _cmd_extremal, [
-        _Q,
-        _MODULUS,
-        _MAX_DEGREE,
-        _arg("--budget", type=_int_in(1, MAX_VERTEX_BUDGET), default=DEFAULT_VERTEX_BUDGET,
-             help="vertex budget (default %(default)s)"),
-    ]),
+# "_cmd" keeps a module's last name part apart from the layers' (density, factor, tables)
+_COMMANDS = {  # name: (help, module under gpfq.commands, None for a group)
+    "density": ("certified density and bound values", "density_cmd"),
+    "tables": ("verify the published tables cell by cell", "tables_cmd"),
+    "figure1": ("density against q as CSV", "figure1_cmd"),
+    "checkpoint": ("exact checkpoint density at N_k", "checkpoint_cmd"),
+    "empirical": ("exact finite-stage greedy density", "empirical_cmd"),
+    "rn": ("least endpoints r_n for AP-free subsets", "rn_cmd"),
+    "factor": ("factor a polynomial over F_q", "factor_cmd"),
+    "greedy": ("greedy progression-free set operations", None),
+    "greedy check": ("brute-force construction vs characterization", "greedy_check_cmd"),
+    "greedy enumerate": ("list greedy-set members", "greedy_enumerate_cmd"),
+    "progcheck": ("search a polynomial list for a progression", "progcheck_cmd"),
+    "extremal": ("exact maximum progression-free subset", "extremal_cmd"),
 }
 
 
@@ -287,7 +122,7 @@ class _Subparser:
     a run that _parse reads hands one to its handler, which reads it only for a
     usage error; this stand-in keeps add_parser's keyword arguments (prog and
     the rest), and its first attribute read builds the ArgumentParser, with the
-    command's arguments from _COMMANDS, which then serves every read."""
+    command's arguments from its module, which then serves every read."""
 
     def __init__(self, command, **kwargs):
         self._command, self._kwargs, self._parser = command, kwargs, None
@@ -303,7 +138,7 @@ class _Subparser:
 def _add_commands(parser, group, dest):
     """`parser` with a subparser, built on dispatch, for each command of `group` ("" at the top)."""
     subparsers = parser.add_subparsers(dest=dest, required=True, parser_class=_Subparser)
-    for name, (help_text, _, _) in _COMMANDS.items():
+    for name, (help_text, _) in _COMMANDS.items():
         head, _, leaf = name.rpartition(" ")
         if head == group:
             subparsers.add_parser(leaf, help=help_text, command=name)
@@ -322,9 +157,13 @@ def _fill(parser, name):
 
 
 def _arguments(name):
-    """(handler, arguments) of command `name`, with --json but for figure1 and a group."""
-    _, handler, arguments = _COMMANDS[name]
-    return handler, (arguments if handler in (None, _cmd_figure1) else [*arguments, _JSON])
+    """(handler, arguments) of command `name`, from its module, which this imports;
+    (None, []) for a group."""
+    module = _COMMANDS[name][1]
+    if module is None:
+        return None, []
+    module = __import__(f"gpfq.commands.{module}", fromlist=["handle"])  # -X importtime lists it
+    return module.handle, module.ARGUMENTS
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -334,12 +173,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse(argv):
-    """The namespace argparse makes of `argv`, read from _COMMANDS alone, if argv
-    is exactly what the table declares: a command's word (two in a group), then
-    its row's exact flags, each valued one followed by a value that does not
-    start with "-", and its positionals, with every type and choice check passed
-    and every required flag given; else None. Its `parser` is a _Subparser with
-    argparse's prog for the command (the parent's prog, then the word)."""
+    """The namespace argparse makes of `argv`, read from _COMMANDS and the
+    command's argument rows alone, if argv is exactly what they declare: a
+    command's word (two in a group), then its rows' exact flags, each valued one
+    followed by a value that does not start with "-", and its positionals, with
+    every type and choice check passed and every required flag given; else None.
+    Its `parser` is a _Subparser with argparse's prog for the command (the
+    parent's prog, then the word)."""
     name, rest = (argv[0], argv[1:]) if argv else ("", [])
     if " " in name or name not in _COMMANDS:
         return None
@@ -421,4 +261,7 @@ def main():
 
 
 if __name__ == "__main__":
+    # under `python -m gpfq.cli` this module runs as __main__; the command modules
+    # import gpfq.cli, which must be this module, not a second compile of it
+    sys.modules.setdefault("gpfq.cli", sys.modules[__name__])
     main()

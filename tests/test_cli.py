@@ -1064,6 +1064,7 @@ print(*(m for m in ("fractions", "decimal", "dataclasses", "inspect", "json", "a
       file=sys.stderr)
 print(*(m for m in {_LAYERS!r} if "gpfq." + m in sys.modules), file=sys.stderr)
 print(*(m for m in {_LAYERS!r} if type(sys.modules.get("gpfq." + m)) is types.ModuleType), file=sys.stderr)
+print(*sorted(m.rpartition(".")[2] for m in sys.modules if m.startswith("gpfq.commands.")), file=sys.stderr)
 """
 
 
@@ -1082,9 +1083,11 @@ def test_startup_imports(json_flag, heavy):
     # (fractions and decimal come with density's rationals). Every layer module is
     # in sys.modules from `import gpfq` on, which per-layer tracing of a cold run
     # relies on, but only the layers the subcommand calls have run: one that has
-    # not is a lazily loaded module, not a plain ModuleType. Only upper-no runs rn
+    # not is a lazily loaded module, not a plain ModuleType. Only upper-no runs rn.
+    # Of the command modules, only density's is loaded
     err, out = _startup_probe("density", "greedy", "--q", "2", "--digits", "6", *json_flag)
-    assert err == ["0", f"fractions decimal {heavy}".strip(), " ".join(_LAYERS), "cli density numeric intarith"]
+    assert err == ["0", f"fractions decimal {heavy}".strip(), " ".join(_LAYERS), "cli density numeric intarith",
+                   "density_cmd"]
     assert "0.648361" in out
 
 
@@ -1105,12 +1108,16 @@ def test_startup_imports(json_flag, heavy):
         # a progression check parses its file's terms, and divides nothing
         (["progcheck", "--q", "2", "--file", "FILE"], "cli progfree polytext polyring ff intarith",
          "progression: base=1 ratio=x members=[1, x, x^2]\n"),
+        # a listing counts no members (density's Euler product), which only its --json object holds
+        (["greedy", "enumerate", "--q", "2", "--max-degree", "4"], "cli greedy progfree polyring ff intarith",
+         "1\nx\nx+1\nx^2+x\n"),
     ],
 )
 def test_startup_imports_polynomial_commands(tmp_path, argv, ran, out):
     (tmp_path / "members.txt").write_text("1\nx+1\nx\nx^2\n")
     err, stdout = _startup_probe(*(str(tmp_path / "members.txt") if arg == "FILE" else arg for arg in argv))
-    assert err == ["0", "", " ".join(_LAYERS), ran] and stdout.startswith(out)
+    command = "_".join(arg for arg in argv[:2] if not arg.startswith("-")) + "_cmd"
+    assert err == ["0", "", " ".join(_LAYERS), ran, command] and stdout.startswith(out)
 
 
 @pytest.mark.parametrize(
@@ -1124,15 +1131,37 @@ def test_startup_imports_polynomial_commands(tmp_path, argv, ran, out):
     ],
 )
 def test_startup_imports_number_commands(argv, loaded, ran, out):
-    assert _startup_probe(*argv) == (["0", loaded, " ".join(_LAYERS), ran], out)
+    assert _startup_probe(*argv) == (["0", loaded, " ".join(_LAYERS), ran, f"{argv[0]}_cmd"], out)
 
 
 def test_startup_imports_argparse_for_a_usage_error():
     # a well-formed run loads none of argparse, gettext and locale (the rows above); a handler's
-    # usage error reports through argparse, which loads all three
+    # usage error reports through argparse, which loads all three, and its parser's rows come
+    # from the one command module already loaded
     err, out = _startup_probe("density", "greedy", "--q", "6")
     assert err[0].startswith("usage: gpfq density [-h] ") and out == ""
-    assert err[-4:] == ["2", "argparse gettext locale", " ".join(_LAYERS), "cli intarith"]
+    assert err[-5:] == ["2", "argparse gettext locale", " ".join(_LAYERS), "cli intarith", "density_cmd"]
+
+
+def test_top_level_help_and_parser_load_no_command():
+    # `gpfq -h` and build_parser() read only the command table's help texts
+    err, out = _startup_probe("-h")
+    assert err[-1:] == [""] and out.startswith("usage: gpfq [-h]")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    probe = "import sys; from gpfq import cli; cli.build_parser(); print([m for m in sys.modules if m.startswith('gpfq.commands')])"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=30, env=env)
+    assert proc.stdout == "[]\n"
+
+
+def test_module_run_compiles_cli_once():
+    # under `python -m gpfq.cli` the running module is __main__; the command module that
+    # imports gpfq.cli gets that module, not a second import of cli.py
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "gpfq.cli", "rn", "--n", "5"],
+                          capture_output=True, text=True, timeout=30, env=env)
+    imported = [line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()]
+    assert proc.stdout == "1 2 4 5 9\n"
+    assert "gpfq.commands.rn_cmd" in imported and "gpfq.cli" not in imported
 
 
 _FUZZ_COMMANDS = {  # subcommand: (the flags it requires, the flags it takes besides)

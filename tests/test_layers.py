@@ -2,7 +2,8 @@
 `from .x import` set is pinned, so a layer that grows an upward import fails here.
 The packed form's packer (its lane rule and fold in y), codec and lane reducer are each pinned
 to one definition, in polyring, the Euclid and gcd to one in polydiv, and no other module reaches
-the Euclid but through the gcd. The package's public names (`gpfq.__all__`) are pinned too, so
+the Euclid but through the gcd. Only the command modules (`gpfq.commands`) import `cli`, and they
+reach the layers through its names alone. The package's public names (`gpfq.__all__`) are pinned too, so
 adding or removing one shows in a diff, and every public argument check must still raise.
 
 Imports made inside a function are not module-level and are not pinned: that is how a layer
@@ -116,6 +117,33 @@ def test_euclid_is_reached_only_through_gcd():
                     or isinstance(node, ast.alias) and node.name == "_euclid"):
                 found.add(path.stem)
     assert found == {"polydiv"}
+
+
+def _imports_anywhere(path):
+    """The modules that the file at `path` imports, at module level or inside a function,
+    relative imports resolved (`from . import x` naming x)."""
+    package = path.relative_to(PACKAGE.parent).with_suffix("").parts[:-1]
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=path.name)):
+        if isinstance(node, ast.Import):
+            found |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(package[:len(package) + 1 - node.level]) if node.level else ""
+            names = [node.module] if node.module else [alias.name for alias in node.names]
+            found |= {".".join(filter(None, (base, name))) for name in names}
+    return found
+
+
+def test_command_modules_reach_layers_through_cli():
+    # only the command modules import the front end, and they take every layer from gpfq.cli's names (which a
+    # tracer wraps there), so a handler that imports a layer itself, or a layer that imports cli, fails here
+    commands = PACKAGE / "commands"
+    modules = {path: _imports_anywhere(path) for path in sorted(PACKAGE.rglob("*.py"))}
+    assert len([path for path in modules if path.parent == commands and path.stem != "__init__"]) == 11
+    assert [path.name for path, found in modules.items() if commands not in path.parents and "gpfq.cli" in found] == []
+    beside_cli = {path.name: {name for name in found if name.startswith("gpfq")} - {"gpfq.cli", "gpfq.errors"}
+                  for path, found in modules.items() if commands in path.parents}
+    assert {name: found for name, found in beside_cli.items() if found} == {}
 
 
 F2 = gpfq.make_field(2)

@@ -17,9 +17,17 @@ HARNESS = Path(__file__).resolve().parent.parent / "perfbench" / "traced_cli.py"
     [
         (["density", "greedy", "--q", "2", "--digits", "6"], ("density", "numeric")),
         (["factor", "--q", "4", "x^3+1"], ("factor", "polyring")),
+        # each command reaches its layers through gpfq.cli's names, which the harness wraps
+        (["tables", "--which", "1"], ("tables", "density", "numeric")),
+        (["extremal", "--q", "2", "--max-degree", "3"], ("progfree", "polyring")),
+        (["progcheck", "--q", "2", "--file", "FILE"], ("progfree", "polyring")),
+        (["figure1", "--qmax", "5"], ("density", "numeric")),
+        (["checkpoint", "--q", "2", "--k", "3"], ("density",)),
     ],
 )
 def test_traced_run_answers_like_a_plain_run(tmp_path, argv, layers):
+    (tmp_path / "members.txt").write_text("1\nx+1\nx\nx^2\n")
+    argv = [str(tmp_path / "members.txt") if arg == "FILE" else arg for arg in argv]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     plain = subprocess.run(
         [sys.executable, "-m", "gpfq.cli", *argv], capture_output=True, text=True, timeout=30, env=env,
