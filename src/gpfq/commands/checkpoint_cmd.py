@@ -11,5 +11,5 @@ ARGUMENTS = [
 
 def handle(parser, args):
     _prime_power(parser, args.q)
-    exact = str(density.checkpoint_density(args.q, args.k))
+    exact = density._ratio_text(*density._checkpoint_pair(args.q, args.k))
     return 0, [exact], {"q": args.q, "k": args.k, "exact": exact}

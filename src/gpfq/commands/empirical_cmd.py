@@ -7,5 +7,5 @@ ARGUMENTS = [_Q, _MAX_DEGREE, _JSON]
 
 def handle(parser, args):
     _prime_power(parser, args.q)
-    exact = str(density.empirical_greedy_density(args.q, args.max_degree))
+    exact = density._ratio_text(*density._empirical_pair(args.q, args.max_degree))
     return 0, [exact], {"q": args.q, "max_degree": args.max_degree, "exact": exact}

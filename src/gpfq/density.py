@@ -29,18 +29,29 @@ render unambiguously. Each step triples the precision (the 3^i exponents make
 convergence triply exponential), and a depth is tried only while its first
 omitted term q^(-3^(I+1)) has at most MAX_TAIL_BITS bits, so the last attempt
 costs seconds at any q.
+
+Certified values are built on numeric's unreduced integer pairs (numerator,
+denominator): the partial products, the tails (numeric._exp_upper) and
+upper_no's sum over the one denominator q^(r_N). A Fraction is built only
+where the public API returns one: checkpoint_density,
+empirical_greedy_density, upper_bound_simple (the exact value upper_simple
+reports, so that kind alone loads `fractions`) and an Interval's endpoints.
+The CLI prints checkpoint and empirical values from `_checkpoint_pair` and
+`_empirical_pair` through numeric._ratio_text.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb, log2
-from typing import NamedTuple, Optional, Union
+from typing import TYPE_CHECKING, NamedTuple, Optional, Union
 
 from . import rn
 from .errors import MAX_DEPTH, MAX_DIGITS, MAX_TAIL_BITS, BudgetExceeded, NeedsMorePrecision
 from .intarith import count_irreducibles, nk, prime_powers_upto
-from .numeric import Interval, exp_upper, render_decimal
+from .numeric import Interval, _exp_upper, _fraction, _ratio_text, render_decimal
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 DEFAULT_START_DEPTH = 3
 MAX_CHECKPOINT_BITS = 2**20  # denominators q^(N_k + 1) and q^(2+3T); q=2, k=13 prints in a few seconds
@@ -74,9 +85,9 @@ class DensityReport(NamedTuple):
             "q": self.q,
             "kind": self.kind,
             "value": self.rendered,
-            "interval": {"lo": str(iv.lo), "hi": str(iv.hi)},
+            "interval": {"lo": _ratio_text(iv._ln, iv._ld), "hi": _ratio_text(iv._hn, iv._hd)},
         }
-        if isinstance(self.value, Fraction):
+        if not isinstance(self.value, Interval):
             out["exact"] = str(self.value)
         for key in ("digits", "depth", "terms"):
             v = getattr(self, key)
@@ -89,13 +100,13 @@ class DensityReport(NamedTuple):
 # certified infinite products
 # ---------------------------------------------------------------------------
 
-def _one_plus_tail(u: Fraction) -> Interval:
-    """Enclosure of prod (1 + u_i) over omitted indices, u = first omitted term.
+def _one_plus_tail(m: int) -> Interval:
+    """Enclosure of prod (1 + u_i) over omitted indices, the first omitted term being 1/m.
 
     Successive omitted terms shrink by a factor of at least 2, so
-    sum u_i <= 2u, and log(1+x) <= x puts the product in [1, exp(2u)].
+    sum u_i <= 2/m, and log(1+x) <= x puts the product in [1, exp(2/m)].
     """
-    return Interval(1, exp_upper(2 * u))
+    return Interval._of(1, 1, *_exp_upper(2, m))
 
 
 def _greedy_tail(q: int, depth: int) -> Interval:
@@ -105,27 +116,31 @@ def _greedy_tail(q: int, depth: int) -> Interval:
     (1, 1 + 2*q^(1-3^i)] for i > depth, and the exponents shrink the terms
     super-geometrically, so the product is within [1, exp(4*q^(1-3^(I+1)))].
     """
-    u = Fraction(1, q ** (3 ** (depth + 1) - 1))
-    return Interval(1, exp_upper(4 * u))
+    return Interval._of(1, 1, *_exp_upper(4, q ** (3 ** (depth + 1) - 1)))
 
 
-def _greedy_partial(q: int, depth: int) -> Fraction:
-    val = 1 - Fraction(1, q)
+def _greedy_partial(q: int, depth: int) -> tuple:
+    """(numerator, denominator) of (1 - 1/q) * prod_{1<=i<=depth} (1 - q^(1-2a)) / (1 - q^(1-a)), a = 3^i,
+    each factor written (q^(2a-1) - 1) / (q^a * (q^(a-1) - 1))."""
+    n, d = q - 1, q
     for i in range(1, depth + 1):
         a = 3**i
-        val *= (1 - Fraction(1, q ** (2 * a - 1))) / (1 - Fraction(1, q ** (a - 1)))
-    return val
+        n *= q ** (2 * a - 1) - 1
+        d *= q**a * (q ** (a - 1) - 1)
+    return n, d
 
 
 def greedy_density_interval(q: int, depth: int) -> Interval:
     """Greedy-set density through product index `depth`, certified."""
-    return Interval.point(_greedy_partial(q, depth)) * _greedy_tail(q, depth)
+    n, d = _greedy_partial(q, depth)
+    return Interval._of(n, d, n, d) * _greedy_tail(q, depth)
 
 
 def mq_interval(q: int, depth: int) -> Interval:
     """m_q = (1 - q^-2) * prod_{i>=1} (1 + q^(-3^i)) through `depth`, certified; the partial
     product is checkpoint_density(q, depth + 1), as (1 - 1/q)(1 + 1/q) = 1 - q^-2."""
-    return Interval.point(checkpoint_density(q, depth + 1)) * _one_plus_tail(Fraction(1, q ** (3 ** (depth + 1))))
+    n, d = _checkpoint_pair(q, depth + 1)
+    return Interval._of(n, d, n, d) * _one_plus_tail(q ** (3 ** (depth + 1)))
 
 
 def greedy_density(q: int, digits: int = 6) -> DensityReport:
@@ -142,20 +157,28 @@ def lower_bound_mq(q: int, digits: int = 6) -> DensityReport:
 # exact checkpoints and the simple upper bound
 # ---------------------------------------------------------------------------
 
+def _checkpoint_pair(q: int, k: int) -> tuple:
+    """(numerator, denominator) of checkpoint_density(q, k), in lowest terms: every factor
+    q - 1 and q^(3^i) + 1 of the numerator is prime to q."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if k > MAX_CHECKPOINT_BITS.bit_length() or (nk(k) + 1) * log2(q) > MAX_CHECKPOINT_BITS:
+        raise BudgetExceeded(f"checkpoint q={q} k={k} exceeds the {MAX_CHECKPOINT_BITS}-bit budget")
+    n, d = q - 1, q
+    for i in range(k):
+        p = q ** (3**i)
+        n *= p + 1
+        d *= p
+    return n, d
+
+
 def checkpoint_density(q: int, k: int) -> Fraction:
     """|S(T) ∩ S(q^(N_k))| / q^(N_k + 1), exactly: (1 - 1/q) * prod_{i<k} (1 + q^(-3^i)).
 
     Increases with k toward m_q from below (the gap is under 2*q^(-N_k)).
     The denominator q^(N_k + 1) may have at most MAX_CHECKPOINT_BITS bits.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if k > MAX_CHECKPOINT_BITS.bit_length() or (nk(k) + 1) * log2(q) > MAX_CHECKPOINT_BITS:
-        raise BudgetExceeded(f"checkpoint q={q} k={k} exceeds the {MAX_CHECKPOINT_BITS}-bit budget")
-    value = 1 - Fraction(1, q)
-    for i in range(k):
-        value *= 1 + Fraction(1, q ** (3**i))
-    return value
+    return _fraction(*_checkpoint_pair(q, k))
 
 
 def upper_bound_simple(q: int, terms: Optional[int] = None) -> Fraction:
@@ -167,14 +190,14 @@ def upper_bound_simple(q: int, terms: Optional[int] = None) -> Fraction:
     """
     if q < 2:
         raise ValueError("q must be >= 2")
-    limit = Fraction(q - 1, q**3 - 1)
+    limit = _fraction(q - 1, q**3 - 1)
     if terms is None:
         return 1 - limit
     if terms < 0:
         raise ValueError("terms must be >= 0")
     if terms > MAX_CHECKPOINT_BITS or (2 + 3 * terms) * log2(q) > MAX_CHECKPOINT_BITS:
         raise BudgetExceeded(f"upper-simple q={q} terms={terms} exceeds the {MAX_CHECKPOINT_BITS}-bit budget")
-    return 1 - limit * (1 - Fraction(1, q ** (3 * terms)))
+    return 1 - limit * (1 - _fraction(1, q ** (3 * terms)))
 
 
 # ---------------------------------------------------------------------------
@@ -188,8 +211,9 @@ def upper_bound_no_interval(q: int, n_terms: int) -> Interval:
     the omitted sum is at most (q-1) * q^(-r_N) * sum_{j>=1} q^(-j) = q^(-r_N).
     """
     rns = rn.rn_sequence(n_terms)
-    partial = (q - 1) * sum((Fraction(1, q**r) for r in rns), Fraction(0))
-    return Interval(partial, partial + Fraction(1, q ** rns[-1]))
+    top = rns[-1]
+    partial = (q - 1) * sum(q ** (top - r) for r in rns)
+    return Interval._of(partial, q**top, partial + 1, q**top)
 
 
 def upper_bound_no(q: int, digits: int = 9) -> DensityReport:
@@ -273,11 +297,16 @@ def greedy_counts(q: int, max_degree: int) -> list:
     return [(q - 1) * c for c in series]
 
 
+def _empirical_pair(q: int, max_degree: int) -> tuple:
+    """(numerator, denominator) of empirical_greedy_density(q, max_degree), unreduced."""
+    return sum(greedy_counts(q, max_degree)), q ** (max_degree + 1)
+
+
 def empirical_greedy_density(q: int, max_degree: int) -> Fraction:
     """|{f != 0 : deg f <= D, member}| / q^(D+1), the member count summed
     from the Euler product of `greedy_counts`.
     """
-    return Fraction(sum(greedy_counts(q, max_degree)), q ** (max_degree + 1))
+    return _fraction(*_empirical_pair(q, max_degree))
 
 
 def figure1_data(q_max: int, digits: int = 6) -> list:

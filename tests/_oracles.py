@@ -12,11 +12,15 @@ greedy definition, AP-free subset existence by exhaustive combinations and
 by plain backtracking over sets, the largest progression-free set by
 exhaustive combinations, the size of the reflected-degree free set by its
 closed form, the greedy polynomial set by dividing every
-polynomial by the square of every ratio, and progressions by trying every
-divisor pair with DigitField arithmetic.
+polynomial by the square of every ratio, progressions by trying every
+divisor pair with DigitField arithmetic, and exact rational enclosures,
+their rounding and the certified density intervals on `fractions.Fraction`
+endpoints (the package computes them on unreduced integer pairs).
 """
 
+from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 from itertools import combinations, product
 
 from gpfq.ff import make_field
@@ -444,3 +448,77 @@ def has_progression_brute(polys, unit_tolerant=False):
         return None
     _, a, _, r = min(found)
     return Poly(spec, a), Poly(spec, r)
+
+
+class FractionInterval:
+    """[lo, hi] on Fraction endpoints: the reference for numeric.Interval's arithmetic."""
+
+    def __init__(self, lo, hi):
+        self.lo, self.hi = Fraction(lo), Fraction(hi)
+        if self.lo > self.hi:
+            raise ValueError(f"empty interval: {self.lo} > {self.hi}")
+
+    def __add__(self, other):
+        return FractionInterval(self.lo + other.lo, self.hi + other.hi)
+
+    def __mul__(self, other):
+        if self.lo < 0 or other.lo < 0:
+            raise ValueError("interval multiplication requires non-negative operands")
+        return FractionInterval(self.lo * other.lo, self.hi * other.hi)
+
+    def scale(self, r):
+        r = Fraction(r)
+        return FractionInterval(self.lo * r, self.hi * r) if r >= 0 else FractionInterval(self.hi * r, self.lo * r)
+
+    def __contains__(self, v):
+        return self.lo <= Fraction(v) <= self.hi
+
+
+def fraction_round_half_away(x, digits):
+    """x rounded to `digits` fractional digits, ties away from zero, on Fractions."""
+    s = 10**digits
+    num = x.numerator * s
+    q, r = divmod(abs(num), x.denominator)
+    if 2 * r >= x.denominator:
+        q += 1
+    return Fraction(q if num >= 0 else -q, s)
+
+
+def fraction_render_decimal(lo, hi, digits):
+    """The decimal both endpoints round to, or the NeedsMorePrecision message when they differ."""
+    a, b = (fraction_round_half_away(e, digits) * 10**digits for e in (lo, hi))
+    if a != b:
+        bits = [max(e.numerator.bit_length(), e.denominator.bit_length()) for e in (lo, hi)]
+        return None, f"endpoints of {bits[0]} and {bits[1]} bits straddle a {digits}-digit rounding boundary"
+    n = int(a)
+    ip, fp = divmod(abs(n), 10**digits)
+    return f"{'-' if n < 0 else ''}{ip}.{fp:0{digits}d}", None
+
+
+def fraction_exp_upper(x):
+    """e^x's series through x^8 plus the remainder bound 2 * x^9 / 9!, term by term on Fractions."""
+    total, power = Fraction(0), Fraction(1)
+    for j in range(9):
+        total += power / factorial(j)
+        power *= x
+    return total + 2 * power / factorial(9)
+
+
+def fraction_density_interval(kind, q, param, rns=None):
+    """The certified interval of density kind greedy | lower_mq (param: product depth) or
+    upper_no (param: term count, `rns` the first r_n values), from the closed forms on Fractions."""
+    if kind == "upper_no":
+        rns = rns[:param]
+        partial = (q - 1) * sum(Fraction(1, q**r) for r in rns)
+        return FractionInterval(partial, partial + Fraction(1, q ** rns[-1]))
+    value = 1 - Fraction(1, q)
+    if kind == "greedy":
+        for i in range(1, param + 1):
+            a = 3**i
+            value *= (1 - Fraction(1, q ** (2 * a - 1))) / (1 - Fraction(1, q ** (a - 1)))
+        tail = fraction_exp_upper(4 * Fraction(1, q ** (3 ** (param + 1) - 1)))
+    else:
+        for i in range(param + 1):
+            value *= 1 + Fraction(1, q ** (3**i))
+        tail = fraction_exp_upper(2 * Fraction(1, q ** (3 ** (param + 1))))
+    return FractionInterval(value, value * tail)

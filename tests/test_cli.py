@@ -23,6 +23,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from _oracles import has_progression_brute
+import gpfq
 from gpfq import (cli, factor, format_poly, greedy, greedy_member, has_progression, make_field, parse_poly, polyring,
                   polytext)
 from gpfq.cli import build_parser, run
@@ -1079,14 +1080,14 @@ def _startup_probe(*argv):
 
 @pytest.mark.parametrize("json_flag, heavy", [([], ""), (["--json"], "json")])
 def test_startup_imports(json_flag, heavy):
-    # a cold run loads neither dataclasses nor inspect, and json only under --json
-    # (fractions and decimal come with density's rationals). Every layer module is
+    # a cold run loads neither dataclasses nor inspect, and json only under --json;
+    # a certified value is computed on integer pairs, so not fractions or decimal either. Every layer module is
     # in sys.modules from `import gpfq` on, which per-layer tracing of a cold run
     # relies on, but only the layers the subcommand calls have run: one that has
     # not is a lazily loaded module, not a plain ModuleType. Only upper-no runs rn.
     # Of the command modules, only density's is loaded
     err, out = _startup_probe("density", "greedy", "--q", "2", "--digits", "6", *json_flag)
-    assert err == ["0", f"fractions decimal {heavy}".strip(), " ".join(_LAYERS), "cli density numeric intarith",
+    assert err == ["0", heavy, " ".join(_LAYERS), "cli density numeric intarith",
                    "density_cmd"]
     assert "0.648361" in out
 
@@ -1111,6 +1112,9 @@ def test_startup_imports(json_flag, heavy):
         # a listing counts no members (density's Euler product), which only its --json object holds
         (["greedy", "enumerate", "--q", "2", "--max-degree", "4"], "cli greedy progfree polyring ff intarith",
          "1\nx\nx+1\nx^2+x\n"),
+        # counts alone build no field and no polynomial: the Euler product is integer only
+        (["greedy", "enumerate", "--q", "2", "--max-degree", "4", "--counts-only"], "cli density numeric intarith",
+         "0 1\n1 2\n2 2\n3 6\n4 12\n"),
     ],
 )
 def test_startup_imports_polynomial_commands(tmp_path, argv, ran, out):
@@ -1125,13 +1129,38 @@ def test_startup_imports_polynomial_commands(tmp_path, argv, ran, out):
     [
         # the r_n search is integer only: no density, no rationals, not even the prime-power test
         (["rn", "--n", "5"], "", "cli rn", "1 2 4 5 9\n"),
-        # the sharper upper bound sums q^-r_n as rationals over rn's table
-        (["density", "upper-no", "--q", "2", "--digits", "6"], "fractions decimal", "cli density rn numeric intarith",
+        # the sharper upper bound sums q^-r_n over one denominator q^(r_N), on rn's table
+        (["density", "upper-no", "--q", "2", "--digits", "6"], "", "cli density rn numeric intarith",
          "0.846376\n"),
+        # exact values print from integer pairs, reduced as str(Fraction) writes them
+        (["checkpoint", "--q", "2", "--k", "3"], "", "cli density numeric intarith", "13851/16384\n"),
+        (["empirical", "--q", "2", "--max-degree", "5"], "", "cli density numeric intarith", "43/64\n"),
+        (["figure1", "--qmax", "5"], "", "cli density numeric intarith", "q,density\n2,0.648361\n3,0.747027\n"
+         "4,0.799231\n5,0.833069\n"),
+        (["tables", "--which", "1"], "", "cli tables density numeric intarith",
+         "".join(f"q={q} greedy expected={v} computed={v} PASS\n" for q, v in [
+             (2, "0.648361"), (3, "0.747027"), (4, "0.799231"), (5, "0.833069"), (7, "0.874948"), (8, "0.888862"),
+             (9, "0.899985"), (25, "0.961538"), (27, "0.964286"), (49, "0.980000"), (125, "0.992063"),
+             (343, "0.997093")]) + "12/12 cells PASS\n"),
+        # the simple upper bound's report value is an exact Fraction, the one density kind that loads fractions
+        (["density", "upper-simple", "--q", "5", "--digits", "9"], "fractions decimal", "cli density numeric intarith",
+         "0.967741935\n"),
     ],
 )
 def test_startup_imports_number_commands(argv, loaded, ran, out):
-    assert _startup_probe(*argv) == (["0", loaded, " ".join(_LAYERS), ran, f"{argv[0]}_cmd"], out)
+    err, stdout = _startup_probe(*argv)
+    err = [line for line in err if not re.fullmatch(r"table \d verified in [\d.]+s", line)]  # tables' timing line
+    assert (err, stdout) == (["0", loaded, " ".join(_LAYERS), ran, f"{argv[0]}_cmd"], out)
+
+
+def test_library_values_stay_fractions():
+    # the CLI computes on integer pairs; every public value that was a Fraction still is one
+    values = [gpfq.checkpoint_density(2, 3), gpfq.empirical_greedy_density(2, 5), gpfq.upper_bound_simple(5),
+              gpfq.upper_bound_simple(5, 2), gpfq.exp_upper(Fraction(1, 3)), gpfq.round_half_away(Fraction(1, 3), 2),
+              gpfq.Interval("1/3", 1).lo, gpfq.Interval(0, 1).hi, gpfq.Interval(0, 1).width,
+              gpfq.density.certify("upper_simple", 5, 9).value]
+    assert [type(v) for v in values] == [Fraction] * len(values)
+    assert values[:2] == [Fraction(13851, 16384), Fraction(43, 64)]
 
 
 def test_startup_imports_argparse_for_a_usage_error():

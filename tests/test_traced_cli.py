@@ -23,6 +23,10 @@ HARNESS = Path(__file__).resolve().parent.parent / "perfbench" / "traced_cli.py"
         (["progcheck", "--q", "2", "--file", "FILE"], ("progfree", "polyring")),
         (["figure1", "--qmax", "5"], ("density", "numeric")),
         (["checkpoint", "--q", "2", "--k", "3"], ("density",)),
+        # the only ops that render a non-Interval value (upper-simple's exact Fraction), which the
+        # harness reads through numeric.Fraction
+        (["tables", "--which", "3"], ("tables", "density", "numeric")),
+        (["density", "upper-simple", "--q", "5", "--digits", "9"], ("density", "numeric")),
     ],
 )
 def test_traced_run_answers_like_a_plain_run(tmp_path, argv, layers):
