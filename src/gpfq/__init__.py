@@ -9,9 +9,9 @@ Importing the package runs only `errors`. Each other module below
 (`intarith` and `rn` included) is in `sys.modules` and is an attribute of the
 package from the start, but its code runs on the first attribute access
 (`importlib.util.LazyLoader`), so a command runs only the layers it calls:
-`gpfq rn` runs `cli` and `rn` alone, and `polydiv`, `polytext`, `extfield` and
-`greedy` hold the code of `polyring`, `ff` and `progfree` that only some
-commands call. The exported names resolve through `_EXPORTS` on first use
+`gpfq rn` runs `cli` and `rn` alone, and `polydiv`, `polytext`, `extfield`,
+`greedy` and `progsearch` hold the code of `polyring`, `ff` and `progfree` that
+only some commands call. The exported names resolve through `_EXPORTS` on first use
 (PEP 562).
 """
 
@@ -36,8 +36,8 @@ _EXPORTS = {
     "polyring": """NEG_INFINITY Poly canonical_key derivative enumerate_monic enumerate_polys enumerate_upto
         format_poly gcd make_monic one x zero""",
     "polytext": "parse_poly",
-    "progfree": """ProgressionWitness a3_contains a3_list greedy_member has_progression
-        max_progression_free_subset reflected_degrees""",
+    "progfree": "a3_contains a3_list greedy_member max_progression_free_subset reflected_degrees",
+    "progsearch": "ProgressionWitness has_progression",
     "rn": "RnTable rn_sequence",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
@@ -55,9 +55,9 @@ def _lazy(name):
     return module
 
 
-density, extfield, factor, ff, greedy, intarith, numeric, polydiv, polyring, polytext, progfree, rn, tables = map(
-    _lazy, ("density", "extfield", "factor", "ff", "greedy", "intarith", "numeric", "polydiv", "polyring", "polytext",
-            "progfree", "rn", "tables"))
+(density, extfield, factor, ff, greedy, intarith, numeric, polydiv, polyring, polytext, progfree, progsearch, rn,
+ tables) = map(_lazy, ("density", "extfield", "factor", "ff", "greedy", "intarith", "numeric", "polydiv", "polyring",
+                       "polytext", "progfree", "progsearch", "rn", "tables"))
 
 
 def __getattr__(name):

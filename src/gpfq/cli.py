@@ -21,16 +21,16 @@ when argparse dispatches to it (or help or an error message reads it). A usage
 error a handler finds builds its subcommand's parser to report it, so help and
 usage text are argparse's alone.
 
-`main`, the process's entry point, freezes the collector (gc.freeze) before it
-exits, so interpreter shutdown skips full collections over every loaded object
-only to free memory the OS reclaims anyway; `run` does not, since tests and
-tracers call it in a process that goes on. A reader that closes stdout early
-(`gpfq ... | head`) ends the run with exit 1 and no traceback.
+`main`, the process's entry point, ends with `os._exit` after flushing stdout
+and stderr and running the `atexit` handlers: teardown only frees memory the
+OS reclaims anyway, and the package writes no file. `run` does not, since
+tests and tracers call it in a process that goes on. A reader that closes a
+pipe early (`gpfq ... | head`) ends the run with exit 1 and no traceback.
 """
 
 from __future__ import annotations
 
-import gc
+import atexit
 import os
 import sys
 from types import SimpleNamespace
@@ -38,7 +38,7 @@ from types import SimpleNamespace
 # the layers, lazily loaded: each command module reads them through these names
 # (`from ..cli import density`), so a run runs only the ones it calls, and a
 # tracer that wraps this module's names sees every call a handler makes
-from . import density, factor, ff, greedy, intarith, polyring, polytext, progfree, rn, tables
+from . import density, factor, ff, greedy, intarith, polyring, polytext, progfree, progsearch, rn, tables
 from .errors import BudgetExceeded, Error
 
 
@@ -253,11 +253,16 @@ def main():
     try:
         code = run(sys.argv[1:])
         sys.stdout.flush()  # here, so a closed pipe raises inside the try
-    except BrokenPipeError:  # the reader left (`gpfq ... | head`): no traceback, and no flush at exit
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.stderr.flush()
+    except BrokenPipeError:  # the reader left (`gpfq ... | head`): exit 1, no traceback
         code = 1
-    gc.freeze()  # the process ends here: spare shutdown a collection over every object
-    sys.exit(code)
+    atexit._run_exitfuncs()  # what hooks process exit (coverage, say) runs as at a normal exit
+    try:  # and what they print is flushed after them, as at a normal exit
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except BrokenPipeError:
+        code = 1
+    os._exit(code)  # the process ends at its last write: no interpreter teardown
 
 
 if __name__ == "__main__":

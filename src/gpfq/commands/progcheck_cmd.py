@@ -1,11 +1,11 @@
 """`gpfq progcheck`: search a file of polynomials for a geometric progression.
 
-The file's lines go, as they decode, to progfree.has_progression_text, which
+The file's lines go, as they decode, to progsearch.has_progression_text, which
 keeps one packed int per distinct member and builds no Poly; on a bad line the
 rest of the file is read first, so text that is not UTF-8 is still a usage
 error before any parse error."""
 
-from ..cli import _JSON, _MODULUS, _Q, _arg, _field_for, polyring, progfree
+from ..cli import _JSON, _MODULUS, _Q, _arg, _field_for, polyring, progsearch
 from ..errors import Error
 
 ARGUMENTS = [
@@ -22,7 +22,7 @@ def handle(parser, args):
     try:
         with open(args.file, encoding="utf-8") as fh:
             try:
-                witness = progfree.has_progression_text(spec, fh, unit_tolerant=args.unit_tolerant)
+                witness = progsearch.has_progression_text(spec, fh, unit_tolerant=args.unit_tolerant)
             except Error:
                 for _ in fh:  # text that is not UTF-8 is a usage error, found before any bad line
                     pass

@@ -17,16 +17,18 @@ each:
     = exp[la + zech[lb - la]] with zech[d] = log(1 + g^d), and a negation
     table.
 
-The tables are filled, and larger extension fields multiply, through digit
-polynomials (_mul_digits): a schoolbook product whose digits of t^k and up
-are folded by the modulus itself. Larger fields take one Python call per
-product and add digit by digit.
+The tables are filled by walking g's powers, one multiply-by-g step each (a
+digit shift and a fold by the modulus per nonzero digit of g). Larger
+extension fields multiply through digit polynomials (_mul_digits): a
+schoolbook product whose digits of t^k and up are folded by the modulus
+itself, one Python call per product, and add digit by digit.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from functools import partial
 
 from .errors import BudgetExceeded, DivisionByZero, ReducibleModulus
@@ -117,12 +119,51 @@ def _primitive_powers(spec):
         c for c in range(p, q)
         if all(spec.pow_c(c, (q - 1) // l) != 1 for l in primes)
     )
-    powers = []
-    gd = spec.digits_of(g)
-    cur = spec.digits_of(1)
-    for _ in range(q - 1):
-        powers.append(_code_of(spec, cur))
-        cur = _mul_digits(spec, gd, cur)
+    terms = [(i, c) for i, c in enumerate(spec.digits_of(g)) if c]  # g's nonzero digits
+    return (_powers_gf2 if p == 2 else _powers_odd)(spec, terms)
+
+
+# g^0, ..., g^(q-2), g's nonzero digits (i, g_i) in `terms`, each power from the last by
+# one step: g * c sums g_i * (x^i c), and x * c is a digit shift with the digit shifted to
+# t^k folded back by the modulus (t^k = -(m_0 + ... + m_(k-1) t^(k-1))).
+
+def _powers_gf2(spec, terms):
+    """A code is the bit vector of its digits: the shift is one, the fold and the sum XORs."""
+    k, modulus = spec.k, _code_of(spec, spec.modulus)
+    powers, cur = [], 1
+    for _ in range(spec.q - 1):
+        powers.append(cur)
+        acc = at = 0
+        for i, _ in terms:
+            for _ in range(i - at):
+                cur <<= 1
+                if cur >> k:
+                    cur ^= modulus
+            at = i
+            acc ^= cur
+        cur = acc
+    return powers
+
+
+def _powers_odd(spec, terms):
+    """One digit per byte of an int, constant first. A shift adds below p to a byte, a
+    term with g_i != 1 is reduced as bytes.translate scales it, so a step's sum stays
+    below k*k*p <= 244 (q <= _LOG_MAX) until one translate reduces it."""
+    p, k = spec.p, spec.k
+    mask, top = (1 << 8 * k) - 1, 8 * (k - 1)
+    fold = [int.from_bytes(bytes(-t * m % p for m in spec.modulus[:k]), "little") for t in range(k * p)]
+    scaled = {c: bytes(c * b % p for b in range(256)) for c in {1, *(c for _, c in terms)}}
+    weights = [p**i for i in range(k)]
+    powers, cur = [], 1
+    for _ in range(spec.q - 1):
+        powers.append(sum(map(operator.mul, cur.to_bytes(k, "little"), weights)))
+        acc = at = 0
+        for i, c in terms:
+            for _ in range(i - at):
+                cur = (cur << 8 & mask) + fold[cur >> top]
+            at = i
+            acc += cur if c == 1 else int.from_bytes(cur.to_bytes(k, "little").translate(scaled[c]), "little")
+        cur = int.from_bytes(acc.to_bytes(k, "little").translate(scaled[1]), "little")
     return powers
 
 

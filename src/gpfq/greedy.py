@@ -4,8 +4,9 @@ greedy_construct_bruteforce builds the set literally, by increasing degree;
 greedy_members builds it from its exponent characterization (progfree's
 greedy_member), by sieving the irreducibles instead of factoring each
 polynomial; greedy_check compares the two and searches the construction for a
-progression with progfree's search. Both builds multiply and compare
-polynomials as ints in polyring's 2-D packed form.
+progression with progsearch's search (so `greedy enumerate` never compiles
+that). Both builds multiply and compare polynomials as ints in polyring's 2-D
+packed form.
 
 The greedy set is closed under units, so both greedy builds run on the
 packed monic polynomials alone; only a listing of members is expanded to
@@ -18,9 +19,10 @@ from __future__ import annotations
 
 import itertools
 
+from . import progsearch
 from .errors import DEFAULT_ENUM_BUDGET
 from .polyring import Poly, _canonical, _code_tuples, _packer, _scale, _unit_ops
-from .progfree import _first_progression, a3_contains, enumeration_size
+from .progfree import a3_contains, enumeration_size
 
 
 def greedy_members(spec, max_degree: int):
@@ -76,7 +78,7 @@ def greedy_check(spec, max_degree: int):
         bases = [unpack(n) for n in constructed if n < cut]
         return constructed, [_scale(spec, cs, spec.inv_c(next(filter(None, cs)))) for cs in bases]
 
-    witness = _first_progression(spec, range(max_degree + 1), True, keyed)
+    witness = progsearch._first_progression(spec, range(max_degree + 1), True, keyed)
     return (spec.q - 1) * len(constructed), extra, missing, witness
 
 

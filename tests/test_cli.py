@@ -784,6 +784,47 @@ def test_closed_pipe_ends_without_traceback():
     assert err == b""  # no traceback
 
 
+def _buffered_env():
+    """The environment for a child whose stdout to a pipe is block-buffered, as a user's is, so that
+    os._exit without a flush would lose it."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    return {**env, "PYTHONPATH": os.pathsep.join(sys.path)}
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["rn", "--n", "5"], 0),
+        (["extremal", "--q", "2", "--max-degree", "3", "--budget", "5"], 1),  # BudgetExceeded: an `error:` line
+        (["density", "greedy", "--q", "6"], 2),  # usage text on stderr
+        (["greedy", "enumerate", "--q", "16", "--max-degree", "3"], 0),  # a 1.5 MB listing, which must arrive whole
+    ],
+)
+def test_module_run_matches_run_in_process(capsys, argv, code):
+    # `main` ends the process with os._exit after flushing: what reaches the pipes, and the exit code, are what
+    # cli.run gives in process
+    env = _buffered_env()
+    proc = subprocess.run([sys.executable, "-m", "gpfq.cli", *argv], capture_output=True, text=True, timeout=60,
+                          env=env)
+    assert invoke(capsys, *argv) == (proc.returncode, proc.stdout, proc.stderr)
+    assert proc.returncode == code and (proc.stdout if code == 0 else proc.stderr)
+
+
+def test_main_runs_atexit_handlers():
+    # a handler registered before main (as coverage registers one) runs before os._exit, and what it prints
+    # arrives after the command's own output
+    env = _buffered_env()
+    script = ("import atexit, sys\n"
+              "atexit.register(print, 'handler ran')\n"
+              "atexit.register(print, 'handler ran', file=sys.stderr)\n"
+              "sys.argv = ['gpfq', 'rn', '--n', '5']\n"
+              "from gpfq import cli\n"
+              "cli.main()\n"
+              "print('not reached')\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=30, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1 2 4 5 9\nhandler ran\n", "handler ran\n")
+
+
 @pytest.mark.parametrize(
     "q, max_degree, digest",
     [
@@ -1052,8 +1093,8 @@ def test_large_arguments_end_at_once(argv, code):
         )
 
 
-_LAYERS = ("cli", "tables", "density", "rn", "greedy", "progfree", "factor", "polytext", "polydiv", "polyring", "numeric",
-           "extfield", "ff", "intarith")
+_LAYERS = ("cli", "tables", "density", "rn", "greedy", "progsearch", "progfree", "factor", "polytext", "polydiv",
+           "polyring", "numeric", "extfield", "ff", "intarith")
 _STARTUP_PROBE = f"""
 import sys, types
 before = set(sys.modules)
@@ -1099,17 +1140,18 @@ def test_startup_imports(json_flag, heavy):
         # layer and no greedy build
         (["factor", "--q", "4", "x^3+1"], "cli factor polytext polydiv polyring extfield ff intarith",
          "1 * (x+[1]) * (x+[2]) * (x+[3])\n"),
-        # the extremal search over a prime field factors, divides and parses nothing
+        # the extremal search over a prime field factors, divides and parses nothing, and checks no given set
         (["extremal", "--q", "2", "--max-degree", "6"], "cli progfree polyring ff intarith", "size=108\nwitness: x^2, "),
         # over GF(2) no extension field is built
         (["factor", "--q", "2", "x^3+1"], "cli factor polytext polydiv polyring ff intarith", "1 * (x+1) * (x^2+x+1)\n"),
         # the greedy builds and their check divide and parse nothing
-        (["greedy", "check", "--q", "3", "--max-degree", "3"], "cli greedy progfree polyring ff intarith",
+        (["greedy", "check", "--q", "3", "--max-degree", "3"], "cli greedy progsearch progfree polyring ff intarith",
          "ok: 62 members up to degree 3 match the exponent characterization; no progression found\n"),
         # a progression check parses its file's terms, and divides nothing
-        (["progcheck", "--q", "2", "--file", "FILE"], "cli progfree polytext polyring ff intarith",
+        (["progcheck", "--q", "2", "--file", "FILE"], "cli progsearch progfree polytext polyring ff intarith",
          "progression: base=1 ratio=x members=[1, x, x^2]\n"),
-        # a listing counts no members (density's Euler product), which only its --json object holds
+        # a listing counts no members (density's Euler product), which only its --json object holds, and
+        # searches no progression
         (["greedy", "enumerate", "--q", "2", "--max-degree", "4"], "cli greedy progfree polyring ff intarith",
          "1\nx\nx+1\nx^2+x\n"),
         # counts alone build no field and no polynomial: the Euler product is integer only

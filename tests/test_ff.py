@@ -204,6 +204,41 @@ def test_log_tables(p, k):
             assert _mul_codes(spec, a, spec.inv_c(a)) == 1
 
 
+@pytest.mark.parametrize("p, k", [(2, 2), (2, 3), (3, 2), (5, 2), (3, 3), (2, 9), (3, 6), (2, 12), (3, 7)])
+def test_log_tables_match_the_product_walk(p, k):
+    # the tables are filled by multiply-by-g steps (a digit shift and a fold per nonzero digit of g);
+    # walking g's powers by general digit products instead, g the least code of order q - 1, gives
+    # the same g and the same exp, log, Zech and negation tables
+    spec = make_field(p, k)
+    q, n = spec.q, spec.q - 1
+
+    def order(c):
+        power, i = c, 1
+        while power != 1:
+            power, i = _mul_codes(spec, power, c), i + 1
+        return i
+
+    g = next(c for c in range(p, q) if order(c) == n)
+    powers = [1]
+    for _ in range(n - 1):
+        powers.append(_mul_codes(spec, powers[-1], g))
+    log = [2 * n] * q
+    for i, c in enumerate(powers):
+        log[c] = i
+    assert spec.exp == powers * 2 + [0] * (2 * n + 1)
+    assert spec.log == log
+
+    def code(digits):
+        return sum(d * p**i for i, d in enumerate(digits))
+
+    assert [spec.neg_c(c) for c in range(q)] == [code(-d % p for d in spec.digits_of(c)) for c in range(q)]
+    if p > 2:  # zech[d] = log(1 + g^d)
+        one_plus = [code((d + (i == 0)) % p for i, d in enumerate(spec.digits_of(c))) for c in powers]
+        assert spec.zech == [log[c] for c in one_plus] * 2
+    else:
+        assert spec.zech is None
+
+
 def test_inverse_of_zero(field):
     with pytest.raises(DivisionByZero):
         field.zero.inverse()

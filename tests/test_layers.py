@@ -8,8 +8,9 @@ adding or removing one shows in a diff, and every public argument check must sti
 
 Imports made inside a function are not module-level and are not pinned: that is how a layer
 reaches the module split from it that only some commands run (`ff` reaches `extfield`,
-`polyring` reaches `polydiv` and `progfree` reaches `polytext`), and how `extfield` reaches
-`factor` and `polyring` to search a default modulus.
+`polyring` reaches `polydiv`, `progsearch` reaches `polytext`, and `progfree` forwards the
+progression check's names from `progsearch`), and how `extfield` reaches `factor` and
+`polyring` to search a default modulus.
 """
 
 import ast
@@ -32,7 +33,8 @@ LAYERS = {
     "polytext": {"errors", "polyring"},
     "factor": {"errors", "ff", "polydiv", "polyring"},
     "progfree": {"errors", "factor", "polyring"},
-    "greedy": {"errors", "polyring", "progfree"},
+    "progsearch": {"errors", "polyring", "progfree"},
+    "greedy": {"errors", "polyring", "progfree", "progsearch"},
     "rn": {"errors"},
     "density": {"errors", "intarith", "numeric", "rn"},
     "tables": {"density", "numeric"},
